@@ -80,11 +80,8 @@ def _sub_quadform(H: Graph, params: CodeParameters, tol: float):
         fact = linalg.ldl_rational(rational_shift(H, params.exact.mu, +1))
         x = fact.range_solve([Fraction(1)] * H.n)
         return (sum(x) if x is not None else None, fact.rank, x is not None)
-    M = H.adjacency() + params.mu * np.eye(H.n)
-    if not linalg.in_range(M, np.ones(H.n), tol):
-        return None, linalg.rank_sym(M, tol), False
-    q = linalg.quadform_group_inverse(M, np.ones(H.n), tol)
-    return q, linalg.rank_sym(M, tol), True
+    k = linalg.shifted(H.adjacency() + params.mu * np.eye(H.n), tol)
+    return k.quadform, k.rank, k.quadform is not None
 
 
 def _resolve_cert(G: Graph, params: CodeParameters, tol: float,
@@ -256,14 +253,10 @@ def sandwich_bounds(graphs, mu: float, d: int,
     for G in graphs:
         if not is_connected(G):
             continue
-        M = G.adjacency() + mu * np.eye(G.n)
-        cut = linalg.scaled_tol(M, tol)
-        spec = linalg.eigen_decompose(M, tol)
-        if spec.values[-1] < -cut:
+        k = linalg.shifted(G.adjacency() + mu * np.eye(G.n), tol)
+        if k.inertia.neg or k.quadform is None:
             continue
-        if not linalg.in_range(M, np.ones(G.n), tol):
-            continue
-        rank = int(np.sum(spec.values > cut))
+        rank = k.rank
         if rank > d + 1:
             continue
         members += 1

@@ -250,24 +250,23 @@ def certify_alpha(G: Graph, params: CodeParameters,
         raise ValueError("certificates need at least one vertex")
     if params.exact is not None:
         return _certify_alpha_exact(G, params.exact)
-    A = G.adjacency()
-    M = A + params.mu * np.eye(G.n)
-    spec = linalg.eigen_decompose(M, tol)
+    M = G.adjacency() + params.mu * np.eye(G.n)
+    k = linalg.shifted(M, tol)
     cut = linalg.scaled_tol(M, tol)
-    smallest = float(spec.values[-1] - params.mu)
-    if spec.values[-1] < -cut:
+    smallest = float(k.values[-1] - params.mu)
+    if k.inertia.neg:
         return AlphaCertificate(valid=False, failure_reason="eigenvalue_below",
                                 smallest_eigenvalue=smallest)
-    if not linalg.in_range(M, np.ones(G.n), tol):
+    q = k.quadform
+    if q is None:
         return AlphaCertificate(valid=False, failure_reason="j_not_in_range",
                                 smallest_eigenvalue=smallest)
-    q = linalg.quadform_group_inverse(M, np.ones(G.n), tol)
     if q > params.p + cut:
         return AlphaCertificate(valid=False, failure_reason="quadform_exceeds",
                                 quadform=q, smallest_eigenvalue=smallest)
     equality = abs(q - params.p) <= cut
-    rank = linalg.rank_sym(M, tol)
-    return AlphaCertificate(valid=True, rank_r=rank - 1 if equality else rank,
+    return AlphaCertificate(valid=True,
+                            rank_r=k.rank - 1 if equality else k.rank,
                             quadform=q, equality_case=equality,
                             smallest_eigenvalue=smallest)
 
@@ -317,16 +316,13 @@ def certify_beta_zero(G: Graph, beta,
         return BetaCertificate(valid=True, case="p2", rank_r=fact.rank,
                                exact=True)
     lam = 1.0 / (-bf)
-    A = G.adjacency()
-    M = lam * np.eye(G.n) - A
-    cut = linalg.scaled_tol(M, tol)
-    lam1 = float(linalg.eigen_decompose(A, tol).values[0])
-    if lam1 > lam + cut:
+    M = lam * np.eye(G.n) - G.adjacency()
+    inert = linalg.shifted(M, tol).inertia
+    if inert.neg:
         return BetaCertificate(valid=False, failure_reason="eigenvalue_above")
-    if lam1 < lam - cut:
+    if inert.zero == 0:
         return BetaCertificate(valid=True, case="p1", rank_r=G.n)
-    return BetaCertificate(valid=True, case="p2",
-                           rank_r=linalg.rank_sym(M, tol))
+    return BetaCertificate(valid=True, case="p2", rank_r=inert.pos)
 
 
 def certify_beta(G: Graph, params: CodeParameters,
@@ -345,10 +341,10 @@ def certify_beta(G: Graph, params: CodeParameters,
         raise ValueError("certificates need at least one vertex")
     if params.exact is not None:
         return _certify_beta_exact(G, params.exact)
-    A = G.adjacency()
-    M = params.lam * np.eye(G.n) - A
+    M = params.lam * np.eye(G.n) - G.adjacency()
     cut = linalg.scaled_tol(M, tol)
-    inert = linalg.inertia(M, tol)
+    k = linalg.shifted(M, tol)
+    inert = k.inertia
     bound = (params.alpha - params.beta) / (-params.alpha)
     if inert.neg == 0:
         if inert.zero == 0:
@@ -356,17 +352,16 @@ def certify_beta(G: Graph, params: CodeParameters,
         return BetaCertificate(valid=True, case="two",
                                rank_r=inert.pos + 1)
     if inert.neg == 1:
-        if not linalg.in_range(M, np.ones(G.n), tol):
+        q = k.quadform
+        if q is None:
             return BetaCertificate(valid=False, case="three",
                                    failure_reason="j_not_in_range")
-        q = linalg.quadform_group_inverse(M, np.ones(G.n), tol)
         if q > bound + cut:
             return BetaCertificate(valid=False, case="three", quadform=q,
                                    failure_reason="quadform_exceeds")
         equality = abs(q - bound) <= cut
-        rank = inert.pos + inert.neg
         return BetaCertificate(valid=True, case="three",
-                               rank_r=rank - 1 if equality else rank,
+                               rank_r=k.rank - 1 if equality else k.rank,
                                quadform=q, equality_case=equality)
     return BetaCertificate(valid=False, failure_reason="negative_inertia")
 

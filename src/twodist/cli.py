@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,18 @@ from .search import (capacity, max_code_size, neighborhood_capacity_f,
                      oracle_cross_check)
 
 DEFAULT_TOL = 1e-9
+
+
+def _tolerance(text: str) -> float:
+    """--tol values: every cut scales tol, so it must be finite and > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            "expected a finite number > 0, got %r" % text)
+    return tol
 
 
 def _scalar(text: str, exact: bool):
@@ -319,7 +332,7 @@ def _add_common(sub, *, params=False, graph=False, infile=False, out=True,
         sub.add_argument("--out", help="write output here instead of stdout")
     if fmt:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                      help="numerical tolerance (default 1e-9)")
 
 

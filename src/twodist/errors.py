@@ -5,10 +5,6 @@ class TwoDistError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConvergenceError(TwoDistError):
-    """Eigensolver failed to converge within the sweep cap."""
-
-
 class NotInRange(TwoDistError):
     """Right-hand side is not in the column space of the matrix."""
 

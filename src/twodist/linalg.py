@@ -1,9 +1,11 @@
 """Dense symmetric-matrix routines backing the certification pipeline.
 
 Matrices are square 2d numpy arrays of floats and vectors are 1d numpy
-arrays.  Everything is sized for small instances (n <= 64): the goal is
-deterministic, inspectable numerics, not throughput.  Eigenvalues come from
-a cyclic Jacobi iteration so results are bit-reproducible across platforms.
+arrays.  Everything is sized for small instances (n <= 64).  Eigenvalues
+come from one LAPACK call (numpy.linalg.eigh) per matrix.  Results repeat
+bit for bit on one machine with a fixed number of BLAS threads, but not
+across LAPACK builds: their last bits may differ, while every decision
+compares against the tolerance below.
 
 All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
@@ -15,17 +17,15 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousCase, ConvergenceError, NotInRange
+from .errors import AmbiguousCase, NotInRange
 
 DEFAULT_TOL = 1e-9
-JACOBI_SWEEP_CAP = 100
 
 
 class Inertia(NamedTuple):
@@ -62,75 +62,39 @@ def _as_symmetric(M, tol: float) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def eigen_decompose(M, tol: float = DEFAULT_TOL,
-                    sweep_cap: int = JACOBI_SWEEP_CAP) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK (numpy's eigh).
 
-    Returns eigenvalues in descending order with matching eigenvector
-    columns.  Rotations are applied in a fixed row-major pair order, so the
-    output is deterministic.  Raises ConvergenceError if the off-diagonal
-    mass has not collapsed after ``sweep_cap`` sweeps.
+    Returns eigenvalues in descending order with matching orthonormal
+    eigenvector columns.  Only the symmetrized matrix reaches LAPACK, so
+    both triangles count.
     """
-    A = _as_symmetric(M, tol)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n <= 1:
-        vals = np.diag(A).astype(float).copy() if n else np.zeros(0)
-        return Spectrum(vals, V)
+    values, vectors = np.linalg.eigh(_as_symmetric(M, tol))
+    return Spectrum(values[::-1], vectors[:, ::-1])
 
-    scale = max(1.0, float(np.max(np.abs(A))))
-    stop = 1e-14 * scale
-    for _ in range(sweep_cap):
-        upper = np.triu(A, 1)
-        if float(np.max(np.abs(upper))) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= stop * 1e-2:
-                    continue
-                app, aqq = A[p, p], A[q, q]
-                if app == aqq:
-                    t = 1.0 if apq > 0 else -1.0
-                else:
-                    theta = (aqq - app) / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - s * colq
-                A[:, q] = s * colp + c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - s * rowq
-                A[q, :] = s * rowp + c * rowq
-                # pin the values the rotation targets exactly
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise ConvergenceError(
-            "Jacobi iteration did not converge in %d sweeps" % sweep_cap)
 
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(vals[order], V[:, order])
+def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
+    pos = int(np.sum(values > cut))
+    neg = int(np.sum(values < -cut))
+    return Inertia(pos, neg, len(values) - pos - neg)
+
+
+def _range_solve(spec: Spectrum, cut: float, v) -> np.ndarray | None:
+    """Minimum-norm solution of M x = v from the spectrum of M.
+
+    None when the component of v on the eigenvectors with |value| <= cut
+    has norm above cut, i.e. v leaves the column space.
+    """
+    coeffs = spec.vectors.T @ np.asarray(v, dtype=float)
+    keep = np.abs(spec.values) > cut
+    if float(np.linalg.norm(coeffs[~keep])) > cut:
+        return None
+    return spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
 
 
 def inertia(M, tol: float = DEFAULT_TOL) -> Inertia:
     """Counts of eigenvalues above, below and within tol' of zero."""
-    vals = eigen_decompose(M, tol).values
-    cut = scaled_tol(M, tol)
-    pos = int(np.sum(vals > cut))
-    neg = int(np.sum(vals < -cut))
-    return Inertia(pos, neg, len(vals) - pos - neg)
+    return _count_inertia(eigen_decompose(M, tol).values, scaled_tol(M, tol))
 
 
 def rank_sym(M, tol: float = DEFAULT_TOL) -> int:
@@ -139,18 +103,38 @@ def rank_sym(M, tol: float = DEFAULT_TOL) -> int:
     return pos + neg
 
 
+class Shifted(NamedTuple):
+    values: np.ndarray      # eigenvalues in descending order
+    inertia: Inertia
+    rank: int
+    quadform: float | None  # j^T M^# j; None when j leaves the column space
+
+
+def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
+    """The certificate facts about a shifted adjacency matrix, one spectrum.
+
+    For symmetric M (A + mu I or lam I - A) and the all-ones vector j:
+    the spectrum, the inertia and rank at the cut tol', and the quadratic
+    form j^T M^# j, read from the same decomposition.  M is positive
+    semidefinite iff inertia.neg == 0.
+    """
+    spec = eigen_decompose(M, tol)
+    cut = scaled_tol(M, tol)
+    inert = _count_inertia(spec.values, cut)
+    ones = np.ones(len(spec.values))
+    x = _range_solve(spec, cut, ones)
+    return Shifted(spec.values, inert, inert.pos + inert.neg,
+                   None if x is None else float(ones @ x))
+
+
 def in_range(M, v, tol: float = DEFAULT_TOL) -> bool:
     """Whether v lies in the column space of symmetric M.
 
     True iff the component of v orthogonal to the column space has norm
     at most tol'.
     """
-    spec = eigen_decompose(M, tol)
-    cut = scaled_tol(M, tol)
-    v = np.asarray(v, dtype=float)
-    coeffs = spec.vectors.T @ v
-    null = np.abs(spec.values) <= cut
-    return float(np.linalg.norm(coeffs[null])) <= cut
+    return _range_solve(eigen_decompose(M, tol), scaled_tol(M, tol),
+                        v) is not None
 
 
 def solve_in_range(M, v, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -160,14 +144,9 @@ def solve_in_range(M, v, tol: float = DEFAULT_TOL) -> np.ndarray:
     The returned x is orthogonal to the kernel, so quadratic forms v.x are
     independent of which solution is used.
     """
-    if not in_range(M, v, tol):
+    x = _range_solve(eigen_decompose(M, tol), scaled_tol(M, tol), v)
+    if x is None:
         raise NotInRange("right-hand side is not in the column space")
-    spec = eigen_decompose(M, tol)
-    cut = scaled_tol(M, tol)
-    v = np.asarray(v, dtype=float)
-    coeffs = spec.vectors.T @ v
-    keep = np.abs(spec.values) > cut
-    x = spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
     return x
 
 
@@ -228,14 +207,15 @@ def rank_one_update_inertia(M, u, c: float,
         raise ValueError("update coefficient c must be nonzero")
     M = _as_symmetric(M, tol)
     u = np.asarray(u, dtype=float)
-    base = inertia(M, tol)
-    if not in_range(M, u, tol):
+    spec = eigen_decompose(M, tol)
+    cut = scaled_tol(M, tol)
+    base = _count_inertia(spec.values, cut)
+    x = _range_solve(spec, cut, u)
+    if x is None:
         case = 1
         s = None
     else:
-        x = solve_in_range(M, u, tol)
         s = c * float(u @ x)
-        cut = scaled_tol(M, tol)
         if abs(s + 1.0) <= cut:
             case = 4
         elif s > -1.0:

@@ -78,18 +78,11 @@ def _qualifies(G, r: int, p, mu, mode: str, tol: float) -> bool:
         q = sum(x)
         return q < p if mode == "strict" else q == p
     M = G.adjacency() + mu * np.eye(G.n)
-    spec = linalg.eigen_decompose(M, tol)
+    k = linalg.shifted(M, tol)
+    if k.inertia.neg or k.rank > r or k.quadform is None:
+        return False
+    q = k.quadform
     cut = linalg.scaled_tol(M, tol)
-    if spec.values[-1] < -cut:
-        return False
-    if int(np.sum(spec.values > cut)) > r:
-        return False
-    # one decomposition serves the range test and the quadratic form
-    coeff = spec.vectors.T @ np.ones(G.n)
-    kernel = np.abs(spec.values) <= cut
-    if float(np.linalg.norm(coeff[kernel])) > cut:
-        return False
-    q = float(np.sum(coeff[~kernel] ** 2 / spec.values[~kernel]))
     if mode == "strict":
         return q < p - cut
     return abs(q - p) <= cut

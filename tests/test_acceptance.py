@@ -204,7 +204,7 @@ def test_criterion_7_eigenvalue_floor_exhaustive():
 def test_criterion_8_exact_float_agreement():
     mismatches = []
     pairs = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for G in enumerate_graphs(n):
             for P in search.RATIONAL_GRID:
                 F = CodeParameters.make(float(P.exact.alpha),

@@ -32,7 +32,9 @@ def test_certify_square_float(capsys):
     rc, out = run(capsys, "certify", "--alpha", "0", "--beta", "-1",
                   "--graph", "Cl")
     assert rc == 0
-    assert out.startswith("valid rank=2 quadform=0.9999999")
+    assert out.startswith("valid rank=2 quadform=")
+    q = float(out.split()[2].split("=")[1])
+    assert abs(q - 1.0) <= 1e-12
     assert out.rstrip().endswith("equality")
 
 
@@ -256,3 +258,14 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(capsys, tol):
+    with pytest.raises(SystemExit) as err:
+        main(["certify", "--alpha", "0", "--beta=-1", "--graph", "Cl",
+              "--tol=" + tol])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err

@@ -131,6 +131,22 @@ def test_solve_is_minimum_norm():
         assert np.allclose(null.T @ x, 0, atol=1e-8)
 
 
+def test_shifted_reads_one_spectrum():
+    # A(C4) + 2I: eigenvalues 4, 2, 2, 0 with kernel (1,-1,1,-1); j is
+    # an eigenvector for 4, so j^T M^# j = |j|^2 / 4 = 1
+    k = linalg.shifted(cycle_adjacency(4) + 2 * np.eye(4))
+    assert np.allclose(k.values, [4.0, 2.0, 2.0, 0.0], atol=1e-12)
+    assert k.inertia == (3, 0, 1) and k.rank == 3
+    assert abs(k.quadform - 1.0) < 1e-12
+    # diag(1, 0): j has a kernel component, so no quadratic form
+    k = linalg.shifted(np.diag([1.0, 0.0]))
+    assert k.inertia == (1, 0, 1) and k.rank == 1 and k.quadform is None
+    # diag(2, -1): indefinite, invertible, j^T M^-1 j = 1/2 - 1
+    k = linalg.shifted(np.diag([2.0, -1.0]))
+    assert k.inertia == (1, 1, 0) and k.rank == 2
+    assert abs(k.quadform + 0.5) < 1e-12
+
+
 def test_quadform_independent_of_solution():
     M = cycle_adjacency(4) + 2 * np.eye(4)
     v = np.ones(4)
