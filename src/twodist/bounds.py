@@ -24,11 +24,14 @@ import numpy as np
 from . import linalg
 from .certificates import (AlphaCertificate, CodeParameters, certify_alpha,
                            rational_shift)
-from .errors import EmptyFamilyError
+from .errors import EmptyFamilyError, InvariantViolation, SizeGuardError
 from .graphs import (Graph, contains_clique, delete_closed_neighborhood,
                      independence_number, is_complete, is_connected,
                      subgraph_on_neighbors)
 from .linalg import DEFAULT_TOL
+
+# check_subgraph_inequality sweeps all 2^n subsets when none is given
+MAX_SUBSET_SWEEP_N = 20
 
 
 @dataclass
@@ -77,10 +80,9 @@ def _sub_quadform(H: Graph, params: CodeParameters, tol: float):
     leaves the column space.
     """
     if params.exact is not None:
-        fact = linalg.ldl_rational(rational_shift(H, params.exact.mu, +1))
-        x = fact.range_solve([Fraction(1)] * H.n)
-        return (sum(x) if x is not None else None, fact.rank, x is not None)
-    k = linalg.shifted(H.adjacency() + params.mu * np.eye(H.n), tol)
+        k = linalg.shifted_exact(rational_shift(H, params.exact.mu, +1))
+    else:
+        k = linalg.shifted(H.adjacency() + params.mu * np.eye(H.n), tol)
     return k.quadform, k.rank, k.quadform is not None
 
 
@@ -133,6 +135,9 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
         holds = left_ok(t, e) and right_ok
         return BoundReport(name="subgraph", applicable=True, holds=holds,
                            value=float(q), witness=sorted(subset))
+    if G.n > MAX_SUBSET_SWEEP_N:
+        raise SizeGuardError("the subset sweep is guarded to n <= %d; "
+                             "pass a subset" % MAX_SUBSET_SWEEP_N)
     for mask in range(1, 1 << G.n):
         t, e = mask.bit_count(), edges_in(mask)
         if not left_ok(t, e):
@@ -276,14 +281,25 @@ def sandwich_bounds(graphs, mu: float, d: int,
                           family_size=members)
 
 
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+
+def _check_recursion(mu_kept: bool, p_kept: bool) -> None:
+    if not mu_kept:
+        raise InvariantViolation("the recursion map did not preserve mu")
+    if not p_kept:
+        raise InvariantViolation("the recursion map broke the budget identity")
+
+
 def recursion_map(params: CodeParameters, check: bool = True) -> CodeParameters:
     """Parameters seen by a derived code on the neighbors of a vertex.
 
     alpha maps to alpha/(1+alpha) and beta to (beta-alpha^2)/(1-alpha^2).
     Two identities pin the map down: mu is preserved, and the new budget p
     equals (alpha-beta)/(alpha^2-beta) of the original parameters.  With
-    check=True these are asserted to within tol on the float path and
-    exactly on the rational path.
+    check=True these are checked to within tol on the float path and
+    exactly on the rational path; a failure raises InvariantViolation.
     """
     if params.exact is not None:
         ex = params.exact
@@ -291,18 +307,15 @@ def recursion_map(params: CodeParameters, check: bool = True) -> CodeParameters:
         b0 = (ex.beta - ex.alpha ** 2) / (1 - ex.alpha ** 2)
         mapped = CodeParameters.make(a0, b0)
         if check:
-            assert mapped.exact.mu == ex.mu
-            if b0 < 0:
-                assert mapped.exact.p == (ex.alpha - ex.beta) / \
-                    (ex.alpha ** 2 - ex.beta)
+            _check_recursion(mapped.exact.mu == ex.mu, b0 >= 0 or
+                             mapped.exact.p == (ex.alpha - ex.beta) /
+                             (ex.alpha ** 2 - ex.beta))
         return mapped
     a, b = params.alpha, params.beta
     mapped = CodeParameters.make(a / (1.0 + a), (b - a * a) / (1.0 - a * a))
     if check:
-        assert abs(mapped.mu - params.mu) <= 1e-9 * max(1.0, abs(params.mu))
-        if mapped.beta < 0:
-            target = (a - b) / (a * a - b)
-            assert abs(mapped.p - target) <= 1e-9 * max(1.0, abs(target))
+        _check_recursion(_close(mapped.mu, params.mu), mapped.beta >= 0 or
+                         _close(mapped.p, (a - b) / (a * a - b)))
     return mapped
 
 

@@ -225,13 +225,16 @@ class BetaCertificate:
 
 
 def rational_shift(G: Graph, shift: Fraction, sign: int):
-    """A*sign + shift*I as a Fraction matrix (sign=+1) or shift*I - A (sign=-1)."""
+    """A + shift*I (sign=+1) or shift*I - A (sign=-1) as a rational matrix.
+
+    Off-diagonal entries are the ints 0 and sign, the diagonal is shift.
+    """
     n = G.n
-    M = [[Fraction(0)] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
     for v in range(n):
-        M[v][v] = Fraction(shift)
+        M[v][v] = shift
         for u in G.neighbors(v):
-            M[v][u] = Fraction(sign)
+            M[v][u] = sign
     return M
 
 
@@ -272,23 +275,20 @@ def certify_alpha(G: Graph, params: CodeParameters,
 
 
 def _certify_alpha_exact(G: Graph, ex: ExactParameters) -> AlphaCertificate:
-    M = rational_shift(G, ex.mu, +1)
-    fact = linalg.ldl_rational(M)
-    if not fact.psd:
+    k = linalg.shifted_exact(rational_shift(G, ex.mu, +1))
+    if k.inertia.neg:
         return AlphaCertificate(valid=False, failure_reason="eigenvalue_below",
                                 exact=True)
-    ones = [Fraction(1)] * G.n
-    x = fact.range_solve(ones)
-    if x is None:
+    q = k.quadform
+    if q is None:
         return AlphaCertificate(valid=False, failure_reason="j_not_in_range",
                                 exact=True)
-    q = sum(x)
     if q > ex.p:
         return AlphaCertificate(valid=False, failure_reason="quadform_exceeds",
                                 quadform=q, exact=True)
     equality = q == ex.p
-    rank = fact.rank
-    return AlphaCertificate(valid=True, rank_r=rank - 1 if equality else rank,
+    return AlphaCertificate(valid=True,
+                            rank_r=k.rank - 1 if equality else k.rank,
                             quadform=q, equality_case=equality, exact=True)
 
 
@@ -307,13 +307,13 @@ def certify_beta_zero(G: Graph, beta,
         raise ValueError("certificates need at least one vertex")
     if _is_exact(beta):
         lam = 1 / (-Fraction(beta))
-        fact = linalg.ldl_rational(rational_shift(G, lam, -1))
-        if not fact.psd:
+        k = linalg.shifted_exact(rational_shift(G, lam, -1))
+        if k.inertia.neg:
             return BetaCertificate(valid=False,
                                    failure_reason="eigenvalue_above", exact=True)
-        if fact.rank == G.n:
+        if k.rank == G.n:
             return BetaCertificate(valid=True, case="p1", rank_r=G.n, exact=True)
-        return BetaCertificate(valid=True, case="p2", rank_r=fact.rank,
+        return BetaCertificate(valid=True, case="p2", rank_r=k.rank,
                                exact=True)
     lam = 1.0 / (-bf)
     M = lam * np.eye(G.n) - G.adjacency()
@@ -367,29 +367,26 @@ def certify_beta(G: Graph, params: CodeParameters,
 
 
 def _certify_beta_exact(G: Graph, ex: ExactParameters) -> BetaCertificate:
-    M = rational_shift(G, ex.lam, -1)
-    fact = linalg.ldl_rational(M)
-    inert = fact.inertia()
+    k = linalg.shifted_exact(rational_shift(G, ex.lam, -1))
+    inert = k.inertia
     bound = (ex.alpha - ex.beta) / (-ex.alpha)
     if inert.neg == 0:
         if inert.zero == 0:
             return BetaCertificate(valid=True, case="one", rank_r=G.n,
                                    exact=True)
-        return BetaCertificate(valid=True, case="two", rank_r=fact.rank + 1,
+        return BetaCertificate(valid=True, case="two", rank_r=k.rank + 1,
                                exact=True)
     if inert.neg == 1:
-        ones = [Fraction(1)] * G.n
-        x = fact.range_solve(ones)
-        if x is None:
+        q = k.quadform
+        if q is None:
             return BetaCertificate(valid=False, case="three",
                                    failure_reason="j_not_in_range", exact=True)
-        q = sum(x)
         if q > bound:
             return BetaCertificate(valid=False, case="three", quadform=q,
                                    failure_reason="quadform_exceeds", exact=True)
         equality = q == bound
         return BetaCertificate(valid=True, case="three",
-                               rank_r=fact.rank - 1 if equality else fact.rank,
+                               rank_r=k.rank - 1 if equality else k.rank,
                                quadform=q, equality_case=equality, exact=True)
     return BetaCertificate(valid=False, failure_reason="negative_inertia",
                            exact=True)

@@ -9,7 +9,8 @@ Scalars are accepted as decimals or as exact fractions "a/b"; fractions
 switch the whole pipeline to exact rational arithmetic, and --exact
 promotes decimal inputs to the rationals they spell.  Exit codes: 0 the
 computation succeeded and every checked condition holds, 1 a certificate
-is invalid or a bound is violated (a reason is printed), 2 usage error.
+is invalid, a bound is violated or an internal consistency check failed
+(a reason is printed), 2 usage error or an instance above a size guard.
 """
 
 import argparse
@@ -27,8 +28,8 @@ from .certificates import (CodeParameters, alpha_graph, certify_alpha,
                            certify_beta, dumps_code, load_code,
                            realize_from_alpha, realize_from_beta, verify_code)
 from .errors import (AmbiguousPair, CertificateInvalid, EmptyFamilyError,
-                     Graph6Error, ParameterDomain, ReconstructionResidual,
-                     SizeGuardError)
+                     Graph6Error, InvariantViolation, ParameterDomain,
+                     ReconstructionResidual, SizeGuardError)
 from .graphs import emit_graph6, enumerate_graphs, parse_graph6
 from .search import (capacity, max_code_size, neighborhood_capacity_f,
                      oracle_cross_check)
@@ -46,6 +47,18 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             "expected a finite number > 0, got %r" % text)
     return tol
+
+
+def _workers(text: str) -> int:
+    """--workers values: a process count, at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer >= 1, got %r" % text)
+    return workers
 
 
 def _scalar(text: str, exact: bool):
@@ -375,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", help="quadratic form budget")
     sub.add_argument("--mu", help="diagonal shift")
     sub.add_argument("--max-n", type=int, required=True)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=_workers, default=1)
     sub.set_defaults(func=cmd_search)
 
     sub = subs.add_parser("enumerate", help="canonical graphs, one per line")
@@ -397,7 +410,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CertificateInvalid, ReconstructionResidual, AmbiguousPair,
-            EmptyFamilyError) as exc:
+            EmptyFamilyError, InvariantViolation) as exc:
         print("error: %s" % exc)
         return 1
     except (ParameterDomain, SizeGuardError, Graph6Error, ValueError,

@@ -7,8 +7,8 @@ bound, and the structural slicing (neighborhood subgraphs, bisection trees)
 the bound machinery consumes.
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
-over all relabelings, searched with color-refinement classes and prefix
-pruning.  No external isomorphism engine is involved.
+over all relabelings, found by a depth-first search over vertex orderings
+with prefix pruning.  No external isomorphism engine is involved.
 """
 
 from __future__ import annotations

@@ -10,16 +10,18 @@ compares against the tolerance below.
 All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
 
-The exact counterparts at the bottom of the module operate on nested lists
-of fractions.Fraction and make every sign and rank decision in exact
-arithmetic.
+The exact backend at the bottom of the module takes nested lists of ints
+and fractions.Fraction.  Its kernel shifted_exact clears denominators and
+runs one fraction-free (Bareiss) elimination in Python integers, which
+yields the inertia, the rank, the range test and the quadratic form at
+once, every sign and rank decision exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,10 +106,11 @@ def rank_sym(M, tol: float = DEFAULT_TOL) -> int:
 
 
 class Shifted(NamedTuple):
-    values: np.ndarray      # eigenvalues in descending order
+    values: np.ndarray | None  # descending eigenvalues; None when exact
     inertia: Inertia
     rank: int
-    quadform: float | None  # j^T M^# j; None when j leaves the column space
+    quadform: object        # j^T M^# j (v^T M^# v in shifted_exact); None
+                            # when the vector leaves the column space
 
 
 def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
@@ -240,151 +243,62 @@ def rank_one_update_inertia(M, u, c: float,
 # exact rational backend
 # ---------------------------------------------------------------------------
 
-RationalMatrix = list  # nested lists of Fraction, symmetric
+def shifted_exact(M, v=None) -> Shifted:
+    """The certificate facts about a symmetric rational matrix, exactly.
 
-
-def rational_matrix(rows) -> list[list[Fraction]]:
-    """Copy nested iterables into a symmetric matrix of Fractions."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise ValueError("expected a square matrix")
-    for i in range(n):
-        for j in range(i):
-            if M[i][j] != M[j][i]:
-                raise ValueError("matrix is not symmetric")
-    return M
-
-
-def solve_rational(M, v):
-    """Exact solution of M x = v, or None when the system is inconsistent.
-
-    Plain Gauss-Jordan on the augmented system; free variables are set to
-    zero.  Quadratic forms v.x do not depend on that choice when v is in
-    the column space.
+    The exact twin of shifted: entries of M and v are ints or Fractions,
+    and v defaults to the all-ones vector.  Returns the inertia, the rank
+    and v^T M^# v as a Fraction (None when v leaves the column space), with
+    values None.  One fraction-free Bareiss elimination of the bordered
+    integer matrix [[L M, W v], [W v^T, 0]] decides everything, L and W
+    being the denominator lcms; pivots come off the diagonal and never
+    from the border.
     """
     n = len(M)
-    B = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(v[i])]
-         for i in range(n)]
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, n) if B[i][col] != 0), None)
-        if pr is None:
-            continue
-        B[r], B[pr] = B[pr], B[r]
-        piv = B[r][col]
-        B[r] = [x / piv for x in B[r]]
-        for i in range(n):
-            if i != r and B[i][col] != 0:
-                f = B[i][col]
-                B[i] = [a - f * b for a, b in zip(B[i], B[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if B[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for idx, col in enumerate(pivot_cols):
-        x[col] = B[idx][n]
-    return x
-
-
-@dataclass
-class RationalLDL:
-    """Exact symmetric factorization summary.
-
-    pivots has one entry per dimension: the 1x1 pivots in elimination
-    order, a (+a, -a) pair for every zero-diagonal 2x2 block, and trailing
-    zeros for the null space.  rank, inertia and psd follow from the pivot
-    signs by congruence.
-    """
-
-    n: int
-    pivots: list
-    rank: int
-    psd: bool
-    range_solve: Callable
-
-    def inertia(self) -> Inertia:
-        pos = sum(1 for p in self.pivots if p > 0)
-        neg = sum(1 for p in self.pivots if p < 0)
-        return Inertia(pos, neg, self.n - pos - neg)
-
-    def in_range(self, v) -> bool:
-        return self.range_solve(v) is not None
-
-    def solve(self, v) -> list:
-        x = self.range_solve(v)
-        if x is None:
-            raise NotInRange("right-hand side is not in the column space")
-        return x
-
-
-def ldl_rational(M) -> RationalLDL:
-    """Exact LDL^T-style elimination of a symmetric rational matrix.
-
-    Uses 1x1 pivots on the first nonzero diagonal entry; when the active
-    diagonal is entirely zero but the block is not, a zero-diagonal 2x2
-    pivot is eliminated and recorded as a (+|a|, -|a|) pair, which is its
-    inertia contribution.  psd is true iff no negative pivot and no 2x2
-    block occurs.
-    """
-    A = rational_matrix(M)
-    n = len(A)
-    active = list(range(n))
-    pivots = []
-    psd = True
-    while active:
-        k = next((i for i in active if A[i][i] != 0), None)
-        if k is not None:
-            d = A[k][k]
-            pivots.append(d)
-            if d < 0:
-                psd = False
-            active.remove(k)
-            col = {r: A[r][k] for r in active}
-            for r in active:
-                if col[r] == 0:
-                    continue
-                f = col[r] / d
-                Ak = A[k]
-                Ar = A[r]
-                for s in active:
-                    Ar[s] -= f * Ak[s]
-            continue
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if A[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+    v = [1] * n if v is None else v
+    if len(v) != n or any(len(row) != n for row in M):
+        raise ValueError("expected a square matrix and a matching vector")
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    W = math.lcm(*(x.denominator for x in v))
+    B = [[x.numerator * (L // x.denominator) for x in row]
+         + [x.numerator * (W // x.denominator)] for row, x in zip(M, v)]
+    if any(B[i][j] != B[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    B.append([row[n] for row in B] + [0])
+    prev, pos, neg = 1, 0, 0
+    m = n  # active rows and columns; the border is always the last one
+    while m:
+        k = next((i for i in range(m) if B[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                         if B[i][j]), None)
+            if pair is None:
                 break
-        if pair is None:
-            break
-        i, j = pair
-        a = A[i][j]
-        pivots.append(abs(a))
-        pivots.append(-abs(a))
-        psd = False
-        active.remove(i)
-        active.remove(j)
-        ci = {r: A[r][i] for r in active}
-        cj = {r: A[r][j] for r in active}
-        for r in active:
-            Ar = A[r]
-            for s in active:
-                Ar[s] -= (ci[r] * cj[s] + cj[r] * ci[s]) / a
-    while len(pivots) < n:
-        pivots.append(Fraction(0))
-    rank = sum(1 for p in pivots if p != 0)
-    original = rational_matrix(M)
-    return RationalLDL(n=n, pivots=pivots, rank=rank, psd=psd,
-                       range_solve=lambda v: solve_rational(original, v))
+            # congruence by I + e_j e_i^T: keeps inertia, rank and the
+            # Schur complement, and makes the pivot 2 a_ij
+            k, j = pair
+            B[k] = [a + b for a, b in zip(B[k], B[j])]
+            for row in B:
+                row[k] += row[j]
+        # d and prev are consecutive leading principal minors, so the
+        # LDL^T pivot d / prev has the sign of d * prev
+        d = B[k][k]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        Bk = B.pop(k)
+        del Bk[k]
+        for row in B:
+            f = row.pop(k)
+            row[:] = [(d * a - f * b) // prev for a, b in zip(row, Bk)]
+        prev = d
+        m -= 1
+    # with w in the range of N the corner is -prev * w^T N^# w
+    q = None
+    if not any(row[m] for row in B[:m]):
+        q = Fraction(-B[m][m] * L, prev * W * W)
+    return Shifted(None, Inertia(pos, neg, m), pos + neg, q)
 
 
 def rank_one_update_inertia_exact(M, u, c) -> tuple[Inertia, int]:
@@ -392,16 +306,13 @@ def rank_one_update_inertia_exact(M, u, c) -> tuple[Inertia, int]:
     c = Fraction(c)
     if c == 0:
         raise ValueError("update coefficient c must be nonzero")
-    A = rational_matrix(M)
-    n = len(A)
+    M = [[Fraction(x) for x in row] for row in M]
     u = [Fraction(x) for x in u]
-    fact = ldl_rational(A)
-    base = fact.inertia()
-    x = solve_rational(A, u)
-    if x is None:
+    base = shifted_exact(M, u)
+    if base.quadform is None:
         case = 1
     else:
-        s = c * sum(a * b for a, b in zip(u, x))
+        s = c * base.quadform
         if s == -1:
             case = 4
         elif s > -1:
@@ -409,10 +320,12 @@ def rank_one_update_inertia_exact(M, u, c) -> tuple[Inertia, int]:
         else:
             case = 3
     dpos, dneg = _UPDATE_SHIFT[(c > 0, case)]
-    predicted = Inertia(base.pos + dpos, base.neg + dneg,
-                        n - (base.pos + dpos) - (base.neg + dneg))
-    updated = [[A[i][j] + c * u[i] * u[j] for j in range(n)] for i in range(n)]
-    direct = ldl_rational(updated).inertia()
+    n = len(M)
+    predicted = Inertia(base.inertia.pos + dpos, base.inertia.neg + dneg,
+                        n - (base.inertia.pos + dpos)
+                        - (base.inertia.neg + dneg))
+    updated = [[M[i][j] + c * u[i] * u[j] for j in range(n)] for i in range(n)]
+    direct = shifted_exact(updated).inertia
     if predicted != direct:
         raise AmbiguousCase(
             "exact case table disagrees with direct inertia; "

@@ -21,7 +21,7 @@ rational backend, then realized and re-extracted.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +32,7 @@ from .bounds import dgs_bound, power_bound, recursion_map, turan_bound
 from .certificates import (CodeParameters, alpha_graph, certify_alpha,
                            certify_beta, rational_shift, realize_from_alpha,
                            verify_code, _is_exact)
-from .errors import ParameterDomain, SizeGuardError
+from .errors import InvariantViolation, ParameterDomain, SizeGuardError
 from .graphs import emit_graph6, enumerate_graphs, parse_graph6
 from .linalg import DEFAULT_TOL
 
@@ -69,13 +69,10 @@ def _fmt_param(x) -> str:
 
 def _qualifies(G, r: int, p, mu, mode: str, tol: float) -> bool:
     if isinstance(p, Fraction):
-        fact = linalg.ldl_rational(rational_shift(G, mu, +1))
-        if not fact.psd or fact.rank > r:
+        k = linalg.shifted_exact(rational_shift(G, mu, +1))
+        if k.inertia.neg or k.rank > r or k.quadform is None:
             return False
-        x = fact.range_solve([Fraction(1)] * G.n)
-        if x is None:
-            return False
-        q = sum(x)
+        q = k.quadform
         return q < p if mode == "strict" else q == p
     M = G.adjacency() + mu * np.eye(G.n)
     k = linalg.shifted(M, tol)
@@ -96,6 +93,11 @@ def _scan_chunk(task):
         if _qualifies(G, r, p, mu, mode, tol):
             hits.append((G.n, g6))
     return hits
+
+
+def _pool_size(workers: int, items: int) -> int:
+    """Worker processes for a scan: at most the cores and the items, >= 1."""
+    return max(1, min(workers, os.cpu_count() or 1, items))
 
 
 def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
@@ -123,10 +125,13 @@ def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
         raise ParameterDomain("capacity needs p > 0")
     g6s = [emit_graph6(G) for n in range(1, n_max + 1)
            for G in enumerate_graphs(n)]
-    if workers > 1:
-        chunks = [g6s[i::workers] for i in range(workers)]
-        tasks = [(c, r, p, mu, mode, tol) for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = _pool_size(workers, len(g6s))
+    if size > 1:
+        # imported here: the pool machinery costs every serial caller about
+        # 2 MB of memory and 20 ms of import time
+        from concurrent.futures import ProcessPoolExecutor
+        tasks = [(g6s[i::size], r, p, mu, mode, tol) for i in range(size)]
+        with ProcessPoolExecutor(max_workers=size) as pool:
             hits = [h for part in pool.map(_scan_chunk, tasks) for h in part]
     else:
         hits = _scan_chunk((g6s, r, p, mu, mode, tol))
@@ -168,12 +173,17 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
     for g6 in extremal:
         G = parse_graph6(g6)
         code = realize_from_alpha(G, params, tol, dim=d)
-        assert verify_code(code.vectors, params.alpha, params.beta,
-                           verify_tol).valid, g6
+        if not verify_code(code.vectors, params.alpha, params.beta,
+                           verify_tol).valid:
+            raise InvariantViolation(
+                "extremal graph %s realizes an invalid code" % g6)
         if params.alpha > 0:
             ac = certify_alpha(G, params, tol)
             bc = certify_beta(G.complement(), params, tol)
-            assert bc.valid and bc.rank_r == ac.rank_r, g6
+            if not (bc.valid and bc.rank_r == ac.rank_r):
+                raise InvariantViolation(
+                    "extremal graph %s: the beta certificate of its "
+                    "complement disagrees" % g6)
     caps = [dgs_bound(d)]
     for rep in (turan_bound(params, d), power_bound(params, d)):
         if rep.applicable:
@@ -223,7 +233,10 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
         else:
             a0, b0 = mapped.alpha, mapped.beta
         roof = max_code_size(a0, b0, d, n_max, tol, workers)
-        assert value <= roof.value, (value, roof.value)
+        if value > roof.value:
+            raise InvariantViolation(
+                "derived capacity %d exceeds the searched maximum %d at the "
+                "mapped parameters" % (value, roof.value))
     query = "f(alpha=%s, beta=%s, d=%d), n_max=%d" % (
         _fmt_param(alpha if params.exact else params.alpha),
         _fmt_param(beta if params.exact else params.beta), d, n_max)
@@ -266,11 +279,11 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
                 ex = P.exact
                 checked += 1
                 c = certify_alpha(G, P, tol)
-                Gram = [[Fraction(1) if i == j else
+                Gram = [[1 if i == j else
                          (ex.alpha if G.has_edge(i, j) else ex.beta)
                          for j in range(n)] for i in range(n)]
-                fact = linalg.ldl_rational(Gram)
-                if c.valid != fact.psd:
+                fact = linalg.shifted_exact(Gram)
+                if c.valid != (fact.inertia.neg == 0):
                     mismatches.append((g6, float(ex.alpha), float(ex.beta),
                                        "validity"))
                     continue

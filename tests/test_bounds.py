@@ -12,7 +12,7 @@ import pytest
 
 from twodist import bounds
 from twodist.certificates import CodeParameters, certify_alpha
-from twodist.errors import EmptyFamilyError, ParameterDomain
+from twodist.errors import EmptyFamilyError, ParameterDomain, SizeGuardError
 from twodist.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, disjoint_union, empty_graph,
                             enumerate_graphs)
@@ -202,6 +202,17 @@ def test_sandwich_empty_family():
         bounds.sandwich_bounds(bad, mu=2.0, d=3)
 
 
+def test_subset_sweep_guard():
+    P = CodeParameters.make(Fraction(1, 2), Fraction(-1, 2))
+    G = complete_graph(bounds.MAX_SUBSET_SWEEP_N + 1)
+    cert = certify_alpha(G, P)
+    assert cert.valid
+    with pytest.raises(SizeGuardError):
+        bounds.check_subgraph_inequality(G, P, cert=cert)
+    rep = bounds.check_subgraph_inequality(G, P, subset=[0, 1, 2], cert=cert)
+    assert rep.applicable and rep.holds
+
+
 # ---------------------------------------------------------------------------
 # parameter recursion
 # ---------------------------------------------------------------------------
@@ -221,7 +232,7 @@ def test_recursion_map_exact_values():
 
 def test_recursion_map_float_identities():
     P = pentagon_parameters()
-    Q = bounds.recursion_map(P)  # identity assertions run inside
+    Q = bounds.recursion_map(P)  # identity checks run inside
     assert abs(Q.mu - P.mu) <= 1e-9
     target = (P.alpha - P.beta) / (P.alpha ** 2 - P.beta)
     assert abs(Q.p - target) <= 1e-9

@@ -11,7 +11,10 @@ import json
 
 import pytest
 
+from twodist import search
+from twodist.certificates import VerifyReport
 from twodist.cli import main
+from twodist.errors import InvariantViolation
 from twodist.graphs import (Graph, canonical_form, complete_graph,
                             cycle_graph, disjoint_union, emit_graph6)
 
@@ -269,3 +272,35 @@ def test_tol_must_be_finite_and_positive(capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_must_be_positive(capsys, workers):
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--r", "3", "--p", "1", "--mu", "2", "--max-n", "3",
+              "--workers", workers])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err
+
+
+def test_invariant_violation_raises_and_exits_one(capsys, monkeypatch):
+    def invalid(vectors, alpha, beta, tol):
+        return VerifyReport(valid=False, norm_violations=[(0, 2.0)],
+                            pair_violations=[], values_present=set())
+
+    monkeypatch.setattr(search, "verify_code", invalid)
+    with pytest.raises(InvariantViolation):
+        search.max_code_size(0, -1, d=2, n_max=5)
+    rc, out = run(capsys, "search", "--alpha", "0", "--beta", "-1",
+                  "--d", "2", "--max-n", "5")
+    assert rc == 1
+    assert out.startswith("error: extremal graph")
+
+
+def test_bounds_subset_sweep_guard_exits_two(capsys):
+    rc, out = run(capsys, "bounds", "--alpha", "1/2", "--beta=-1/2",
+                  "--graph", emit_graph6(complete_graph(21)))
+    assert rc == 2
+    assert out.startswith("error: the subset sweep is guarded")

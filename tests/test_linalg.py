@@ -240,45 +240,56 @@ def test_rank_one_update_random_agrees_with_direct():
 
 
 def test_ldl_rational_basic():
-    fact = linalg.ldl_rational([[Fraction(2), Fraction(1)],
-                                [Fraction(1), Fraction(2)]])
-    assert fact.pivots == [Fraction(2), Fraction(3, 2)]
-    assert fact.rank == 2 and fact.psd
-    assert fact.inertia() == (2, 0, 0)
+    k = linalg.shifted_exact([[Fraction(2), Fraction(1)],
+                              [Fraction(1), Fraction(2)]])
+    assert k.rank == 2 and k.inertia.neg == 0
+    assert k.inertia == (2, 0, 0)
+    # j^T M^{-1} j with M^{-1} = [[2, -1], [-1, 2]] / 3
+    assert k.quadform == Fraction(2, 3)
+    assert k.values is None
 
 
 def test_ldl_rational_c4_shift():
     A = [[Fraction(int(x)) for x in row] for row in cycle_adjacency(4)]
     for i in range(4):
         A[i][i] = Fraction(2)
-    fact = linalg.ldl_rational(A)
-    assert fact.rank == 3 and fact.psd
-    assert fact.inertia() == (3, 0, 1)
-    x = fact.solve([Fraction(1)] * 4)
-    # a particular solution, not necessarily minimum-norm; the quadratic
-    # form j.x is solution-independent and equals 1
-    assert all(sum(A[i][j] * x[j] for j in range(4)) == 1 for i in range(4))
-    assert sum(x) == 1
-    assert not fact.in_range([1, -1, 1, -1])
+    k = linalg.shifted_exact(A)
+    assert k.rank == 3 and k.inertia.neg == 0
+    assert k.inertia == (3, 0, 1)
+    # A x = j has the solution x = j / 4, so j^T A^# j = 1
+    assert k.quadform == 1
+    assert linalg.shifted_exact(A, [1, -1, 1, -1]).quadform is None
 
 
 def test_ldl_rational_zero_diagonal_block():
-    fact = linalg.ldl_rational([[0, 1], [1, 0]])
-    assert fact.pivots == [1, -1]
-    assert not fact.psd
-    assert fact.inertia() == (1, 1, 0)
+    k = linalg.shifted_exact([[0, 1], [1, 0]])
+    assert k.inertia.neg
+    assert k.inertia == (1, 1, 0) and k.rank == 2
+    assert k.quadform == 2
 
 
 def test_ldl_rational_zero_matrix():
-    fact = linalg.ldl_rational([[0, 0], [0, 0]])
-    assert fact.rank == 0 and fact.psd
-    assert fact.inertia() == (0, 0, 2)
+    k = linalg.shifted_exact([[0, 0], [0, 0]])
+    assert k.rank == 0 and k.inertia.neg == 0
+    assert k.inertia == (0, 0, 2)
+    assert k.quadform is None
+    assert linalg.shifted_exact([[0, 0], [0, 0]], [0, 0]).quadform == 0
 
 
 def test_ldl_rational_indefinite():
-    fact = linalg.ldl_rational([[1, 0], [0, -1]])
-    assert not fact.psd
-    assert fact.inertia() == (1, 1, 0)
+    k = linalg.shifted_exact([[1, 0], [0, -1]])
+    assert k.inertia.neg
+    assert k.inertia == (1, 1, 0)
+    assert k.quadform == 0
+
+
+def test_shifted_exact_rejects_asymmetric_or_ragged():
+    with pytest.raises(ValueError):
+        linalg.shifted_exact([[1, 2], [3, 1]])
+    with pytest.raises(ValueError):
+        linalg.shifted_exact([[1, 0], [0]])
+    with pytest.raises(ValueError):
+        linalg.shifted_exact([[1, 0], [0, 1]], [1])
 
 
 def test_exact_and_float_inertia_agree():
@@ -290,14 +301,69 @@ def test_exact_and_float_inertia_agree():
         for i in range(n):
             for j in range(i):
                 M[j][i] = M[i][j]
-        exact = linalg.ldl_rational(M).inertia()
+        exact = linalg.shifted_exact(M).inertia
         approx = linalg.inertia(np.array([[float(x) for x in row]
                                           for row in M]))
         assert exact == approx
 
 
+def _random_rational_symmetric(rng, n, kind):
+    """Dense, low-rank indefinite, or zero-diagonal rational symmetric."""
+    if kind == "low_rank":
+        M = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(rng.randint(0, n - 1)):
+            u = [rng.randint(-2, 2) for _ in range(n)]
+            c = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+            for i in range(n):
+                for j in range(n):
+                    M[i][j] += c * u[i] * u[j]
+        return M
+    M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+         for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            M[j][i] = M[i][j]
+        if kind == "zero_diagonal":
+            M[i][i] = Fraction(0)
+    return M
+
+
+def test_shifted_exact_matches_float_kernel():
+    # v^T M^# v, the range test and the inertia are invariant under the
+    # congruence D^-1 M D^-1 with D = diag(v), which turns the border v
+    # into j: the float kernel on that matrix is an independent reference
+    rng = random.Random(2024)
+    seen = {"in_range": 0, "out_of_range": 0, "zero_diagonal": 0}
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        kind = ("dense", "low_rank", "zero_diagonal")[trial % 3]
+        M = _random_rational_symmetric(rng, n, kind)
+        v = None
+        if trial % 2:
+            y = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(n)]
+            v = [sum(M[i][j] * y[j] for j in range(n)) for i in range(n)]
+            if not all(v):
+                v = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+                     for _ in range(n)]
+        k = linalg.shifted_exact(M, v)
+        d = [1.0] * n if v is None else [float(x) for x in v]
+        S = np.array([[float(M[i][j]) / (d[i] * d[j]) for j in range(n)]
+                      for i in range(n)])
+        ref = linalg.shifted(S)
+        assert k.inertia == ref.inertia, (M, v)
+        assert k.rank == ref.rank
+        assert (k.quadform is None) == (ref.quadform is None), (M, v)
+        if k.quadform is not None:
+            assert abs(float(k.quadform) - ref.quadform) <= 1e-9 * max(
+                1.0, abs(ref.quadform)), (M, v)
+        seen["in_range" if k.quadform is not None else "out_of_range"] += 1
+        seen["zero_diagonal"] += kind == "zero_diagonal" and k.rank > 0
+    assert min(seen.values()) >= 50, seen
+
+
 def test_solve_rational_inconsistent():
-    assert linalg.solve_rational([[1, 0], [0, 0]], [0, 1]) is None
+    assert linalg.shifted_exact([[1, 0], [0, 0]], [0, 1]).quadform is None
 
 
 def test_rank_one_update_exact():

@@ -24,6 +24,18 @@ def pentagon_parameters():
     return a, b
 
 
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    assert search._pool_size(64, 1000) == 4
+    assert search._pool_size(3, 1000) == 3
+    assert search._pool_size(64, 2) == 2
+    assert search._pool_size(1, 1000) == 1
+    assert search._pool_size(0, 1000) == 1
+    assert search._pool_size(4, 0) == 1
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert search._pool_size(8, 100) == 1
+
+
 def test_grid_shapes():
     assert len(search.RATIONAL_GRID) == 15
     assert len(search.BETA_GRID) == 12
