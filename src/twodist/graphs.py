@@ -9,6 +9,10 @@ the bound machinery consumes.
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
 with prefix pruning.  No external isomorphism engine is involved.
+Enumeration grows graphs one vertex at a time: extend_canonical joins a new
+vertex to each canonical parent by every neighbour mask and keeps one
+canonical string per class, optionally after a filter on each child (the
+hereditary capacity search in search.py grows through the same step).
 """
 
 from __future__ import annotations
@@ -399,21 +403,35 @@ def canonical_form(G: Graph) -> str:
     return emit_graph6(Graph.from_rows(rows))
 
 
+def extend_canonical(parents, keep=None) -> set[str]:
+    """Canonical graph6 strings of the one-vertex extensions of parents.
+
+    Each parent, a Graph on m vertices, gains a vertex m joined to the
+    parent's vertices by every one of the 2^m neighbour masks.  A child is
+    canonicalized only when keep(child) is true (keep=None keeps every
+    child), so a filter that every induced subgraph inherits prunes whole
+    subtrees before the costly canonical_form call.  Isomorphic children
+    collapse to one string.
+    """
+    seen = set()
+    for parent in parents:
+        m = parent.n
+        for mask in range(1 << m):
+            rows = [row | (mask >> v & 1) << m
+                    for v, row in enumerate(parent.rows)]
+            rows.append(mask)
+            child = Graph.from_rows(rows)
+            if keep is None or keep(child):
+                seen.add(canonical_form(child))
+    return seen
+
+
 @lru_cache(maxsize=None)
 def _canonical_g6(n: int) -> tuple[str, ...]:
     if n == 0:
         return (emit_graph6(empty_graph(0)),)
-    if n == 1:
-        return (emit_graph6(empty_graph(1)),)
-    seen = set()
-    for g6 in _canonical_g6(n - 1):
-        parent = parse_graph6(g6)
-        rows = list(parent.rows) + [0]
-        for mask in range(1 << (n - 1)):
-            ext = [rows[v] | (mask >> v & 1) << (n - 1) for v in range(n - 1)]
-            ext.append(mask)
-            seen.add(canonical_form(Graph.from_rows(ext)))
-    return tuple(sorted(seen))
+    parents = map(parse_graph6, _canonical_g6(n - 1))
+    return tuple(sorted(extend_canonical(parents)))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False,
@@ -421,8 +439,9 @@ def enumerate_graphs(n: int, connected_only: bool = False,
     """All graphs on n vertices, one per isomorphism class by default.
 
     dedup="canonical" returns a deterministic tuple of canonical
-    representatives (guarded to n <= 8); dedup="labeled" yields every
-    labeled graph (guarded to n <= 7).
+    representatives in graph6 order (guarded to n <= 8), grown level by
+    level from the empty graph with extend_canonical and cached per order;
+    dedup="labeled" yields every labeled graph (guarded to n <= 7).
     """
     if dedup == "canonical":
         if n > MAX_CANONICAL_N:

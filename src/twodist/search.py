@@ -7,10 +7,21 @@ is below (strict mode) or exactly at (equal mode) the budget p.  The two
 modes combine into the maximum size of a spherical two-distance code in
 a given dimension, and into the capacity of derived neighbor codes.
 
+capacity does not scan every graph.  Positive semidefiniteness of
+A + mu I and rank at most r pass to every induced subgraph (Cauchy
+interlacing; a principal submatrix never has larger rank), so every
+qualifying graph is a one-vertex extension of a graph that passes both.
+The search grows canonical survivors level by level with
+graphs.extend_canonical, canonicalizing a child only when it passes
+those two tests, and runs the range and budget tests, which are not
+inherited, on every survivor.  The float backend prunes at the loosest
+cut any leaf on n_max vertices uses, so pruning never drops a graph the
+leaf test would accept.
+
 Searches are capped at n_max vertices and report honestly whether the
 cap binds: any qualifying graph rescales to a two-distance set in
 dimension rank(A + mu I), so orders never exceed the dimension bound at
-the rank cap, and a cap at or above that bound makes the scan
+the rank cap, and a cap at or above that bound makes the search
 exhaustive.
 
 oracle_cross_check validates certificates against an independent ground
@@ -22,7 +33,7 @@ rational backend, then realized and re-extracted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +44,8 @@ from .certificates import (CodeParameters, alpha_graph, certify_alpha,
                            certify_beta, rational_shift, realize_from_alpha,
                            verify_code, _is_exact)
 from .errors import InvariantViolation, ParameterDomain, SizeGuardError
-from .graphs import emit_graph6, enumerate_graphs, parse_graph6
+from .graphs import (complete_graph, emit_graph6, empty_graph,
+                     enumerate_graphs, extend_canonical, parse_graph6)
 from .linalg import DEFAULT_TOL
 
 RATIONAL_GRID = tuple(
@@ -55,59 +67,155 @@ class SearchResult:
     value is the largest qualifying order (0 when nothing qualifies),
     extremal_graphs the graph6 strings of all canonical graphs attaining
     it, and exhaustive records whether the cap provably did not bind.
+    stats says what the search did: for capacity the backend ("exact" or
+    "float"), "tested" and "kept" (children given the hereditary test and
+    canonical survivors, per order) and "rejected" (counts per test:
+    psd, rank, range, budget); searches built from two capacity scans
+    hold theirs under "strict" and "equal".
     """
 
     query: str
     value: int
     extremal_graphs: list
     exhaustive: bool
+    stats: dict = field(default_factory=dict)
 
 
 def _fmt_param(x) -> str:
     return str(x) if isinstance(x, Fraction) else "%.17g" % x
 
 
-def _qualifies(G, r: int, p, mu, mode: str, tol: float) -> bool:
+def _rejection(G, r: int, p, mu, mode: str, tol: float):
+    """The first test G fails, or None when it qualifies.
+
+    The tests in order: "psd" (A + mu I has a negative eigenvalue), "rank"
+    (its rank exceeds r), "range" (j leaves its column space) and "budget"
+    (j^T (A + mu I)^# j misses p for the mode).  Floats compare at G's own
+    cut scaled_tol(A + mu I), rationals exactly.
+    """
     if isinstance(p, Fraction):
         k = linalg.shifted_exact(rational_shift(G, mu, +1))
-        if k.inertia.neg or k.rank > r or k.quadform is None:
-            return False
-        q = k.quadform
-        return q < p if mode == "strict" else q == p
-    M = G.adjacency() + mu * np.eye(G.n)
-    k = linalg.shifted(M, tol)
-    if k.inertia.neg or k.rank > r or k.quadform is None:
-        return False
+        cut = 0
+    else:
+        M = G.adjacency() + mu * np.eye(G.n)
+        k = linalg.shifted(M, tol)
+        cut = linalg.scaled_tol(M, tol)
+    if k.inertia.neg:
+        return "psd"
+    if k.rank > r:
+        return "rank"
+    if k.quadform is None:
+        return "range"
     q = k.quadform
-    cut = linalg.scaled_tol(M, tol)
-    if mode == "strict":
-        return q < p - cut
-    return abs(q - p) <= cut
+    ok = q < p - cut if mode == "strict" else abs(q - p) <= cut
+    return None if ok else "budget"
 
 
-def _scan_chunk(task):
-    g6s, r, p, mu, mode, tol = task
-    hits = []
-    for g6 in g6s:
-        G = parse_graph6(g6)
-        if _qualifies(G, r, p, mu, mode, tol):
-            hits.append((G.n, g6))
-    return hits
+def _cut_max(mu: float, n_max: int, tol: float) -> float:
+    """The loosest cut a leaf test on at most n_max vertices uses.
+
+    ||A + mu I||_inf <= mu + n - 1, with equality at K_n, so this is
+    tol * max(1, mu + n_max - 1); it is computed as the cut of K_n_max
+    itself so that it matches that leaf's cut to the last bit.
+    """
+    return linalg.scaled_tol(complete_graph(n_max).adjacency()
+                             + mu * np.eye(n_max), tol)
+
+
+class _Hereditary:
+    """Child filter for the grower: A + mu I is PSD with rank <= r.
+
+    Both tests pass to every induced subgraph (Cauchy interlacing, and a
+    principal submatrix never has larger rank), so a child failing them
+    has no qualifying descendant.  Exact when cut is None.  Floats compare
+    at one fixed cut, which must be _cut_max: at that cut both
+    interlacing inequalities still hold, while a child's own smaller cut
+    could drop a graph that a descendant's leaf test accepts.  Counts the
+    rejections by test.
+    """
+
+    def __init__(self, r: int, mu, cut):
+        self.r, self.mu, self.cut = r, mu, cut
+        self.rejected = {"psd": 0, "rank": 0}
+
+    def __call__(self, G) -> bool:
+        if self.cut is None:
+            k = linalg.shifted_exact(rational_shift(G, self.mu, +1))
+            psd, rank = not k.inertia.neg, k.rank
+        else:
+            values = np.linalg.eigvalsh(G.adjacency()
+                                        + self.mu * np.eye(G.n))
+            psd = values[0] >= -self.cut
+            rank = int(np.sum(values > self.cut))
+        failed = "psd" if not psd else "rank" if rank > self.r else None
+        if failed:
+            self.rejected[failed] += 1
+        return failed is None
+
+
+def _extend_shard(task):
+    parents, r, mu, cut = task
+    keep = _Hereditary(r, mu, cut)
+    return extend_canonical(parents, keep), keep.rejected
 
 
 def _pool_size(workers: int, items: int) -> int:
-    """Worker processes for a scan: at most the cores and the items, >= 1."""
+    """Worker processes for a search: at most the cores and the items, >= 1."""
     return max(1, min(workers, os.cpu_count() or 1, items))
+
+
+def _grow(r: int, p, mu, n_max: int, mode: str, tol: float, mapper,
+          shards: int):
+    """Grow the survivors level by level; return (hits, stats).
+
+    Level n extends every canonical survivor of level n-1 (level 0 is the
+    empty graph) by all neighbour masks; a child is canonicalized only if
+    it passes the hereditary filter, and every survivor then gets the
+    leaf tests of _rejection.  Parents are dealt into at most `shards`
+    tasks for `mapper`.
+    """
+    exact = isinstance(p, Fraction)
+    cut = None if exact else _cut_max(mu, n_max, tol)
+    stats = {"backend": "exact" if exact else "float", "tested": {},
+             "kept": {}, "rejected": dict.fromkeys(
+                 ("psd", "rank", "range", "budget"), 0)}
+    hits = []
+    parents = [empty_graph(0)]
+    for n in range(1, n_max + 1):
+        stats["tested"][n] = len(parents) << (n - 1)
+        tasks = [(parents[i::shards], r, mu, cut)
+                 for i in range(min(shards, len(parents)))]
+        level = set()
+        for seen, rejected in mapper(_extend_shard, tasks):
+            level |= seen
+            for test, count in rejected.items():
+                stats["rejected"][test] += count
+        level = sorted(level)
+        stats["kept"][n] = len(level)
+        if not level:
+            break
+        parents = [parse_graph6(g6) for g6 in level]
+        for g6, G in zip(level, parents):
+            failed = _rejection(G, r, p, mu, mode, tol)
+            if failed:
+                stats["rejected"][failed] += 1
+            else:
+                hits.append((n, g6))
+    return hits, stats
 
 
 def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
              tol: float = DEFAULT_TOL, workers: int = 1) -> SearchResult:
     """Largest order of a graph meeting the rank, range and budget tests.
 
-    Scans every canonical graph up to n_max vertices, disconnected ones
-    included.  Rational p and mu run the scan exactly; floats compare
+    Grows graphs one vertex at a time up to n_max vertices, disconnected
+    ones included, keeping only those whose A + mu I is PSD with rank at
+    most r: every induced subgraph of a qualifying graph passes both, so
+    nothing qualifying is lost, and the range and budget tests run on
+    every survivor.  Rational p and mu search exactly; floats compare
     with tolerance.  Exhaustive once n_max reaches the two-distance
-    dimension bound at rank r.
+    dimension bound at rank r.  stats records the backend, the children
+    tested and the survivors kept per order, and the rejections per test.
     """
     if mode not in ("strict", "equal"):
         raise ValueError("mode must be strict or equal")
@@ -123,25 +231,24 @@ def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
         raise ParameterDomain("capacity needs mu > 1")
     if not p > 0:
         raise ParameterDomain("capacity needs p > 0")
-    g6s = [emit_graph6(G) for n in range(1, n_max + 1)
-           for G in enumerate_graphs(n)]
-    size = _pool_size(workers, len(g6s))
+    # a level never holds more parents than there are graphs on n_max - 1
+    # vertices, which is 2^(n_max-2) up to n_max = 4 and more beyond
+    size = _pool_size(workers, 1 << max(0, n_max - 2))
     if size > 1:
         # imported here: the pool machinery costs every serial caller about
         # 2 MB of memory and 20 ms of import time
         from concurrent.futures import ProcessPoolExecutor
-        tasks = [(g6s[i::size], r, p, mu, mode, tol) for i in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
-            hits = [h for part in pool.map(_scan_chunk, tasks) for h in part]
+            hits, stats = _grow(r, p, mu, n_max, mode, tol, pool.map, size)
     else:
-        hits = _scan_chunk((g6s, r, p, mu, mode, tol))
+        hits, stats = _grow(r, p, mu, n_max, mode, tol, map, 1)
     value = max((n for n, _ in hits), default=0)
     extremal = sorted(g6 for n, g6 in hits if n == value)
     star = "*" if mode == "equal" else ""
     query = "N%s(r=%d, p=%s, mu=%s), n_max=%d" % (
         star, r, _fmt_param(p), _fmt_param(mu), n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
-                        exhaustive=n_max >= dgs_bound(r))
+                        exhaustive=n_max >= dgs_bound(r), stats=stats)
 
 
 def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
@@ -192,7 +299,8 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
         _fmt_param(alpha if params.exact else params.alpha),
         _fmt_param(beta if params.exact else params.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
-                        exhaustive=n_max >= min(caps))
+                        exhaustive=n_max >= min(caps),
+                        stats={"strict": strict.stats, "equal": equal.stats})
 
 
 def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
@@ -241,7 +349,8 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
         _fmt_param(alpha if params.exact else params.alpha),
         _fmt_param(beta if params.exact else params.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
-                        exhaustive=n_max >= dgs_bound(d))
+                        exhaustive=n_max >= dgs_bound(d),
+                        stats={"strict": strict.stats, "equal": equal.stats})
 
 
 @dataclass
@@ -266,6 +375,8 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
     """
     if n_max > 7:
         raise SizeGuardError("oracle cross-check is guarded to n_max <= 7")
+    if n_max < 1:
+        raise ValueError("the oracle cross-check needs n_max >= 1")
     grid = RATIONAL_GRID if parameter_grid is None else tuple(parameter_grid)
     for P in grid:
         if P.exact is None:

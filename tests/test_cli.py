@@ -238,6 +238,14 @@ def test_crosscheck(capsys):
     assert out == "checked=7 mismatches=0\n"
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_crosscheck_needs_a_graph(capsys, max_n):
+    # checking no graph is not a pass
+    rc, out = run(capsys, "crosscheck", "--max-n", max_n)
+    assert rc == 2
+    assert out.startswith("error:") and "checked=" not in out
+
+
 def test_usage_errors(capsys):
     rc, out = run(capsys, "certify", "--alpha", "0", "--beta", "-1")
     assert rc == 2 and "required" in out

@@ -17,7 +17,8 @@ from twodist.graphs import (Graph, canonical_form, complete_bipartite,
                             complete_graph, components, contains_clique,
                             cycle_graph, delete_closed_neighborhood,
                             disjoint_union, emit_graph6, empty_graph,
-                            enumerate_graphs, independence_number,
+                            enumerate_graphs, extend_canonical,
+                            independence_number,
                             induced_subgraph, is_connected,
                             neighborhood_bisection, parse_graph6, path_graph,
                             subgraph_on_neighbors)
@@ -226,6 +227,28 @@ def test_enumeration_guards():
         next(iter(enumerate_graphs(8, dedup="labeled")))
     with pytest.raises(ValueError):
         enumerate_graphs(3, dedup="nope")
+
+
+def test_extend_canonical_with_hereditary_filter():
+    # triangle-freeness passes to induced subgraphs, so growing only the
+    # triangle-free children reaches every triangle-free graph
+    def keep(G):
+        calls.append(G.n)
+        return not contains_clique(G, 3)
+
+    calls = []
+    level = [empty_graph(0)]
+    for n in range(1, 7):
+        grown = sorted(extend_canonical(level, keep))
+        assert grown == sorted(emit_graph6(G) for G in enumerate_graphs(n)
+                               if not contains_clique(G, 3))
+        assert calls.count(n) == len(level) << (n - 1)
+        level = [parse_graph6(g6) for g6 in grown]
+    # keep=None keeps every child: K2 grows into K2+K1, P3 and K3
+    assert extend_canonical([path_graph(2)]) == {
+        canonical_form(G) for G in (disjoint_union([path_graph(2),
+                                                    empty_graph(1)]),
+                                    path_graph(3), complete_graph(3))}
 
 
 def test_labeled_count():

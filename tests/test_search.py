@@ -8,14 +8,17 @@ small enough to list, and their quadratic forms follow from solving
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twodist import search
+from twodist import linalg, search
 from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
-                                  certify_beta, code_rank, realize_from_beta)
+                                  certify_beta, code_rank, rational_shift,
+                                  realize_from_beta)
 from twodist.errors import ParameterDomain, SizeGuardError
 from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
-                            empty_graph, enumerate_graphs, parse_graph6)
+                            disjoint_union, emit_graph6, empty_graph,
+                            enumerate_graphs, parse_graph6)
 
 
 def pentagon_parameters():
@@ -101,6 +104,118 @@ def test_capacity_parallel_matches_serial():
     serial = search.capacity(3, 1, 2, n_max=5, mode="equal", workers=1)
     parallel = search.capacity(3, 1, 2, n_max=5, mode="equal", workers=2)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# hereditary search against the full scan
+# ---------------------------------------------------------------------------
+
+def full_scan(r, p, mu, n_max, mode):
+    """Reference capacity: every canonical graph through the leaf tests."""
+    hits = [(n, emit_graph6(G)) for n in range(1, n_max + 1)
+            for G in enumerate_graphs(n)
+            if search._rejection(G, r, p, mu, mode, linalg.DEFAULT_TOL)
+            is None]
+    value = max((n for n, _ in hits), default=0)
+    return value, sorted(g6 for n, g6 in hits if n == value)
+
+
+def capacity_points():
+    """(p, mu) on the rational grid, exactly and as floats, and at the
+    pentagon point."""
+    points = [(P.exact.p, P.exact.mu) for P in search.RATIONAL_GRID]
+    points += [(float(p), float(mu)) for p, mu in points]
+    P = CodeParameters.make(*pentagon_parameters())
+    points.append((P.p, P.mu))
+    return points
+
+
+def capacity_rows(n_max):
+    """(row, capacity's (value, extremal graphs), the full scan's) for
+    every point, r in {2, 3, 4} and both modes."""
+    rows = []
+    for p, mu in capacity_points():
+        for r in (2, 3, 4):
+            for mode in ("strict", "equal"):
+                res = search.capacity(r, p, mu, n_max, mode)
+                rows.append(((r, p, mu, mode),
+                             (res.value, res.extremal_graphs),
+                             full_scan(r, p, mu, n_max, mode)))
+    return rows
+
+
+def test_hereditary_search_matches_full_scan():
+    rows = capacity_rows(6)
+    assert len(rows) == 186
+    assert [row for row, got, want in rows if got != want] == []
+    # the rows are not all alike
+    assert len({got[0] for _, got, _ in rows}) > 2
+
+
+def test_octahedron_at_dimension_three():
+    res = search.max_code_size(0, -1, d=3, n_max=7)
+    assert res.value == 6 and res.exhaustive
+    octahedron = disjoint_union([complete_graph(2)] * 3).complement()
+    assert res.extremal_graphs == [canonical_form(octahedron)]
+
+
+def test_float_prune_cut_is_the_loosest_leaf_cut():
+    mus = [float(P.mu) for P in search.RATIONAL_GRID]
+    mus.append(CodeParameters.make(*pentagon_parameters()).mu)
+    for mu in mus:
+        loosest = 0.0
+        for n_max in range(1, 7):
+            for G in enumerate_graphs(n_max):
+                loosest = max(loosest, linalg.scaled_tol(
+                    G.adjacency() + mu * np.eye(n_max)))
+            cut = search._cut_max(mu, n_max, linalg.DEFAULT_TOL)
+            assert cut >= loosest
+            K = complete_graph(n_max)
+            assert cut == linalg.scaled_tol(K.adjacency()
+                                            + mu * np.eye(n_max))
+
+
+def test_float_pruning_keeps_what_a_larger_leaf_accepts():
+    # at mu = 1 + e, K_n has eigenvalues n - 1 + mu and e (n - 1 times);
+    # e = 2.5e-9 lies above K2's own cut (about 2e-9) but below the cuts
+    # of K3 and K4, so K4 has rank 1 while its subgraph K2 has rank 2 at
+    # its own cut: pruning K2 at that cut would lose K4
+    mu = 1 + 2.5e-9
+    res = search.capacity(1, 2.0, mu, n_max=4, mode="strict")
+    assert (res.value, res.extremal_graphs) == full_scan(1, 2.0, mu, 4,
+                                                         "strict")
+    assert res.extremal_graphs == [canonical_form(complete_graph(4))]
+
+
+def test_search_stats_at_mu_two_rank_three():
+    res = search.capacity(3, 1, 2, n_max=7, mode="equal")
+    assert res.value == 4
+    assert res.stats == {
+        "backend": "exact",
+        "tested": {1: 1, 2: 2, 3: 8, 4: 32, 5: 16},
+        "kept": {1: 1, 2: 2, 3: 4, 4: 1, 5: 0},
+        "rejected": {"psd": 10, "rank": 37, "range": 0, "budget": 5}}
+    # kept: the canonical graphs whose A + 2I is PSD with rank <= 3;
+    # tested: every neighbour mask of every survivor one order down
+    for n in range(1, 6):
+        passing = 0
+        for G in enumerate_graphs(n):
+            k = linalg.shifted_exact(rational_shift(G, Fraction(2), +1))
+            passing += not k.inertia.neg and k.rank <= 3
+        assert res.stats["kept"][n] == passing
+        below = res.stats["kept"].get(n - 1, 1)
+        assert res.stats["tested"][n] == below << (n - 1)
+    qualifying = sum(
+        search._rejection(G, 3, Fraction(1), Fraction(2), "equal",
+                          linalg.DEFAULT_TOL) is None
+        for n in range(1, 6) for G in enumerate_graphs(n))
+    leaf = res.stats["rejected"]["range"] + res.stats["rejected"]["budget"]
+    assert leaf == sum(res.stats["kept"].values()) - qualifying
+    # the float backend prunes the same children
+    res_f = search.capacity(3, 1.0, 2.0, n_max=7, mode="equal")
+    assert res_f.stats == dict(res.stats, backend="float")
+    both = search.max_code_size(0, -1, d=2, n_max=4)
+    assert set(both.stats) == {"strict", "equal"}
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +359,9 @@ def test_oracle_single_points():
 def test_oracle_guards():
     with pytest.raises(SizeGuardError):
         search.oracle_cross_check(8)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError):
+            search.oracle_cross_check(n_max)
     with pytest.raises(ValueError):
         search.oracle_cross_check(3,
                                   parameter_grid=[CodeParameters.make(0.0,
