@@ -30,7 +30,8 @@ from .certificates import (CodeParameters, alpha_graph, certify_alpha,
 from .errors import (AmbiguousPair, CertificateInvalid, EmptyFamilyError,
                      Graph6Error, InvariantViolation, ParameterDomain,
                      ReconstructionResidual, SizeGuardError)
-from .graphs import emit_graph6, enumerate_graphs, parse_graph6
+from .graphs import (MAX_CANONICAL_N, emit_graph6, enumerate_graphs,
+                     parse_graph6)
 from .search import (capacity, max_code_size, neighborhood_capacity_f,
                      oracle_cross_check)
 
@@ -300,6 +301,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_n > MAX_CANONICAL_N:
+        raise SizeGuardError("canonical enumeration guarded to n <= %d"
+                             % MAX_CANONICAL_N)
     lines = []
     for n in range(1, args.max_n + 1):
         lines.extend(emit_graph6(G) for G in enumerate_graphs(n))

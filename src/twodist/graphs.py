@@ -8,11 +8,16 @@ the bound machinery consumes.
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
-with prefix pruning.  No external isomorphism engine is involved.
-Enumeration grows graphs one vertex at a time: extend_canonical joins a new
-vertex to each canonical parent by every neighbour mask and keeps one
-canonical string per class, optionally after a filter on each child (the
-hereditary capacity search in search.py grows through the same step).
+with prefix pruning that tries only one of two twin vertices.  No external
+isomorphism engine is involved.  That string is hereditary: deleting the
+last vertex of a canonical string leaves the canonical string of the
+parent.  So enumeration is orderly generation: extend_canonical joins a new
+vertex to each canonical parent by every neighbour mask and keeps the
+children whose own labeling is canonical, which the same search decides by
+stopping at the first smaller prefix.  Every class is emitted once, by its
+canonical parent, with no canonicalization or deduplication of children.
+An optional filter runs on each child first (the hereditary capacity
+search in search.py grows through the same step).
 """
 
 from __future__ import annotations
@@ -176,21 +181,32 @@ def parse_graph6(text: str) -> Graph:
 
 def emit_graph6(G: Graph) -> str:
     """Encode a graph as a short-form graph6 string."""
-    if G.n > 62:
+    return _graph6(G.n, _segments(G.rows, G.n))
+
+
+def _segments(rows, n: int) -> list[int]:
+    """graph6 bit segments of the labeling as given.
+
+    segments[k] packs the adjacency of vertex k to vertices 0..k-1,
+    vertex 0 in the highest bit, which is exactly the graph6 bit order, so
+    comparing segment lists compares graph6 strings.
+    """
+    segs = []
+    for k in range(n):
+        seg = 0
+        for i in range(k):
+            seg = seg << 1 | (rows[k] >> i & 1)
+        segs.append(seg)
+    return segs
+
+
+def _graph6(n: int, segs) -> str:
+    if n > 62:
         raise Graph6Error("short-form graph6 handles n <= 62 only")
-    bits = []
-    for j in range(1, G.n):
-        for i in range(j):
-            bits.append(1 if G.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [G.n + 63]
-    for k in range(0, len(bits), 6):
-        x = 0
-        for bit in bits[k:k + 6]:
-            x = x << 1 | bit
-        out.append(x + 63)
-    return bytes(out).decode("ascii")
+    bits = "".join(format(seg, "0%db" % k) for k, seg in enumerate(segs) if k)
+    bits += "0" * (-len(bits) % 6)
+    return chr(n + 63) + "".join(chr(int(bits[i:i + 6], 2) + 63)
+                                 for i in range(0, len(bits), 6))
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +343,18 @@ def check_eigenvalue_floor(G: Graph,
 # canonical forms and enumeration
 # ---------------------------------------------------------------------------
 
-def _minimal_segments(rows: tuple, n: int) -> list[int]:
-    """Lexicographically minimal graph6 bit segments over all relabelings.
+def _lower_segments(rows: tuple, n: int, best: list[int],
+                    first: bool = False) -> bool:
+    """Lower best, the segments of some ordering, to the minimum over all.
 
-    segments[k] packs the adjacency of the position-k vertex to positions
-    0..k-1, earliest position in the highest bit, which is exactly the
-    graph6 bit order.  Plain minimization over every ordering, organized as
-    a depth-first search with prefix pruning against a greedily refreshed
-    best completion; the adjacency-to-prefix value of each unplaced vertex
-    is maintained incrementally.
+    A depth-first search over vertex orderings with prefix pruning against
+    best; the adjacency-to-prefix value of each unplaced vertex is
+    maintained incrementally.  Of two candidate vertices that are twins
+    (N(u) minus w equals N(w) minus u) only the first is tried: swapping
+    them is an automorphism that fixes the prefix, so their subtrees give
+    the same segments.  With first=True the search returns True at the
+    first prefix smaller than best, leaving best as it was, and False if
+    there is none, i.e. if best is already minimal.
     """
     segval = [0] * n
     placed: list[int] = []
@@ -354,66 +373,56 @@ def _minimal_segments(rows: tuple, n: int) -> list[int]:
             segval[w] >>= 1
         unplaced.add(v)
 
-    def greedy_tail() -> list[int]:
-        added = 0
-        tail = []
-        while unplaced:
-            seg, v = min((segval[w], w) for w in unplaced)
-            place(v)
-            tail.append(seg)
-            added += 1
-        for _ in range(added):
-            unplace()
-        return tail
-
-    best = greedy_tail()
-
-    def dfs():
+    def dfs() -> bool:
         k = len(placed)
         if k == n:
-            return
+            return False
         cands = sorted((segval[v], v) for v in unplaced)
+        if first and cands[0][0] < best[k]:
+            return True
+        tried: list[int] = []
         for seg, v in cands:
             if seg > best[k]:
                 break
-            place(v)
-            if seg < best[k]:
-                best[k] = seg
-                best[k + 1:] = greedy_tail()
-            dfs()
-            unplace()
+            for u in tried:
+                if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
+                    break
+            else:
+                tried.append(v)
+                place(v)
+                if seg < best[k]:
+                    # a smaller prefix; the search below completes it
+                    best[k:] = [seg] + [math.inf] * (n - k - 1)
+                if dfs():
+                    return True
+                unplace()
+        return False
 
-    dfs()
-    return best
+    return dfs()
 
 
 def canonical_form(G: Graph) -> str:
     """graph6 string of the canonical relabeling of G."""
-    n = G.n
-    m = G.num_edges
-    if m == 0 or m == n * (n - 1) // 2:
-        return emit_graph6(G)
-    segs = _minimal_segments(G.rows, n)
-    rows = [0] * n
-    for k in range(1, n):
-        for i in range(k):
-            if segs[k] >> (k - 1 - i) & 1:
-                rows[i] |= 1 << k
-                rows[k] |= 1 << i
-    return emit_graph6(Graph.from_rows(rows))
+    segs = _segments(G.rows, G.n)
+    _lower_segments(G.rows, G.n, segs)
+    return _graph6(G.n, segs)
 
 
-def extend_canonical(parents, keep=None) -> set[str]:
-    """Canonical graph6 strings of the one-vertex extensions of parents.
+def extend_canonical(parents, keep=None) -> list[str]:
+    """graph6 strings of the canonical one-vertex extensions of parents.
 
-    Each parent, a Graph on m vertices, gains a vertex m joined to the
-    parent's vertices by every one of the 2^m neighbour masks.  A child is
-    canonicalized only when keep(child) is true (keep=None keeps every
-    child), so a filter that every induced subgraph inherits prunes whole
-    subtrees before the costly canonical_form call.  Isomorphic children
-    collapse to one string.
+    Each parent, a Graph on m vertices in canonical labeling, gains a
+    vertex m joined to the parent's vertices by every one of the 2^m
+    neighbour masks.  A child is kept when keep(child) is true (keep=None
+    keeps every child) and its own labeling is canonical.  keep runs
+    first, so a filter that every induced subgraph inherits prunes whole
+    subtrees.  This is orderly generation (Read, 1978): deleting the last
+    vertex of a canonical string leaves the canonical string of the
+    parent, so every class on m + 1 vertices is emitted exactly once, by
+    its own canonical parent, and no deduplication is needed.  A parent
+    that is not in canonical labeling yields no child.
     """
-    seen = set()
+    out = []
     for parent in parents:
         m = parent.n
         for mask in range(1 << m):
@@ -421,9 +430,12 @@ def extend_canonical(parents, keep=None) -> set[str]:
                     for v, row in enumerate(parent.rows)]
             rows.append(mask)
             child = Graph.from_rows(rows)
-            if keep is None or keep(child):
-                seen.add(canonical_form(child))
-    return seen
+            if keep is not None and not keep(child):
+                continue
+            segs = _segments(child.rows, m + 1)
+            if not _lower_segments(child.rows, m + 1, segs, first=True):
+                out.append(_graph6(m + 1, segs))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -440,8 +452,9 @@ def enumerate_graphs(n: int, connected_only: bool = False,
 
     dedup="canonical" returns a deterministic tuple of canonical
     representatives in graph6 order (guarded to n <= 8), grown level by
-    level from the empty graph with extend_canonical and cached per order;
-    dedup="labeled" yields every labeled graph (guarded to n <= 7).
+    level from the empty graph with extend_canonical, each class emitted
+    once by its canonical parent, and cached per order; dedup="labeled"
+    yields every labeled graph (guarded to n <= 7).
     """
     if dedup == "canonical":
         if n > MAX_CANONICAL_N:

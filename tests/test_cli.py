@@ -6,12 +6,13 @@ re-run to confirm byte stability where floats are involved.
 """
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from twodist import search
+from twodist import cli, search
 from twodist.certificates import VerifyReport
 from twodist.cli import main
 from twodist.errors import InvariantViolation
@@ -226,6 +227,25 @@ def test_enumerate_counts(capsys):
     lines = out.splitlines()
     assert len(lines) == 1 + 2 + 4 + 11 + 34
     assert lines[0] == "@"
+
+
+def test_enumerate_golden_digest(capsys):
+    rc, out = run(capsys, "enumerate", "--max-n", "7")
+    assert rc == 0
+    assert len(out.splitlines()) == 1 + 2 + 4 + 11 + 34 + 156 + 1044
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9701eab755be7693d0f64a5dbf0fe67ab3917e7e402028802f12a41bf542510a")
+
+
+def test_enumerate_guard_comes_first(capsys, monkeypatch):
+    # above the guard nothing is enumerated, not even the orders below it
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_graphs",
+                        lambda n: calls.append(n) or ())
+    rc, out = run(capsys, "enumerate", "--max-n", "9")
+    assert rc == 2
+    assert out.startswith("error:") and len(out.splitlines()) == 1
+    assert calls == []
 
 
 def test_crosscheck(capsys):

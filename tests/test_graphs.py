@@ -37,6 +37,21 @@ def brute_force_canonical(G):
                for perm in itertools.permutations(range(G.n)))
 
 
+def extend_and_deduplicate(parents, keep=None):
+    # the step before orderly generation: canonicalize every kept child of
+    # every parent and deduplicate the canonical strings
+    seen = set()
+    for parent in parents:
+        m = parent.n
+        for mask in range(1 << m):
+            rows = [row | (mask >> v & 1) << m
+                    for v, row in enumerate(parent.rows)]
+            child = Graph.from_rows(rows + [mask])
+            if keep is None or keep(child):
+                seen.add(canonical_form(child))
+    return sorted(seen)
+
+
 def brute_force_independence(G):
     best = 0
     for r in range(G.n, 0, -1):
@@ -185,6 +200,15 @@ def test_canonical_form_matches_brute_force():
                  if rng.random() < 0.5]
         G = Graph(n, edges)
         assert canonical_form(G) == brute_force_canonical(G)
+    # twin classes (empty and complete graphs, complete multipartite,
+    # stars) are where the search tries one twin only
+    for G in (empty_graph(0), empty_graph(5), complete_graph(6),
+              complete_bipartite(2, 3), complete_bipartite(1, 4),
+              disjoint_union([complete_graph(2), complete_graph(2),
+                              empty_graph(2)]),
+              disjoint_union([complete_graph(3), complete_graph(3)]),
+              cycle_graph(6)):
+        assert canonical_form(G) == brute_force_canonical(G)
 
 
 def test_canonical_form_is_isomorphism_invariant():
@@ -220,6 +244,36 @@ def test_enumeration_connected_counts():
         assert len(enumerate_graphs(n, connected_only=True)) == count
 
 
+def test_enumeration_at_seven():
+    assert len(enumerate_graphs(7)) == 1044
+    assert len(enumerate_graphs(7, connected_only=True)) == 853
+
+
+def test_orderly_extension_matches_canonicalize_and_deduplicate():
+    def triangle_free(G):
+        return not contains_clique(G, 3)
+
+    for keep in (None, triangle_free):
+        level = [empty_graph(0)]
+        for n in range(1, 7):
+            grown = extend_canonical(level, keep)
+            assert len(grown) == len(set(grown))    # each class once
+            assert sorted(grown) == extend_and_deduplicate(level, keep)
+            level = [parse_graph6(g6) for g6 in sorted(grown)]
+
+
+def test_non_canonical_parent_yields_no_child():
+    # a smaller relabeling of the parent, with the new vertex kept last,
+    # is a smaller labeling of every child
+    for n in range(2, 5):
+        for G in enumerate_graphs(n):
+            for perm in itertools.permutations(range(n)):
+                H = permuted(G, perm)
+                if emit_graph6(H) != emit_graph6(G):
+                    assert extend_canonical([H]) == []
+    assert extend_canonical([path_graph(4)]) == []
+
+
 def test_enumeration_guards():
     with pytest.raises(SizeGuardError):
         enumerate_graphs(9)
@@ -244,11 +298,15 @@ def test_extend_canonical_with_hereditary_filter():
                                if not contains_clique(G, 3))
         assert calls.count(n) == len(level) << (n - 1)
         level = [parse_graph6(g6) for g6 in grown]
-    # keep=None keeps every child: K2 grows into K2+K1, P3 and K3
-    assert extend_canonical([path_graph(2)]) == {
-        canonical_form(G) for G in (disjoint_union([path_graph(2),
+    # keep=None keeps every canonical child: K2 yields K3 only, since
+    # K2+K1 and P3 are emitted by their own canonical parent 2K1
+    assert extend_canonical([path_graph(2)]) == [
+        emit_graph6(complete_graph(3))]
+    assert sorted(extend_canonical([empty_graph(2)])) == sorted(
+        canonical_form(G) for G in (empty_graph(3),
+                                    disjoint_union([path_graph(2),
                                                     empty_graph(1)]),
-                                    path_graph(3), complete_graph(3))}
+                                    path_graph(3)))
 
 
 def test_labeled_count():

@@ -5,17 +5,19 @@ small enough to list, and their quadratic forms follow from solving
 (A + mu I) x = j directly.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twodist import linalg, search
+from twodist import graphs, linalg, search
 from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
                                   certify_beta, code_rank, rational_shift,
                                   realize_from_beta)
-from twodist.errors import ParameterDomain, SizeGuardError
+from twodist.errors import (ParameterDomain, ReconstructionResidual,
+                            SizeGuardError)
 from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
                             disjoint_union, emit_graph6, empty_graph,
                             enumerate_graphs, parse_graph6)
@@ -218,6 +220,19 @@ def test_search_stats_at_mu_two_rank_three():
     assert set(both.stats) == {"strict", "equal"}
 
 
+def test_enumeration_and_capacity_never_canonicalize(monkeypatch):
+    # orderly generation emits each child in its own labeling; a
+    # canonical_form call per child is the cost it removed
+    def forbidden(G):
+        raise AssertionError("canonical_form called on %s" % emit_graph6(G))
+
+    monkeypatch.setattr(graphs, "canonical_form", forbidden)
+    graphs._canonical_g6.cache_clear()
+    assert len(enumerate_graphs(6)) == 156
+    assert search.capacity(3, 1, 2, n_max=7, mode="equal").value == 4
+    assert search.capacity(4, 1.0, 2.0, n_max=7).value > 0
+
+
 # ---------------------------------------------------------------------------
 # maximum code size
 # ---------------------------------------------------------------------------
@@ -366,3 +381,38 @@ def test_oracle_guards():
         search.oracle_cross_check(3,
                                   parameter_grid=[CodeParameters.make(0.0,
                                                                       -1.0)])
+
+
+@pytest.mark.parametrize("kind", ["validity", "rank", "round_trip"])
+def test_oracle_flags_each_kind_of_mismatch(monkeypatch, kind):
+    # an oracle that cannot fail shows nothing: force one kind of
+    # disagreement and check that exactly the affected graphs are flagged
+    P = CodeParameters.make(Fraction(0), Fraction(-1))
+    small = [G for n in range(1, 5) for G in enumerate_graphs(n)]
+    valid = [emit_graph6(G) for G in small if certify_alpha(G, P).valid]
+    assert 0 < len(valid) < len(small)
+    certify = search.certify_alpha
+
+    def flip_validity(G, P, tol):
+        c = certify(G, P, tol)
+        return dataclasses.replace(c, valid=not c.valid)
+
+    def raise_rank(G, P, tol):
+        c = certify(G, P, tol)
+        return dataclasses.replace(c, rank_r=c.rank_r + 1) if c.valid else c
+
+    def fail_round_trip(G, P, tol):
+        raise ReconstructionResidual("alpha-graph round trip failed")
+
+    if kind == "validity":
+        monkeypatch.setattr(search, "certify_alpha", flip_validity)
+        flagged = [emit_graph6(G) for G in small]
+    elif kind == "rank":
+        monkeypatch.setattr(search, "certify_alpha", raise_rank)
+        flagged = valid
+    else:
+        monkeypatch.setattr(search, "realize_from_alpha", fail_round_trip)
+        flagged = valid
+    rep = search.oracle_cross_check(4, parameter_grid=[P])
+    assert rep.checked == 18
+    assert rep.mismatches == [(g6, 0.0, -1.0, kind) for g6 in flagged]
