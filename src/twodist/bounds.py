@@ -16,14 +16,12 @@ construction and a rank-ratio cap over a family of candidate graphs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import linalg
 from .certificates import (AlphaCertificate, CodeParameters, certify_alpha,
-                           rational_shift)
+                           shifted_graph)
 from .errors import EmptyFamilyError, InvariantViolation, SizeGuardError
 from .graphs import (Graph, contains_clique, delete_closed_neighborhood,
                      independence_number, is_complete, is_connected,
@@ -73,19 +71,6 @@ def _shift_rank(cert: AlphaCertificate) -> int:
     return cert.rank_r + (1 if cert.equality_case else 0)
 
 
-def _sub_quadform(H: Graph, params: CodeParameters, tol: float):
-    """(q, rank, in_range) for the shifted adjacency of a subgraph.
-
-    Exact when the parameters are; q is None when the all-ones vector
-    leaves the column space.
-    """
-    if params.exact is not None:
-        k = linalg.shifted_exact(rational_shift(H, params.exact.mu, +1))
-    else:
-        k = linalg.shifted(H.adjacency() + params.mu * np.eye(H.n), tol)
-    return k.quadform, k.rank, k.quadform is not None
-
-
 def _resolve_cert(G: Graph, params: CodeParameters, tol: float,
                   cert: AlphaCertificate | None) -> AlphaCertificate:
     return cert if cert is not None else certify_alpha(G, params, tol)
@@ -111,8 +96,7 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
     if not cert.valid:
         return _not_applicable("subgraph", cert)
     q = cert.quadform
-    mu = params.exact.mu if params.exact is not None else params.mu
-    p = params.exact.p if params.exact is not None else params.p
+    P = params.exact or params
 
     def edges_in(mask: int) -> int:
         e = 0
@@ -124,9 +108,9 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
         return e
 
     def left_ok(t: int, e: int) -> bool:
-        return _le(t * t, (2 * e + t * mu) * q, tol)
+        return _le(t * t, (2 * e + t * P.mu) * q, tol)
 
-    right_ok = _le(q, p, tol)
+    right_ok = _le(q, P.p, tol)
     if subset is not None:
         mask = 0
         for v in subset:
@@ -156,12 +140,8 @@ def check_independence(G: Graph, params: CodeParameters,
     if not cert.valid:
         return _not_applicable("independence", cert)
     t = independence_number(G)
-    if params.exact is not None:
-        ex = params.exact
-        cap, roof = ex.mu * cert.quadform, (1 - ex.beta) / (-ex.beta)
-    else:
-        cap = params.mu * cert.quadform
-        roof = (1.0 - params.beta) / (-params.beta)
+    P = params.exact or params
+    cap, roof = P.mu * cert.quadform, (1 - P.beta) / (-P.beta)
     holds = _le(t, cap, tol) and _le(cap, roof, tol)
     return BoundReport(name="independence", applicable=True, holds=holds,
                        value=float(cap), floored=math.floor(float(cap) + tol),
@@ -198,14 +178,10 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("neighborhood", cert)
-    if params.exact is not None:
-        ex = params.exact
-        budget_nbr = (ex.alpha - ex.beta) / (ex.alpha ** 2 - ex.beta)
-        budget_del = (ex.alpha - ex.beta) / (-ex.beta * (1 - ex.beta))
-    else:
-        a, b = params.alpha, params.beta
-        budget_nbr = (a - b) / (a * a - b)
-        budget_del = (a - b) / (-b * (1.0 - b))
+    P = params.exact or params
+    a, b = P.alpha, P.beta
+    budget_nbr = (a - b) / (a * a - b)
+    budget_del = (a - b) / (-b * (1 - b))
     rank_all = _shift_rank(cert)
     vertices = range(G.n) if u is None else [u]
     details = []
@@ -219,14 +195,14 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
                 skipped += 1
                 details.append((v, tag, "skipped empty"))
                 continue
-            q, rank, ok = _sub_quadform(H, params, tol)
-            if not ok:
+            k = shifted_graph(H, P.mu, +1, tol)
+            if k.quadform is None:
                 holds = False
                 details.append((v, tag, "j not in range"))
                 continue
-            good = _le(q, budget, tol) and rank <= rank_all - 1
+            good = _le(k.quadform, budget, tol) and k.rank <= rank_all - 1
             holds = holds and good
-            details.append((v, tag, float(q), rank, good))
+            details.append((v, tag, float(k.quadform), k.rank, good))
     note = "%d empty subgraphs skipped" % skipped if skipped else None
     return BoundReport(name="neighborhood", applicable=True, holds=holds,
                        witness=details, note=note)
@@ -241,7 +217,7 @@ class SandwichReport:
     family_size: int
 
 
-def sandwich_bounds(graphs, mu: float, d: int,
+def sandwich_bounds(graphs, mu, d: int,
                     tol: float = DEFAULT_TOL) -> SandwichReport:
     """Two-sided estimate of the extremal size over a candidate family.
 
@@ -251,6 +227,7 @@ def sandwich_bounds(graphs, mu: float, d: int,
     orthogonal copies and padding with simplex directions gives the lower
     bound; the rank ratio caps the upper bound.  K_{d+1} is excluded from
     the lower maximum, where the bare simplex already gives d+1 points.
+    A Fraction mu decides membership exactly.
     """
     lower, lower_wit = d + 1, None
     upper, upper_wit = None, None
@@ -258,7 +235,7 @@ def sandwich_bounds(graphs, mu: float, d: int,
     for G in graphs:
         if not is_connected(G):
             continue
-        k = linalg.shifted(G.adjacency() + mu * np.eye(G.n), tol)
+        k = shifted_graph(G, mu, +1, tol)
         if k.inertia.neg or k.quadform is None:
             continue
         rank = k.rank
@@ -281,6 +258,13 @@ def sandwich_bounds(graphs, mu: float, d: int,
                           family_size=members)
 
 
+def _floor(val) -> int:
+    """floor(val): exact for rationals, with slack for float rounding."""
+    if isinstance(val, float):
+        return math.floor(val + DEFAULT_TOL * max(1.0, val))
+    return math.floor(val)
+
+
 def _close(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-9 * max(1.0, abs(y))
 
@@ -301,21 +285,15 @@ def recursion_map(params: CodeParameters, check: bool = True) -> CodeParameters:
     check=True these are checked to within tol on the float path and
     exactly on the rational path; a failure raises InvariantViolation.
     """
-    if params.exact is not None:
-        ex = params.exact
-        a0 = ex.alpha / (1 + ex.alpha)
-        b0 = (ex.beta - ex.alpha ** 2) / (1 - ex.alpha ** 2)
-        mapped = CodeParameters.make(a0, b0)
-        if check:
-            _check_recursion(mapped.exact.mu == ex.mu, b0 >= 0 or
-                             mapped.exact.p == (ex.alpha - ex.beta) /
-                             (ex.alpha ** 2 - ex.beta))
-        return mapped
-    a, b = params.alpha, params.beta
-    mapped = CodeParameters.make(a / (1.0 + a), (b - a * a) / (1.0 - a * a))
+    P = params.exact or params
+    a, b = P.alpha, P.beta
+    mapped = CodeParameters.make(a / (1 + a), (b - a * a) / (1 - a * a))
     if check:
-        _check_recursion(_close(mapped.mu, params.mu), mapped.beta >= 0 or
-                         _close(mapped.p, (a - b) / (a * a - b)))
+        # rationals meet the identities exactly, floats up to rounding
+        same = operator.eq if params.exact else _close
+        Q = mapped.exact or mapped
+        _check_recursion(same(Q.mu, P.mu), Q.beta >= 0 or
+                         same(Q.p, (a - b) / (a * a - b)))
     return mapped
 
 
@@ -324,14 +302,10 @@ def recursion_bound(params: CodeParameters, f: int) -> BoundReport:
     if params.beta >= 0:
         return BoundReport(name="recursion", applicable=False,
                            note="needs beta < 0")
-    if params.exact is not None:
-        ex = params.exact
-        val = ex.p * (f + ex.mu)
-        return BoundReport(name="recursion", applicable=True,
-                           value=float(val), floored=math.floor(val))
-    val = params.p * (f + params.mu)
-    return BoundReport(name="recursion", applicable=True, value=val,
-                       floored=math.floor(val + DEFAULT_TOL * max(1.0, val)))
+    P = params.exact or params
+    val = P.p * (f + P.mu)
+    return BoundReport(name="recursion", applicable=True, value=float(val),
+                       floored=_floor(val))
 
 
 def turan_bound(params: CodeParameters, d: int) -> BoundReport:
@@ -345,22 +319,16 @@ def turan_bound(params: CodeParameters, d: int) -> BoundReport:
     if params.beta >= 0:
         return BoundReport(name="turan", applicable=False,
                            note="needs beta < 0")
-    if params.exact is not None:
-        ex = params.exact
-        if d > 1 and not ex.p < 1 + Fraction(1, d - 1):
-            return BoundReport(name="turan", applicable=False,
-                               note="p above the gate")
-        denom = (-ex.alpha) / (ex.alpha - ex.beta) + Fraction(1, d)
-        val = max(Fraction(d + 1), ex.mu / denom)
-        return BoundReport(name="turan", applicable=True, value=float(val),
-                           floored=math.floor(val))
-    if d > 1 and not params.p < 1.0 + 1.0 / (d - 1):
+    P = params.exact or params
+    # rationals gate at the exact 1 + 1/(d-1), floats at its rounded sum
+    one = Fraction(1) if params.exact else 1.0
+    if d > 1 and not P.p < one + one / (d - 1):
         return BoundReport(name="turan", applicable=False,
                            note="p above the gate")
-    denom = (-params.alpha) / (params.alpha - params.beta) + 1.0 / d
-    val = max(float(d + 1), params.mu / denom)
-    return BoundReport(name="turan", applicable=True, value=val,
-                       floored=math.floor(val + DEFAULT_TOL * max(1.0, val)))
+    denom = (-P.alpha) / (P.alpha - P.beta) + one / d
+    val = max(one * (d + 1), P.mu / denom)
+    return BoundReport(name="turan", applicable=True, value=float(val),
+                       floored=_floor(val))
 
 
 def power_bound(params: CodeParameters, d: int,
@@ -373,7 +341,7 @@ def power_bound(params: CodeParameters, d: int,
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    mu = params.exact.mu if params.exact is not None else params.mu
+    mu = (params.exact or params).mu
     levels = range(0, d + 2) if k is None else [k]
     best = None
     for kk in levels:

@@ -11,7 +11,10 @@ the rank of the realizing code, and realize_from_* rebuilds unit vectors
 from the certified Gram matrix.
 
 Parameters given as Fractions run the entire decision path in exact
-arithmetic; floats use the tolerance policy from the linalg module.
+arithmetic; floats use the tolerance policy from the linalg module.  The
+arithmetic is chosen once: shifted_graph picks the kernel by the type of
+the shift, and each decision is written once against the kernel's zero
+band cut, which is 0 on the exact path.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ def _is_exact(x) -> bool:
 
 @dataclass(frozen=True)
 class ExactParameters:
+    """The scalars of CodeParameters as Fractions, under the same names."""
+
     alpha: Fraction
     beta: Fraction
     mu: Fraction
@@ -51,7 +56,9 @@ class CodeParameters:
     shifts entering the two certification routes; p = (alpha-beta)/(-beta)
     is the quadratic-form budget and exists only for beta < 0.  ``exact``
     is populated when both inputs are rational, and switches every
-    certificate decision to exact arithmetic.
+    certificate decision to exact arithmetic.  It has the same field
+    names, so ``P = params.exact or params`` gives alpha, beta, mu, lam
+    and p in the arithmetic of the backend that decides.
     """
 
     alpha: float
@@ -194,8 +201,7 @@ class AlphaCertificate:
     """Outcome of the alpha-graph membership test.
 
     smallest_eigenvalue is reported on the float path; the exact path
-    leaves it None unless it caused the failure.  quadform is a Fraction
-    in exact mode.
+    always leaves it None.  quadform is a Fraction in exact mode.
     """
 
     valid: bool
@@ -238,6 +244,19 @@ def rational_shift(G: Graph, shift: Fraction, sign: int):
     return M
 
 
+def shifted_graph(G: Graph, shift, sign: int,
+                  tol: float = DEFAULT_TOL) -> linalg.Shifted:
+    """The kernel facts of A + shift*I (sign=+1) or shift*I - A (sign=-1).
+
+    The arithmetic of shift picks the kernel: a Fraction runs the exact
+    linalg.shifted_exact (cut 0), a float the spectral linalg.shifted at
+    tol' (values set).  Either way the decisions read the same fields.
+    """
+    if isinstance(shift, Fraction):
+        return linalg.shifted_exact(rational_shift(G, shift, sign))
+    return linalg.shifted(shift * np.eye(G.n) + sign * G.adjacency(), tol)
+
+
 def certify_alpha(G: Graph, params: CodeParameters,
                   tol: float = DEFAULT_TOL) -> AlphaCertificate:
     """Decide whether G is the alpha-graph of a code with these parameters.
@@ -251,45 +270,26 @@ def certify_alpha(G: Graph, params: CodeParameters,
         raise ParameterDomain("alpha-graph certificates need beta < 0")
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
-    if params.exact is not None:
-        return _certify_alpha_exact(G, params.exact)
-    M = G.adjacency() + params.mu * np.eye(G.n)
-    k = linalg.shifted(M, tol)
-    cut = linalg.scaled_tol(M, tol)
-    smallest = float(k.values[-1] - params.mu)
+    P = params.exact or params
+    k = shifted_graph(G, P.mu, +1, tol)
+    exact = k.values is None
+    smallest = None if exact else float(k.values[-1] - P.mu)
+
+    def verdict(**fields) -> AlphaCertificate:
+        return AlphaCertificate(smallest_eigenvalue=smallest, exact=exact,
+                                **fields)
+
     if k.inertia.neg:
-        return AlphaCertificate(valid=False, failure_reason="eigenvalue_below",
-                                smallest_eigenvalue=smallest)
+        return verdict(valid=False, failure_reason="eigenvalue_below")
     q = k.quadform
     if q is None:
-        return AlphaCertificate(valid=False, failure_reason="j_not_in_range",
-                                smallest_eigenvalue=smallest)
-    if q > params.p + cut:
-        return AlphaCertificate(valid=False, failure_reason="quadform_exceeds",
-                                quadform=q, smallest_eigenvalue=smallest)
-    equality = abs(q - params.p) <= cut
-    return AlphaCertificate(valid=True,
-                            rank_r=k.rank - 1 if equality else k.rank,
-                            quadform=q, equality_case=equality,
-                            smallest_eigenvalue=smallest)
-
-
-def _certify_alpha_exact(G: Graph, ex: ExactParameters) -> AlphaCertificate:
-    k = linalg.shifted_exact(rational_shift(G, ex.mu, +1))
-    if k.inertia.neg:
-        return AlphaCertificate(valid=False, failure_reason="eigenvalue_below",
-                                exact=True)
-    q = k.quadform
-    if q is None:
-        return AlphaCertificate(valid=False, failure_reason="j_not_in_range",
-                                exact=True)
-    if q > ex.p:
-        return AlphaCertificate(valid=False, failure_reason="quadform_exceeds",
-                                quadform=q, exact=True)
-    equality = q == ex.p
-    return AlphaCertificate(valid=True,
-                            rank_r=k.rank - 1 if equality else k.rank,
-                            quadform=q, equality_case=equality, exact=True)
+        return verdict(valid=False, failure_reason="j_not_in_range")
+    if q > P.p + k.cut:
+        return verdict(valid=False, failure_reason="quadform_exceeds",
+                       quadform=q)
+    equality = abs(q - P.p) <= k.cut
+    return verdict(valid=True, rank_r=k.rank - 1 if equality else k.rank,
+                   quadform=q, equality_case=equality)
 
 
 def certify_beta_zero(G: Graph, beta,
@@ -300,29 +300,19 @@ def certify_beta_zero(G: Graph, beta,
     realizes in full dimension (case p1); equal to lam realizes in the
     codimension of the eigenvalue (case p2); above lam is impossible.
     """
-    bf = float(beta)
-    if not (-1.0 <= bf < 0.0):
+    if not (-1.0 <= float(beta) < 0.0):
         raise ParameterDomain("the {0, beta} route needs beta in [-1, 0)")
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
-    if _is_exact(beta):
-        lam = 1 / (-Fraction(beta))
-        k = linalg.shifted_exact(rational_shift(G, lam, -1))
-        if k.inertia.neg:
-            return BetaCertificate(valid=False,
-                                   failure_reason="eigenvalue_above", exact=True)
-        if k.rank == G.n:
-            return BetaCertificate(valid=True, case="p1", rank_r=G.n, exact=True)
-        return BetaCertificate(valid=True, case="p2", rank_r=k.rank,
-                               exact=True)
-    lam = 1.0 / (-bf)
-    M = lam * np.eye(G.n) - G.adjacency()
-    inert = linalg.shifted(M, tol).inertia
-    if inert.neg:
-        return BetaCertificate(valid=False, failure_reason="eigenvalue_above")
-    if inert.zero == 0:
-        return BetaCertificate(valid=True, case="p1", rank_r=G.n)
-    return BetaCertificate(valid=True, case="p2", rank_r=inert.pos)
+    # the pair (0, beta) has lam = 1/(-beta), in the arithmetic of beta
+    params = CodeParameters.make(0, beta)
+    k = shifted_graph(G, (params.exact or params).lam, -1, tol)
+    exact = k.values is None
+    if k.inertia.neg:
+        return BetaCertificate(valid=False, failure_reason="eigenvalue_above",
+                               exact=exact)
+    return BetaCertificate(valid=True, case="p1" if k.rank == G.n else "p2",
+                           rank_r=k.rank, exact=exact)
 
 
 def certify_beta(G: Graph, params: CodeParameters,
@@ -339,57 +329,30 @@ def certify_beta(G: Graph, params: CodeParameters,
         raise ParameterDomain("beta-graph certificates need alpha > 0")
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
-    if params.exact is not None:
-        return _certify_beta_exact(G, params.exact)
-    M = params.lam * np.eye(G.n) - G.adjacency()
-    cut = linalg.scaled_tol(M, tol)
-    k = linalg.shifted(M, tol)
-    inert = k.inertia
-    bound = (params.alpha - params.beta) / (-params.alpha)
-    if inert.neg == 0:
-        if inert.zero == 0:
-            return BetaCertificate(valid=True, case="one", rank_r=G.n)
-        return BetaCertificate(valid=True, case="two",
-                               rank_r=inert.pos + 1)
-    if inert.neg == 1:
-        q = k.quadform
-        if q is None:
-            return BetaCertificate(valid=False, case="three",
-                                   failure_reason="j_not_in_range")
-        if q > bound + cut:
-            return BetaCertificate(valid=False, case="three", quadform=q,
-                                   failure_reason="quadform_exceeds")
-        equality = abs(q - bound) <= cut
-        return BetaCertificate(valid=True, case="three",
-                               rank_r=k.rank - 1 if equality else k.rank,
-                               quadform=q, equality_case=equality)
-    return BetaCertificate(valid=False, failure_reason="negative_inertia")
-
-
-def _certify_beta_exact(G: Graph, ex: ExactParameters) -> BetaCertificate:
-    k = linalg.shifted_exact(rational_shift(G, ex.lam, -1))
-    inert = k.inertia
-    bound = (ex.alpha - ex.beta) / (-ex.alpha)
-    if inert.neg == 0:
-        if inert.zero == 0:
+    P = params.exact or params
+    k = shifted_graph(G, P.lam, -1, tol)
+    exact = k.values is None
+    if k.inertia.neg == 0:
+        if k.inertia.zero == 0:
             return BetaCertificate(valid=True, case="one", rank_r=G.n,
-                                   exact=True)
+                                   exact=exact)
         return BetaCertificate(valid=True, case="two", rank_r=k.rank + 1,
-                               exact=True)
-    if inert.neg == 1:
-        q = k.quadform
-        if q is None:
-            return BetaCertificate(valid=False, case="three",
-                                   failure_reason="j_not_in_range", exact=True)
-        if q > bound:
-            return BetaCertificate(valid=False, case="three", quadform=q,
-                                   failure_reason="quadform_exceeds", exact=True)
-        equality = q == bound
-        return BetaCertificate(valid=True, case="three",
-                               rank_r=k.rank - 1 if equality else k.rank,
-                               quadform=q, equality_case=equality, exact=True)
-    return BetaCertificate(valid=False, failure_reason="negative_inertia",
-                           exact=True)
+                               exact=exact)
+    if k.inertia.neg > 1:
+        return BetaCertificate(valid=False, failure_reason="negative_inertia",
+                               exact=exact)
+    bound = (P.alpha - P.beta) / (-P.alpha)
+    q = k.quadform
+    if q is None:
+        return BetaCertificate(valid=False, case="three",
+                               failure_reason="j_not_in_range", exact=exact)
+    if q > bound + k.cut:
+        return BetaCertificate(valid=False, case="three", quadform=q,
+                               failure_reason="quadform_exceeds", exact=exact)
+    equality = abs(q - bound) <= k.cut
+    return BetaCertificate(valid=True, case="three",
+                           rank_r=k.rank - 1 if equality else k.rank,
+                           quadform=q, equality_case=equality, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +427,7 @@ def realize_from_beta(G: Graph, params: CodeParameters,
     if params.alpha > 0:
         cert = certify_beta(G, params, tol)
     elif params.alpha == 0:
-        beta = params.exact.beta if params.exact is not None else params.beta
-        cert = certify_beta_zero(G, beta, tol)
+        cert = certify_beta_zero(G, (params.exact or params).beta, tol)
     else:
         raise ParameterDomain("beta-graph realizations need alpha >= 0")
     if not cert.valid:
@@ -486,8 +448,9 @@ def realize_from_beta(G: Graph, params: CodeParameters,
 # JSON code files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _fmt(x) -> str:
+    """A Fraction as a/b, any other number with 17 significant digits."""
+    return str(x) if isinstance(x, Fraction) else "%.17g" % float(x)
 
 
 def dumps_code(code: SphericalCode) -> str:

@@ -26,16 +26,16 @@ from .bounds import (check_clique_free, check_independence,
                      dgs_bound, power_bound, recursion_bound, turan_bound)
 from .certificates import (CodeParameters, alpha_graph, certify_alpha,
                            certify_beta, dumps_code, load_code,
-                           realize_from_alpha, realize_from_beta, verify_code)
+                           realize_from_alpha, realize_from_beta, verify_code,
+                           _fmt)
 from .errors import (AmbiguousPair, CertificateInvalid, EmptyFamilyError,
                      Graph6Error, InvariantViolation, ParameterDomain,
                      ReconstructionResidual, SizeGuardError)
 from .graphs import (MAX_CANONICAL_N, emit_graph6, enumerate_graphs,
                      parse_graph6)
+from .linalg import DEFAULT_TOL
 from .search import (capacity, max_code_size, neighborhood_capacity_f,
                      oracle_cross_check)
-
-DEFAULT_TOL = 1e-9
 
 
 def _tolerance(text: str) -> float:
@@ -72,12 +72,6 @@ def _scalar_pair(text_a: str, text_b: str, exact: bool):
     """One fraction switches both scalars to the exact backend."""
     exact = exact or "/" in text_a or "/" in text_b
     return _scalar(text_a, exact), _scalar(text_b, exact)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return "%.17g" % float(x)
 
 
 def _cell(x) -> str:

@@ -5,10 +5,6 @@ class TwoDistError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotInRange(TwoDistError):
-    """Right-hand side is not in the column space of the matrix."""
-
-
 class AmbiguousCase(TwoDistError):
     """Rank-one update sits on a case boundary that tolerances cannot resolve."""
 

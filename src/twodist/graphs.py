@@ -3,8 +3,8 @@
 Vertices are 0..n-1 and each row of a Graph is an int bitmask of neighbors.
 Everything here targets exhaustive work at small order: graph6 round trips,
 isomorphism-free enumeration, independence and clique search by branch and
-bound, and the structural slicing (neighborhood subgraphs, bisection trees)
-the bound machinery consumes.
+bound, and structural slicing: the neighborhood subgraphs the bound checks
+consume, and neighborhood bisection trees, which no bound uses yet.
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
@@ -32,7 +32,6 @@ from . import linalg
 from .errors import Graph6Error, NotConnectedError, SizeGuardError
 
 MAX_CANONICAL_N = 8
-MAX_LABELED_N = 7
 MAX_INDEPENDENCE_N = 32
 
 
@@ -149,12 +148,14 @@ def disjoint_union(graphs) -> Graph:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a short-form graph6 string."""
+    if not text.isascii():
+        raise Graph6Error("graph6 strings are ASCII")
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    data = s.encode("ascii")
     if any(b < 63 or b > 126 for b in data):
         raise Graph6Error("graph6 byte out of printable range")
     if data[0] == 126:
@@ -446,44 +447,21 @@ def _canonical_g6(n: int) -> tuple[str, ...]:
     return tuple(sorted(extend_canonical(parents)))
 
 
-def enumerate_graphs(n: int, connected_only: bool = False,
-                     dedup: str = "canonical"):
-    """All graphs on n vertices, one per isomorphism class by default.
+def enumerate_graphs(n: int, connected_only: bool = False):
+    """All graphs on n vertices, one per isomorphism class.
 
-    dedup="canonical" returns a deterministic tuple of canonical
-    representatives in graph6 order (guarded to n <= 8), grown level by
-    level from the empty graph with extend_canonical, each class emitted
-    once by its canonical parent, and cached per order; dedup="labeled"
-    yields every labeled graph (guarded to n <= 7).
+    Returns a deterministic tuple of canonical representatives in graph6
+    order (guarded to n <= 8), grown level by level from the empty graph
+    with extend_canonical, each class emitted once by its canonical
+    parent, and cached per order.
     """
-    if dedup == "canonical":
-        if n > MAX_CANONICAL_N:
-            raise SizeGuardError("canonical enumeration guarded to n <= %d"
-                                 % MAX_CANONICAL_N)
-        graphs = tuple(parse_graph6(g6) for g6 in _canonical_g6(n))
-        if connected_only:
-            graphs = tuple(G for G in graphs if is_connected(G))
-        return graphs
-    if dedup == "labeled":
-        if n > MAX_LABELED_N:
-            raise SizeGuardError("labeled enumeration guarded to n <= %d"
-                                 % MAX_LABELED_N)
-        return _labeled_stream(n, connected_only)
-    raise ValueError("dedup must be 'canonical' or 'labeled'")
-
-
-def _labeled_stream(n: int, connected_only: bool):
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        G = Graph.from_rows(rows)
-        if connected_only and not is_connected(G):
-            continue
-        yield G
+    if n > MAX_CANONICAL_N:
+        raise SizeGuardError("canonical enumeration guarded to n <= %d"
+                             % MAX_CANONICAL_N)
+    graphs = tuple(parse_graph6(g6) for g6 in _canonical_g6(n))
+    if connected_only:
+        graphs = tuple(G for G in graphs if is_connected(G))
+    return graphs
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousCase, NotInRange
+from .errors import AmbiguousCase
 
 DEFAULT_TOL = 1e-9
 
@@ -111,6 +111,9 @@ class Shifted(NamedTuple):
     rank: int
     quadform: object        # j^T M^# j (v^T M^# v in shifted_exact); None
                             # when the vector leaves the column space
+    cut: object             # the zero band: tol' for floats, the int 0 when
+                            # exact, so q > p + cut and |q - p| <= cut are
+                            # the exact q > p and q == p on rationals
 
 
 def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
@@ -118,8 +121,8 @@ def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
 
     For symmetric M (A + mu I or lam I - A) and the all-ones vector j:
     the spectrum, the inertia and rank at the cut tol', and the quadratic
-    form j^T M^# j, read from the same decomposition.  M is positive
-    semidefinite iff inertia.neg == 0.
+    form j^T M^# j, read from the same decomposition, with tol' as the
+    cut.  M is positive semidefinite iff inertia.neg == 0.
     """
     spec = eigen_decompose(M, tol)
     cut = scaled_tol(M, tol)
@@ -127,58 +130,7 @@ def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
     ones = np.ones(len(spec.values))
     x = _range_solve(spec, cut, ones)
     return Shifted(spec.values, inert, inert.pos + inert.neg,
-                   None if x is None else float(ones @ x))
-
-
-def in_range(M, v, tol: float = DEFAULT_TOL) -> bool:
-    """Whether v lies in the column space of symmetric M.
-
-    True iff the component of v orthogonal to the column space has norm
-    at most tol'.
-    """
-    return _range_solve(eigen_decompose(M, tol), scaled_tol(M, tol),
-                        v) is not None
-
-
-def solve_in_range(M, v, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Minimum-norm solution x of M x = v for symmetric M.
-
-    Raises NotInRange when v has a component outside the column space.
-    The returned x is orthogonal to the kernel, so quadratic forms v.x are
-    independent of which solution is used.
-    """
-    x = _range_solve(eigen_decompose(M, tol), scaled_tol(M, tol), v)
-    if x is None:
-        raise NotInRange("right-hand side is not in the column space")
-    return x
-
-
-def quadform_group_inverse(M, v, tol: float = DEFAULT_TOL) -> float:
-    """The scalar v^T M^# v, computed without materializing M^#.
-
-    For symmetric M the group inverse agrees with the pseudoinverse, and
-    when v is in the column space the quadratic form equals v^T x for any
-    solution of M x = v.
-    """
-    return float(np.asarray(v, dtype=float) @ solve_in_range(M, v, tol))
-
-
-def group_inverse(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The group inverse of symmetric M, rebuilt from its spectrum."""
-    spec = eigen_decompose(M, tol)
-    cut = scaled_tol(M, tol)
-    inv = np.zeros_like(spec.values)
-    keep = np.abs(spec.values) > cut
-    inv[keep] = 1.0 / spec.values[keep]
-    return (spec.vectors * inv) @ spec.vectors.T
-
-
-def is_one_inverse(M, N, tol: float = DEFAULT_TOL) -> bool:
-    """Whether N satisfies the {1}-inverse identity M N M = M within tol'."""
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    resid = M @ N @ M - M
-    return float(np.max(np.abs(resid))) <= scaled_tol(M, tol) if resid.size else True
+                   None if x is None else float(ones @ x), cut)
 
 
 # Inertia shifts (d_pos, d_neg) for M + c*u*u^T, keyed by (c > 0, case).
@@ -249,7 +201,7 @@ def shifted_exact(M, v=None) -> Shifted:
     The exact twin of shifted: entries of M and v are ints or Fractions,
     and v defaults to the all-ones vector.  Returns the inertia, the rank
     and v^T M^# v as a Fraction (None when v leaves the column space), with
-    values None.  One fraction-free Bareiss elimination of the bordered
+    values None and cut 0.  One fraction-free Bareiss elimination of the bordered
     integer matrix [[L M, W v], [W v^T, 0]] decides everything, L and W
     being the denominator lcms; pivots come off the diagonal and never
     from the border.
@@ -298,7 +250,7 @@ def shifted_exact(M, v=None) -> Shifted:
     q = None
     if not any(row[m] for row in B[:m]):
         q = Fraction(-B[m][m] * L, prev * W * W)
-    return Shifted(None, Inertia(pos, neg, m), pos + neg, q)
+    return Shifted(None, Inertia(pos, neg, m), pos + neg, q, 0)
 
 
 def rank_one_update_inertia_exact(M, u, c) -> tuple[Inertia, int]:

@@ -41,8 +41,8 @@ import numpy as np
 from . import linalg
 from .bounds import dgs_bound, power_bound, recursion_map, turan_bound
 from .certificates import (CodeParameters, certify_alpha, certify_beta,
-                           rational_shift, realize_from_alpha, verify_code,
-                           _is_exact)
+                           rational_shift, realize_from_alpha, shifted_graph,
+                           verify_code, _fmt, _is_exact)
 from .errors import InvariantViolation, ParameterDomain, SizeGuardError
 from .graphs import (complete_graph, emit_graph6, empty_graph,
                      enumerate_graphs, extend_canonical, parse_graph6)
@@ -81,10 +81,6 @@ class SearchResult:
     stats: dict = field(default_factory=dict)
 
 
-def _fmt_param(x) -> str:
-    return str(x) if isinstance(x, Fraction) else "%.17g" % x
-
-
 def _rejection(G, r: int, p, mu, mode: str, tol: float):
     """The first test G fails, or None when it qualifies.
 
@@ -93,13 +89,7 @@ def _rejection(G, r: int, p, mu, mode: str, tol: float):
     (j^T (A + mu I)^# j misses p for the mode).  Floats compare at G's own
     cut scaled_tol(A + mu I), rationals exactly.
     """
-    if isinstance(p, Fraction):
-        k = linalg.shifted_exact(rational_shift(G, mu, +1))
-        cut = 0
-    else:
-        M = G.adjacency() + mu * np.eye(G.n)
-        k = linalg.shifted(M, tol)
-        cut = linalg.scaled_tol(M, tol)
+    k = shifted_graph(G, mu, +1, tol)
     if k.inertia.neg:
         return "psd"
     if k.rank > r:
@@ -107,7 +97,7 @@ def _rejection(G, r: int, p, mu, mode: str, tol: float):
     if k.quadform is None:
         return "range"
     q = k.quadform
-    ok = q < p - cut if mode == "strict" else abs(q - p) <= cut
+    ok = q < p - k.cut if mode == "strict" else abs(q - p) <= k.cut
     return None if ok else "budget"
 
 
@@ -174,6 +164,8 @@ def _grow(r: int, p, mu, n_max: int, mode: str, tol: float, mapper,
     leaf tests of _rejection.  Parents are dealt into at most `shards`
     tasks for `mapper`.
     """
+    # floats prune at one fixed cut, not at each child's own, so the
+    # hereditary filter is where the search still picks its arithmetic
     exact = isinstance(p, Fraction)
     cut = None if exact else _cut_max(mu, n_max, tol)
     stats = {"backend": "exact" if exact else "float", "tested": {},
@@ -246,7 +238,7 @@ def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
     extremal = sorted(g6 for n, g6 in hits if n == value)
     star = "*" if mode == "equal" else ""
     query = "N%s(r=%d, p=%s, mu=%s), n_max=%d" % (
-        star, r, _fmt_param(p), _fmt_param(mu), n_max)
+        star, r, _fmt(p), _fmt(mu), n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
                         exhaustive=n_max >= dgs_bound(r), stats=stats)
 
@@ -266,12 +258,9 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
         raise ParameterDomain("code-size search needs beta < 0")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if params.exact is not None:
-        p, mu = params.exact.p, params.exact.mu
-    else:
-        p, mu = params.p, params.mu
-    strict = capacity(d, p, mu, n_max, "strict", tol, workers)
-    equal = capacity(d + 1, p, mu, n_max, "equal", tol, workers)
+    P = params.exact or params
+    strict = capacity(d, P.p, P.mu, n_max, "strict", tol, workers)
+    equal = capacity(d + 1, P.p, P.mu, n_max, "equal", tol, workers)
     value = max(strict.value, equal.value)
     extremal = sorted(set(
         (strict.extremal_graphs if strict.value == value else []) +
@@ -296,8 +285,7 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
         if rep.applicable:
             caps.append(rep.floored)
     query = "N[alpha=%s, beta=%s](d=%d), n_max=%d" % (
-        _fmt_param(alpha if params.exact else params.alpha),
-        _fmt_param(beta if params.exact else params.beta), d, n_max)
+        _fmt(P.alpha), _fmt(P.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
                         exhaustive=n_max >= min(caps),
                         stats={"strict": strict.stats, "equal": equal.stats})
@@ -319,14 +307,10 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
         raise ParameterDomain("the derived-code capacity needs beta < 0")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if params.exact is not None:
-        ex = params.exact
-        p2, mu = (ex.alpha - ex.beta) / (ex.alpha ** 2 - ex.beta), ex.mu
-    else:
-        a, b = params.alpha, params.beta
-        p2, mu = (a - b) / (a * a - b), params.mu
-    strict = capacity(d, p2, mu, n_max, "strict", tol, workers)
-    equal = capacity(d, p2, mu, n_max, "equal", tol, workers)
+    P = params.exact or params
+    p2 = (P.alpha - P.beta) / (P.alpha * P.alpha - P.beta)
+    strict = capacity(d, p2, P.mu, n_max, "strict", tol, workers)
+    equal = capacity(d, p2, P.mu, n_max, "equal", tol, workers)
     value = max(strict.value, equal.value)
     extremal = sorted(set(
         (strict.extremal_graphs if strict.value == value else []) +
@@ -336,18 +320,14 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
     except ParameterDomain:
         mapped = None
     if mapped is not None:
-        if mapped.exact is not None:
-            a0, b0 = mapped.exact.alpha, mapped.exact.beta
-        else:
-            a0, b0 = mapped.alpha, mapped.beta
-        roof = max_code_size(a0, b0, d, n_max, tol, workers)
+        Q = mapped.exact or mapped
+        roof = max_code_size(Q.alpha, Q.beta, d, n_max, tol, workers)
         if value > roof.value:
             raise InvariantViolation(
                 "derived capacity %d exceeds the searched maximum %d at the "
                 "mapped parameters" % (value, roof.value))
     query = "f(alpha=%s, beta=%s, d=%d), n_max=%d" % (
-        _fmt_param(alpha if params.exact else params.alpha),
-        _fmt_param(beta if params.exact else params.beta), d, n_max)
+        _fmt(P.alpha), _fmt(P.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
                         exhaustive=n_max >= dgs_bound(d),
                         stats={"strict": strict.stats, "equal": equal.stats})

@@ -5,6 +5,8 @@ out by hand from the defining matrices (small enough to solve directly)
 and are asserted as frozen constants.
 """
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -246,16 +248,59 @@ def test_alpha_kernel_orthogonal_to_ones_when_valid():
     assert hit == 3  # one kernel direction for C4, two for C5
 
 
+def group_inverse(M, tol=1e-9):
+    # independent {1}-inverse reference: the group inverse of symmetric M,
+    # rebuilt from numpy's spectrum
+    values, vectors = np.linalg.eigh(M)
+    inv = np.zeros_like(values)
+    keep = np.abs(values) > linalg.scaled_tol(M, tol)
+    inv[keep] = 1.0 / values[keep]
+    return (vectors * inv) @ vectors.T
+
+
+def is_one_inverse(M, N, tol=1e-9):
+    # the {1}-inverse identity M N M = M, within the scaled tolerance
+    resid = M @ N @ M - M
+    return float(np.max(np.abs(resid))) <= linalg.scaled_tol(M, tol)
+
+
+def test_group_inverse_identities():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        r = rng.randint(0, n)
+        B = np.array([[rng.uniform(-1, 1) for _ in range(max(r, 1))]
+                      for _ in range(n)])
+        M = B @ B.T if r else np.zeros((n, n))
+        M = M - 0.5 * np.trace(M) / n * np.eye(n)  # make it indefinite
+        M = (M + M.T) / 2
+        X = group_inverse(M)
+        assert np.allclose(M @ X @ M, M, atol=1e-8)
+        assert np.allclose(X @ M @ X, X, atol=1e-8)
+        assert np.allclose(M @ X, X @ M, atol=1e-8)
+        assert is_one_inverse(M, X)
+
+
+def test_group_inverse_diagonal():
+    X = group_inverse(np.diag([2.0, 0.0]))
+    assert np.allclose(X, np.diag([0.5, 0.0]), atol=1e-12)
+
+
+def test_is_one_inverse_rejects():
+    M = np.diag([1.0, 0.0])
+    assert not is_one_inverse(M, np.diag([2.0, 0.0]))
+
+
 def test_quadform_agrees_with_any_reflexive_inverse():
     # j^T X j is the same for every X with M X M = M once j is in the
     # column space; perturbing the group inverse along the kernel keeps
     # both properties
     G = cycle_graph(4)
     M = G.adjacency() + 2.0 * np.eye(4)
-    X = linalg.group_inverse(M)
+    X = group_inverse(M)
     k = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     Y = X + np.outer(k, k)
-    assert linalg.is_one_inverse(M, Y)
+    assert is_one_inverse(M, Y)
     j = np.ones(4)
     assert abs(float(j @ Y @ j) - 1.0) <= 1e-9
 
@@ -501,3 +546,66 @@ def test_seventeen_digit_round_trip():
     code = cert.realize_from_alpha(cycle_graph(5), P)
     back = cert.loads_code(cert.dumps_code(code))
     assert back.alpha == P.alpha and back.beta == P.beta
+
+
+# ---------------------------------------------------------------------------
+# pinned decisions
+# ---------------------------------------------------------------------------
+
+BETA_ZERO_GRID = (Fraction(-1), Fraction(-1, 2), Fraction(-1, 3))
+
+# fields that do not depend on the last bits of a float spectrum
+DECISION_FIELDS = ("valid", "case", "rank_r", "equality_case",
+                   "failure_reason", "exact")
+
+
+def certificate_rows(exact: bool):
+    """One line per (route, parameter point, graph) for every n <= 6.
+
+    Exact rows hold the repr of every certificate field; float rows, at
+    the same points as floats, only the DECISION_FIELDS.
+    """
+    from twodist.graphs import emit_graph6, enumerate_graphs
+    from twodist.search import BETA_GRID, RATIONAL_GRID
+
+    def point(P):
+        if exact:
+            return P, "%s,%s" % (P.exact.alpha, P.exact.beta)
+        return cert.CodeParameters.make(P.alpha, P.beta), "%r,%r" % (
+            P.alpha, P.beta)
+
+    def fields(c):
+        if exact:
+            return tuple(repr(getattr(c, f.name))
+                         for f in dataclasses.fields(c))
+        return tuple(repr(getattr(c, name, None)) for name in DECISION_FIELDS)
+
+    graphs = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+    for route, grid, certify in (
+            ("alpha", RATIONAL_GRID, cert.certify_alpha),
+            ("beta", BETA_GRID, cert.certify_beta)):
+        for P in grid:
+            Q, label = point(P)
+            for G in graphs:
+                yield "%s %s %s %s" % (route, label, emit_graph6(G),
+                                       " ".join(fields(certify(G, Q))))
+    for b in BETA_ZERO_GRID:
+        beta = b if exact else float(b)
+        for G in graphs:
+            yield "beta_zero %r %s %s" % (
+                beta, emit_graph6(G),
+                " ".join(fields(cert.certify_beta_zero(G, beta))))
+
+
+@pytest.mark.parametrize("exact, digest", [
+    (True,
+     "3e8438d1f9a3eaef667d2222903d20366991d9ecd925dff384f99244093b8308"),
+    (False,
+     "25a37e4c40891d4af4721417341e43508faa6942bc1bc4c648f693533bc9b91f"),
+], ids=("exact", "float"))
+def test_certificate_golden_digest(exact, digest):
+    # 208 graphs x (15 alpha + 12 beta + 3 {0, beta} points)
+    rows = list(certificate_rows(exact))
+    assert len(rows) == 6240
+    text = "".join(row + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -285,6 +285,19 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
+def test_non_ascii_graph6_exits_two(capsys, tmp_path):
+    # "C\u00e9" once read as "C?", the empty graph on 4 vertices
+    rc, out = run(capsys, "certify", "--alpha", "0", "--beta", "-1",
+                  "--graph", "C\u00e9")
+    assert rc == 2
+    assert out.startswith("error:") and len(out.splitlines()) == 1
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Cl\nC\u00e9\n", encoding="utf-8")
+    rc, out = run(capsys, "certify", "--alpha", "0", "--beta", "-1",
+                  "--in", str(batch))
+    assert rc == 2 and out.startswith("error:")
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main([])

@@ -37,6 +37,14 @@ def brute_force_canonical(G):
                for perm in itertools.permutations(range(G.n)))
 
 
+def labeled_graphs(n):
+    # every labeled graph on n vertices, one per subset of the pairs
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [pair for b, pair in enumerate(pairs)
+                        if mask >> b & 1])
+
+
 def extend_and_deduplicate(parents, keep=None):
     # the step before orderly generation: canonicalize every kept child of
     # every parent and deduplicate the canonical strings
@@ -77,7 +85,7 @@ def test_graph6_known_strings():
 
 def test_graph6_round_trip_exhaustive():
     for n in range(0, 5):
-        for G in enumerate_graphs(n, dedup="labeled") if n <= 4 else ():
+        for G in labeled_graphs(n):
             assert parse_graph6(emit_graph6(G)) == G
 
 
@@ -91,6 +99,15 @@ def test_graph6_header_and_errors():
         parse_graph6("C\x19")       # non-printable byte
     with pytest.raises(Graph6Error):
         parse_graph6("~??")         # long form
+
+
+def test_graph6_rejects_non_ascii():
+    # no character outside ASCII may stand in for a graph6 byte; "?" is
+    # the empty bit field and must not come from a replaced character
+    assert parse_graph6("C?") == empty_graph(4)
+    for text in ("C\u00e9", "\u00e9", "Cl\u2003", "B\u0080"):
+        with pytest.raises(Graph6Error):
+            parse_graph6(text)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +249,7 @@ def test_enumeration_counts():
 def test_enumeration_matches_labeled_dedup():
     # independent check: dedup the labeled stream by brute-force canonical form
     for n in range(1, 5):
-        brute = {brute_force_canonical(G)
-                 for G in enumerate_graphs(n, dedup="labeled")}
+        brute = {brute_force_canonical(G) for G in labeled_graphs(n)}
         canon = {emit_graph6(G) for G in enumerate_graphs(n)}
         assert brute == canon
 
@@ -277,10 +293,6 @@ def test_non_canonical_parent_yields_no_child():
 def test_enumeration_guards():
     with pytest.raises(SizeGuardError):
         enumerate_graphs(9)
-    with pytest.raises(SizeGuardError):
-        next(iter(enumerate_graphs(8, dedup="labeled")))
-    with pytest.raises(ValueError):
-        enumerate_graphs(3, dedup="nope")
 
 
 def test_extend_canonical_with_hereditary_filter():
@@ -310,7 +322,7 @@ def test_extend_canonical_with_hereditary_filter():
 
 
 def test_labeled_count():
-    assert sum(1 for _ in enumerate_graphs(4, dedup="labeled")) == 64
+    assert sum(1 for _ in labeled_graphs(4)) == 64
 
 
 # ---------------------------------------------------------------------------

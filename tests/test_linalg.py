@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from twodist import linalg
-from twodist.errors import AmbiguousCase, NotInRange
+from twodist.errors import AmbiguousCase
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -95,40 +95,32 @@ def test_rank_c5_at_golden_shift():
 
 
 def test_in_range_diagonal():
-    M = np.diag([1.0, 0.0])
-    assert linalg.in_range(M, np.array([1.0, 0.0]))
-    assert not linalg.in_range(M, np.array([0.0, 1.0]))
+    # j = (1, 1) has a kernel component for diag(1, 0), none for diag(1, 2)
+    assert linalg.shifted(np.diag([1.0, 0.0])).quadform is None
+    assert linalg.shifted_exact([[1, 0], [0, 0]]).quadform is None
+    assert abs(linalg.shifted(np.diag([1.0, 2.0])).quadform - 1.5) < 1e-12
+    assert linalg.shifted_exact([[1, 0], [0, 2]]).quadform == Fraction(3, 2)
 
 
 def test_in_range_c4():
-    M = cycle_adjacency(4) + 2 * np.eye(4)
-    assert linalg.in_range(M, np.ones(4))
-    # (1,-1,1,-1) spans the kernel
-    assert not linalg.in_range(M, np.array([1.0, -1.0, 1.0, -1.0]))
+    # j is an eigenvector of A(C4) for 2: in the range of A + 2I, in the
+    # kernel of A - 2I
+    A = cycle_adjacency(4)
+    assert abs(linalg.shifted(A + 2 * np.eye(4)).quadform - 1.0) < 1e-12
+    assert linalg.shifted(A - 2 * np.eye(4)).quadform is None
 
 
 def test_solve_in_range_c4():
-    M = cycle_adjacency(4) + 2 * np.eye(4)
-    x = linalg.solve_in_range(M, np.ones(4))
-    assert np.allclose(x, np.full(4, 0.25), atol=1e-12)
-    with pytest.raises(NotInRange):
-        linalg.solve_in_range(M, np.array([1.0, -1.0, 1.0, -1.0]))
-
-
-def test_solve_is_minimum_norm():
-    rng = random.Random(97)
-    for _ in range(25):
-        n = rng.randint(2, 7)
-        r = rng.randint(1, n - 1)
-        B = np.array([[rng.uniform(-1, 1) for _ in range(r)] for _ in range(n)])
-        M = B @ B.T  # rank <= r, PSD
-        v = M @ np.array([rng.uniform(-1, 1) for _ in range(n)])
-        x = linalg.solve_in_range(M, v)
-        spec = linalg.eigen_decompose(M)
-        cut = linalg.scaled_tol(M)
-        null = spec.vectors[:, np.abs(spec.values) <= cut]
-        # minimum-norm solution is orthogonal to the kernel
-        assert np.allclose(null.T @ x, 0, atol=1e-8)
+    # shifted_exact with a vector v on A(C4) + 2I (eigenvalues 4 on j, 2
+    # on (1, 0, -1, 0) and (0, 1, 0, -1), 0 on (1, -1, 1, -1)): v = j
+    # solves by x = j/4; v = (1, 1, 0, 0) splits into j/2 and
+    # (1, 1, -1, -1)/2, so v^T M^# v = 1/4 + 1/2; v = (1, 0, 1, 0) meets
+    # the kernel
+    M = [[2, 1, 0, 1], [1, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]]
+    assert linalg.shifted_exact(M, [1, 1, 1, 1]).quadform == 1
+    assert linalg.shifted_exact(M, [1, 1, 0, 0]).quadform == Fraction(3, 4)
+    assert linalg.shifted_exact(M, [1, -1, 1, -1]).quadform is None
+    assert linalg.shifted_exact(M, [1, 0, 1, 0]).quadform is None
 
 
 def test_shifted_reads_one_spectrum():
@@ -150,41 +142,14 @@ def test_shifted_reads_one_spectrum():
 def test_quadform_independent_of_solution():
     M = cycle_adjacency(4) + 2 * np.eye(4)
     v = np.ones(4)
-    q = linalg.quadform_group_inverse(M, v)
+    q = linalg.shifted(M).quadform
     assert abs(q - 1.0) < 1e-12
-    # shifting the solution along the kernel leaves v.x unchanged
-    x = linalg.solve_in_range(M, v) + 3.7 * np.array([1.0, -1.0, 1.0, -1.0])
+    # shifting a solution of M x = v along the kernel leaves v.x unchanged
+    x = np.full(4, 0.25) + 3.7 * np.array([1.0, -1.0, 1.0, -1.0])
+    assert np.allclose(M @ x, v, atol=1e-12)
     assert abs(float(v @ x) - q) < 1e-9
-    # and the materialized group inverse agrees
-    q2 = float(v @ linalg.group_inverse(M) @ v)
-    assert abs(q2 - q) < 1e-9
-
-
-def test_group_inverse_identities():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        r = rng.randint(0, n)
-        B = np.array([[rng.uniform(-1, 1) for _ in range(max(r, 1))]
-                      for _ in range(n)])
-        M = B @ B.T if r else np.zeros((n, n))
-        M = M - 0.5 * np.trace(M) / n * np.eye(n)  # make it indefinite
-        M = (M + M.T) / 2
-        X = linalg.group_inverse(M)
-        assert np.allclose(M @ X @ M, M, atol=1e-8)
-        assert np.allclose(X @ M @ X, X, atol=1e-8)
-        assert np.allclose(M @ X, X @ M, atol=1e-8)
-        assert linalg.is_one_inverse(M, X)
-
-
-def test_group_inverse_diagonal():
-    X = linalg.group_inverse(np.diag([2.0, 0.0]))
-    assert np.allclose(X, np.diag([0.5, 0.0]), atol=1e-12)
-
-
-def test_is_one_inverse_rejects():
-    M = np.diag([1.0, 0.0])
-    assert not linalg.is_one_inverse(M, np.diag([2.0, 0.0]))
+    # and numpy's pseudoinverse, the group inverse of symmetric M, agrees
+    assert abs(float(v @ np.linalg.pinv(M) @ v) - q) < 1e-9
 
 
 def test_rank_one_update_worked_cases():
