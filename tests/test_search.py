@@ -6,6 +6,7 @@ small enough to list, and their quadratic forms follow from solving
 """
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -279,6 +280,28 @@ def test_extremal_graphs_recertify():
     for g6 in res.extremal_graphs:
         c = certify_alpha(parse_graph6(g6), P)
         assert c.valid and c.rank_r <= 2
+
+
+def test_search_golden_digest():
+    # max_code_size and neighborhood_capacity_f on the rational grid,
+    # exactly and as floats, and at the pentagon point: value, extremal
+    # graphs and the exhaustive flag of every query, pinned by digest
+    points = [(P.exact.alpha, P.exact.beta) for P in search.RATIONAL_GRID]
+    points += [(float(a), float(b)) for a, b in points]
+    points.append(pentagon_parameters())
+    lines = []
+    for a, b in points:
+        for d in (2, 3):
+            for fn in (search.max_code_size, search.neighborhood_capacity_f):
+                res = fn(a, b, d, 6)
+                lines.append("%s %d %s %s\n" % (
+                    res.query, res.value, ";".join(res.extremal_graphs),
+                    res.exhaustive))
+    assert len(lines) == 124
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == (
+        "361d2af346bc4aea56e71a8aac6b59ac"
+        "d2084ac01721a3b2daa00852a721e30d")
 
 
 # ---------------------------------------------------------------------------
