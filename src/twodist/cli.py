@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,8 @@ from .errors import (AmbiguousPair, CertificateInvalid, EmptyFamilyError,
 from .graphs import (MAX_CANONICAL_N, emit_graph6, enumerate_graphs,
                      parse_graph6)
 from .linalg import DEFAULT_TOL
-from .search import (capacity, max_code_size, neighborhood_capacity_f,
-                     oracle_cross_check)
+from .search import (max_code_size, neighborhood_capacity_f,
+                     oracle_cross_check, _capacities)
 
 
 def _tolerance(text: str) -> float:
@@ -284,9 +285,8 @@ def cmd_search(args) -> int:
                                      workers=args.workers))
     else:
         p, mu = _scalar_pair(args.p, args.mu, args.exact)
-        for mode in ("strict", "equal"):
-            results.append(capacity(args.r, p, mu, args.max_n, mode=mode,
-                                    tol=args.tol, workers=args.workers))
+        results += _capacities(args.r, p, mu, args.max_n,
+                               ("strict", "equal"), args.tol, args.workers)
     rows = [(res.query, res.value, res.exhaustive,
              ";".join(res.extremal_graphs)) for res in results]
     _emit_rows(rows, ("query", "value", "exhaustive", "witnesses"),
@@ -404,6 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes a value such as -1/2 for an option, so --beta -1/2
+    # would lack its value: glue it to its flag as --beta=-1/2
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1] in ("--alpha", "--beta", "--p", "--mu")
+                and re.match(r"-[\d.]", argv[i])):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -3,8 +3,7 @@
 Vertices are 0..n-1 and each row of a Graph is an int bitmask of neighbors.
 Everything here targets exhaustive work at small order: graph6 round trips,
 isomorphism-free enumeration, independence and clique search by branch and
-bound, and structural slicing: the neighborhood subgraphs the bound checks
-consume, and neighborhood bisection trees, which no bound uses yet.
+bound, and the neighborhood subgraphs the bound checks consume.
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
@@ -462,52 +461,3 @@ def enumerate_graphs(n: int, connected_only: bool = False):
     if connected_only:
         graphs = tuple(G for G in graphs if is_connected(G))
     return graphs
-
-
-# ---------------------------------------------------------------------------
-# neighborhood bisection
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BisectionReport:
-    leaves: list
-    chosen: list           # (level, index within level, vertex) per split
-    nonempty_internal: int
-    ledger_holds: bool     # n == nonempty_internal + sum of leaf orders
-
-
-def neighborhood_bisection(G: Graph, k: int,
-                           selector: str = "max_degree") -> BisectionReport:
-    """Split G k times into (neighborhood, non-neighborhood) subgraphs.
-
-    Each nonempty node at depth i < k picks a vertex u and produces the
-    subgraph on N(u) and the subgraph away from N[u]; u itself is dropped,
-    so the order of G equals the number of nonempty internal nodes plus the
-    total order of the 2^k leaves.  Empty nodes pass two empty children
-    down without consuming a vertex.
-    """
-    if k < 0:
-        raise ValueError("depth k must be nonnegative")
-    current = [G]
-    chosen = []
-    nonempty = 0
-    for level in range(k):
-        nxt = []
-        for idx, H in enumerate(current):
-            if H.n == 0:
-                nxt.extend([H, H])
-                continue
-            nonempty += 1
-            if selector == "max_degree":
-                u = max(range(H.n), key=lambda v: (H.degree(v), -v))
-            elif selector == "first":
-                u = 0
-            else:
-                raise ValueError("unknown selector %r" % selector)
-            chosen.append((level, idx, u))
-            nxt.append(subgraph_on_neighbors(H, u))
-            nxt.append(delete_closed_neighborhood(H, u))
-        current = nxt
-    ledger = G.n == nonempty + sum(H.n for H in current)
-    return BisectionReport(leaves=current, chosen=chosen,
-                           nonempty_internal=nonempty, ledger_holds=ledger)

@@ -11,12 +11,16 @@ capacity does not scan every graph.  Positive semidefiniteness of
 A + mu I and rank at most r pass to every induced subgraph (Cauchy
 interlacing; a principal submatrix never has larger rank), so every
 qualifying graph is a one-vertex extension of a graph that passes both.
-The search grows canonical survivors level by level with
+_grow grows that tree of canonical survivors once per (mu, r_max) with
 graphs.extend_canonical, testing a child for canonicity only when it
-passes those two tests, and runs the range and budget tests, which are not
-inherited, on every survivor.  The float backend prunes at the loosest
-cut any leaf on n_max vertices uses, so pruning never drops a graph the
-leaf test would accept.
+passes both tests, and keeps each survivor's kernel facts at its own cut.
+_ask answers any (r <= r_max, p, mode) query by filtering those facts,
+which is where the range and budget tests, not inherited, run.  The
+float backend prunes at the loosest cut any leaf on n_max vertices uses,
+whatever r: a survivor's own cut is smaller, so its own rank is at least
+its prune rank, pruning never drops a graph a leaf test accepts, and the
+rank <= r part of the tree at r_max is the tree at r.  So every search
+grows one tree and asks all its queries of it.
 
 Searches are capped at n_max vertices and report honestly whether the
 cap binds: any qualifying graph rescales to a two-distance set in
@@ -32,6 +36,7 @@ rational backend, then realized and re-extracted.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,8 +75,10 @@ class SearchResult:
     stats says what the search did: for capacity the backend ("exact" or
     "float"), "tested" and "kept" (children given the hereditary test and
     canonical survivors, per order) and "rejected" (counts per test:
-    psd, rank, range, budget); searches built from two capacity scans
-    hold theirs under "strict" and "equal".
+    psd, rank, range, budget).  A search that merges a strict and an
+    equal query holds the one tree they read (backend, "r_max", "tested",
+    "kept", and the tree's psd and rank prunes under "pruned") and each
+    query's leaf rejections under "leaf", keyed by mode.
     """
 
     query: str
@@ -89,7 +96,11 @@ def _rejection(G, r: int, p, mu, mode: str, tol: float):
     (j^T (A + mu I)^# j misses p for the mode).  Floats compare at G's own
     cut scaled_tol(A + mu I), rationals exactly.
     """
-    k = shifted_graph(G, mu, +1, tol)
+    return _leaf_rejection(shifted_graph(G, mu, +1, tol), r, p, mode)
+
+
+def _leaf_rejection(k, r: int, p, mode: str):
+    """_rejection read off the kernel facts k of A + mu I."""
     if k.inertia.neg:
         return "psd"
     if k.rank > r:
@@ -154,63 +165,8 @@ def _pool_size(workers: int, items: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, items))
 
 
-def _grow(r: int, p, mu, n_max: int, mode: str, tol: float, mapper,
-          shards: int):
-    """Grow the survivors level by level; return (hits, stats).
-
-    Level n extends every canonical survivor of level n-1 (level 0 is the
-    empty graph) by all neighbour masks; a child is tested for canonicity
-    only if it passes the hereditary filter, and every survivor then gets the
-    leaf tests of _rejection.  Parents are dealt into at most `shards`
-    tasks for `mapper`.
-    """
-    # floats prune at one fixed cut, not at each child's own, so the
-    # hereditary filter is where the search still picks its arithmetic
-    exact = isinstance(p, Fraction)
-    cut = None if exact else _cut_max(mu, n_max, tol)
-    stats = {"backend": "exact" if exact else "float", "tested": {},
-             "kept": {}, "rejected": dict.fromkeys(
-                 ("psd", "rank", "range", "budget"), 0)}
-    hits = []
-    parents = [empty_graph(0)]
-    for n in range(1, n_max + 1):
-        stats["tested"][n] = len(parents) << (n - 1)
-        tasks = [(parents[i::shards], r, mu, cut)
-                 for i in range(min(shards, len(parents)))]
-        level = []
-        for grown, rejected in mapper(_extend_shard, tasks):
-            level += grown
-            for test, count in rejected.items():
-                stats["rejected"][test] += count
-        level = sorted(level)
-        stats["kept"][n] = len(level)
-        if not level:
-            break
-        parents = [parse_graph6(g6) for g6 in level]
-        for g6, G in zip(level, parents):
-            failed = _rejection(G, r, p, mu, mode, tol)
-            if failed:
-                stats["rejected"][failed] += 1
-            else:
-                hits.append((n, g6))
-    return hits, stats
-
-
-def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
-             tol: float = DEFAULT_TOL, workers: int = 1) -> SearchResult:
-    """Largest order of a graph meeting the rank, range and budget tests.
-
-    Grows graphs one vertex at a time up to n_max vertices, disconnected
-    ones included, keeping only those whose A + mu I is PSD with rank at
-    most r: every induced subgraph of a qualifying graph passes both, so
-    nothing qualifying is lost, and the range and budget tests run on
-    every survivor.  Rational p and mu search exactly; floats compare
-    with tolerance.  Exhaustive once n_max reaches the two-distance
-    dimension bound at rank r.  stats records the backend, the children
-    tested and the survivors kept per order, and the rejections per test.
-    """
-    if mode not in ("strict", "equal"):
-        raise ValueError("mode must be strict or equal")
+def _arguments(r: int, p, mu, n_max: int):
+    """capacity's guards; returns p and mu in one arithmetic."""
     if n_max > 8:
         raise SizeGuardError("capacity scans are guarded to n_max <= 8")
     if r < 1 or n_max < 1:
@@ -223,24 +179,108 @@ def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
         raise ParameterDomain("capacity needs mu > 1")
     if not p > 0:
         raise ParameterDomain("capacity needs p > 0")
+    return p, mu
+
+
+def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
+    """Grow the tree at (mu, r_max) once; return (leaves, stats).
+
+    Level n extends every canonical survivor of level n-1 (level 0 is the
+    empty graph) by all neighbour masks; a child is tested for canonicity
+    only if it passes the hereditary filter.  leaves holds (order, graph6,
+    kernel facts at its own cut) per survivor; stats is the tree record.
+    Parents are dealt into one task per worker process.
+    """
+    # floats prune at one fixed cut, not at each child's own, so the
+    # hereditary filter is where the search still picks its arithmetic
+    cut = None if isinstance(mu, Fraction) else _cut_max(mu, n_max, tol)
+    stats = {"backend": "exact" if cut is None else "float", "r_max": r_max,
+             "tested": {}, "kept": {}, "pruned": {"psd": 0, "rank": 0}}
     # a level never holds more parents than there are graphs on n_max - 1
     # vertices, which is 2^(n_max-2) up to n_max = 4 and more beyond
-    size = _pool_size(workers, 1 << max(0, n_max - 2))
-    if size > 1:
+    shards = _pool_size(workers, 1 << max(0, n_max - 2))
+    pool = contextlib.nullcontext()
+    if shards > 1:
         # imported here: the pool machinery costs every serial caller about
         # 2 MB of memory and 20 ms of import time
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            hits, stats = _grow(r, p, mu, n_max, mode, tol, pool.map, size)
-    else:
-        hits, stats = _grow(r, p, mu, n_max, mode, tol, map, 1)
+        pool = ProcessPoolExecutor(max_workers=shards)
+    leaves, parents = [], [empty_graph(0)]
+    with pool:
+        mapper = pool.map if shards > 1 else map
+        for n in range(1, n_max + 1):
+            stats["tested"][n] = len(parents) << (n - 1)
+            tasks = [(parents[i::shards], r_max, mu, cut)
+                     for i in range(min(shards, len(parents)))]
+            level = []
+            for grown, pruned in mapper(_extend_shard, tasks):
+                level += grown
+                for test, count in pruned.items():
+                    stats["pruned"][test] += count
+            level = sorted(level)
+            stats["kept"][n] = len(level)
+            if not level:
+                break
+            parents = [parse_graph6(g6) for g6 in level]
+            leaves += [(n, g6, shifted_graph(G, mu, +1, tol))
+                       for g6, G in zip(level, parents)]
+    return leaves, stats
+
+
+def _ask(leaves, queries):
+    """Answer (r, p, mode) queries, r <= r_max, from one tree's leaves:
+    the largest order qualifying in any, the sorted graph6 strings that
+    reach it in some query, and the leaf rejections per test by mode."""
+    hits, rejected = set(), {}
+    for r, p, mode in queries:
+        counts = rejected[mode] = dict.fromkeys(
+            ("psd", "rank", "range", "budget"), 0)
+        for n, g6, k in leaves:
+            failed = _leaf_rejection(k, r, p, mode)
+            if failed:
+                counts[failed] += 1
+            else:
+                hits.add((n, g6))
     value = max((n for n, _ in hits), default=0)
-    extremal = sorted(g6 for n, g6 in hits if n == value)
-    star = "*" if mode == "equal" else ""
-    query = "N%s(r=%d, p=%s, mu=%s), n_max=%d" % (
-        star, r, _fmt(p), _fmt(mu), n_max)
-    return SearchResult(query=query, value=value, extremal_graphs=extremal,
-                        exhaustive=n_max >= dgs_bound(r), stats=stats)
+    return value, sorted(g6 for n, g6 in hits if n == value), rejected
+
+
+def _capacities(r: int, p, mu, n_max: int, modes, tol: float,
+                workers: int) -> list:
+    """capacity in each of modes, all read from one tree at (mu, r)."""
+    p, mu = _arguments(r, p, mu, n_max)
+    leaves, tree = _grow(mu, r, n_max, tol, workers)
+    results = []
+    for mode in modes:
+        value, extremal, leaf = _ask(leaves, [(r, p, mode)])
+        query = "N%s(r=%d, p=%s, mu=%s), n_max=%d" % (
+            "*" if mode == "equal" else "", r, _fmt(p), _fmt(mu), n_max)
+        stats = {"backend": tree["backend"], "tested": dict(tree["tested"]),
+                 "kept": dict(tree["kept"]), "rejected": {
+                     test: tree["pruned"].get(test, 0) + count
+                     for test, count in leaf[mode].items()}}
+        results.append(SearchResult(
+            query=query, value=value, extremal_graphs=extremal,
+            exhaustive=n_max >= dgs_bound(r), stats=stats))
+    return results
+
+
+def capacity(r: int, p, mu, n_max: int, mode: str = "strict",
+             tol: float = DEFAULT_TOL, workers: int = 1) -> SearchResult:
+    """Largest order of a graph meeting the rank, range and budget tests.
+
+    Grows the tree at (mu, r) up to n_max vertices, disconnected graphs
+    included, keeping only those whose A + mu I is PSD with rank at most
+    r: every induced subgraph of a qualifying graph passes both, so
+    nothing qualifying is lost.  One query then runs the leaf tests on
+    every survivor.  Rational p and mu search exactly; floats compare
+    with tolerance.  Exhaustive once n_max reaches the two-distance
+    dimension bound at rank r.  stats records the backend, the children
+    tested and the survivors kept per order, and the rejections per test.
+    """
+    if mode not in ("strict", "equal"):
+        raise ValueError("mode must be strict or equal")
+    return _capacities(r, p, mu, n_max, (mode,), tol, workers)[0]
 
 
 def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
@@ -249,9 +289,11 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
 
     The strict capacity at rank d and the equality capacity at rank d+1
     cover the two ways a code of rank at most d arises; their maximum is
-    the answer.  Every extremal graph is cross-validated: realized into
-    dimension d, verified, and (for alpha > 0) its complement must pass
-    the beta-graph certificate with the same rank.
+    the answer.  Both are queries of one tree at (mu, d + 1), whose rank
+    <= d part is the tree at rank d.  Every extremal graph is
+    cross-validated: realized into dimension d, verified, and (for
+    alpha > 0) its complement must pass the beta-graph certificate with
+    the same rank.
     """
     params = CodeParameters.make(alpha, beta)
     if params.beta >= 0:
@@ -259,12 +301,10 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
     if d < 1:
         raise ValueError("dimension must be at least 1")
     P = params.exact or params
-    strict = capacity(d, P.p, P.mu, n_max, "strict", tol, workers)
-    equal = capacity(d + 1, P.p, P.mu, n_max, "equal", tol, workers)
-    value = max(strict.value, equal.value)
-    extremal = sorted(set(
-        (strict.extremal_graphs if strict.value == value else []) +
-        (equal.extremal_graphs if equal.value == value else [])))
+    p, mu = _arguments(d + 1, P.p, P.mu, n_max)
+    leaves, tree = _grow(mu, d + 1, n_max, tol, workers)
+    value, extremal, leaf = _ask(leaves,
+                                 [(d, p, "strict"), (d + 1, p, "equal")])
     verify_tol = max(tol, 1e-8)
     for g6 in extremal:
         G = parse_graph6(g6)
@@ -288,7 +328,7 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
         _fmt(P.alpha), _fmt(P.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
                         exhaustive=n_max >= min(caps),
-                        stats={"strict": strict.stats, "equal": equal.stats})
+                        stats=dict(tree, leaf=leaf))
 
 
 def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
@@ -296,11 +336,11 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
                             workers: int = 1) -> SearchResult:
     """Capacity of codes derived on the neighbors of a vertex.
 
-    Both the strict and the equality scan run with budget
-    (alpha-beta)/(alpha^2-beta) at rank cap d.  When the parameter
-    recursion stays in the admissible domain, the result is checked
-    against the searched maximum at the mapped parameters, which it can
-    never exceed.
+    The strict and the equality query, both with budget
+    (alpha-beta)/(alpha^2-beta) at rank cap d, read one tree at (mu, d).
+    When the parameter recursion stays in the admissible domain, the
+    result is checked against the searched maximum at the mapped
+    parameters, which it can never exceed.
     """
     params = CodeParameters.make(alpha, beta)
     if params.beta >= 0:
@@ -308,13 +348,11 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
     if d < 1:
         raise ValueError("dimension must be at least 1")
     P = params.exact or params
-    p2 = (P.alpha - P.beta) / (P.alpha * P.alpha - P.beta)
-    strict = capacity(d, p2, P.mu, n_max, "strict", tol, workers)
-    equal = capacity(d, p2, P.mu, n_max, "equal", tol, workers)
-    value = max(strict.value, equal.value)
-    extremal = sorted(set(
-        (strict.extremal_graphs if strict.value == value else []) +
-        (equal.extremal_graphs if equal.value == value else [])))
+    p2, mu = _arguments(d, (P.alpha - P.beta) / (P.alpha * P.alpha - P.beta),
+                        P.mu, n_max)
+    leaves, tree = _grow(mu, d, n_max, tol, workers)
+    value, extremal, leaf = _ask(leaves,
+                                 [(d, p2, "strict"), (d, p2, "equal")])
     try:
         mapped = recursion_map(params)
     except ParameterDomain:
@@ -330,7 +368,7 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
         _fmt(P.alpha), _fmt(P.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,
                         exhaustive=n_max >= dgs_bound(d),
-                        stats={"strict": strict.stats, "equal": equal.stats})
+                        stats=dict(tree, leaf=leaf))
 
 
 @dataclass

@@ -50,6 +50,25 @@ def test_certify_fraction_switches_exact(capsys):
     assert out == "valid rank=3 quadform=3/5\n"
 
 
+def test_negative_fraction_after_a_flag_parses_like_the_equals_form(capsys):
+    # argparse takes "-1/2" for an option unless it is glued to its flag
+    cases = [
+        (("certify", "--alpha", "1/4"), ("--beta", "-1/2"),
+         ("--graph", "Dhc")),
+        (("bounds",), ("--alpha", "-1/4"), ("--beta", "-1", "--d", "3")),
+        (("search", "--r", "3", "--p", "1"), ("--mu", "-3/2"),
+         ("--max-n", "3")),
+    ]
+    outs = []
+    for head, (flag, value), tail in cases:
+        split = run(capsys, *head, flag, value, *tail)
+        assert split == run(capsys, *head, "%s=%s" % (flag, value), *tail)
+        outs.append(split)
+    assert outs[0] == (0, "valid rank=5 quadform=5/4\n")
+    assert outs[1][0] == 0 and outs[1][1].startswith("name,")
+    assert outs[2] == (2, "error: capacity needs mu > 1\n")
+
+
 def test_certify_invalid_exits_one(capsys):
     star = emit_graph6(disjoint_union([complete_graph(2),
                                        complete_graph(2)]))

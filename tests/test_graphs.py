@@ -18,9 +18,8 @@ from twodist.graphs import (Graph, canonical_form, complete_bipartite,
                             cycle_graph, delete_closed_neighborhood,
                             disjoint_union, emit_graph6, empty_graph,
                             enumerate_graphs, extend_canonical,
-                            independence_number,
-                            induced_subgraph, is_connected,
-                            neighborhood_bisection, parse_graph6, path_graph,
+                            independence_number, induced_subgraph,
+                            is_connected, parse_graph6, path_graph,
                             subgraph_on_neighbors)
 
 # ---------------------------------------------------------------------------
@@ -323,44 +322,3 @@ def test_extend_canonical_with_hereditary_filter():
 
 def test_labeled_count():
     assert sum(1 for _ in labeled_graphs(4)) == 64
-
-
-# ---------------------------------------------------------------------------
-# bisection
-# ---------------------------------------------------------------------------
-
-def test_bisection_triangle():
-    rep = neighborhood_bisection(complete_graph(3), 1)
-    assert [H.n for H in rep.leaves] == [2, 0]
-    assert rep.leaves[0] == complete_graph(2)
-    assert rep.nonempty_internal == 1
-    assert rep.ledger_holds
-
-
-def test_bisection_c5():
-    rep = neighborhood_bisection(cycle_graph(5), 1)
-    assert [H.n for H in rep.leaves] == [2, 2]
-    assert rep.leaves[0] == empty_graph(2)   # the two neighbors are not adjacent
-    assert rep.leaves[1] == complete_graph(2)
-    assert rep.ledger_holds
-
-
-def test_bisection_ledger_random():
-    rng = random.Random(88)
-    for _ in range(30):
-        n = rng.randint(1, 8)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < 0.4]
-        G = Graph(n, edges)
-        for k in range(0, 3):
-            rep = neighborhood_bisection(G, k)
-            assert len(rep.leaves) == 2 ** k
-            assert rep.ledger_holds
-
-
-def test_bisection_star_empty_intermediate():
-    rep = neighborhood_bisection(path_graph(2), 2)
-    # after splitting K2 at its max-degree endpoint both children are
-    # small; empty nodes just pass empties down
-    assert rep.ledger_holds
-    assert len(rep.leaves) == 4

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twodist import graphs, linalg, search
+from twodist import bounds, cli, graphs, linalg, search
 from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
                                   certify_beta, code_rank, rational_shift,
                                   realize_from_beta)
@@ -218,7 +218,64 @@ def test_search_stats_at_mu_two_rank_three():
     res_f = search.capacity(3, 1.0, 2.0, n_max=7, mode="equal")
     assert res_f.stats == dict(res.stats, backend="float")
     both = search.max_code_size(0, -1, d=2, n_max=4)
-    assert set(both.stats) == {"strict", "equal"}
+    assert (set(both.stats), set(both.stats["leaf"])) == (
+        {"backend", "r_max", "tested", "kept", "pruned", "leaf"},
+        {"strict", "equal"})
+
+
+def count_trees(monkeypatch):
+    """Record (mu, r_max) of every tree the search grows."""
+    grown = []
+    grow = search._grow
+
+    def counted(mu, r_max, n_max, tol, workers):
+        grown.append((mu, r_max))
+        return grow(mu, r_max, n_max, tol, workers)
+
+    monkeypatch.setattr(search, "_grow", counted)
+    return grown
+
+
+def test_max_code_size_grows_one_tree(monkeypatch):
+    # the strict query at rank 3 is the rank <= 3 part of the rank 4 tree,
+    # so the search tests exactly the children of capacity at rank 4
+    cap = search.capacity(4, 1, 2, 7)
+    grown = count_trees(monkeypatch)
+    res = search.max_code_size(0, -1, d=3, n_max=7)
+    assert grown == [(2, 4)]
+    assert res.stats["r_max"] == 4
+    assert res.stats["tested"] == cap.stats["tested"]
+    assert res.stats["kept"] == cap.stats["kept"]
+    assert res.stats["pruned"] == {"psd": cap.stats["rejected"]["psd"],
+                                   "rank": cap.stats["rejected"]["rank"]}
+
+
+def test_neighborhood_capacity_grows_one_tree_at_its_own_mu(monkeypatch):
+    P = CodeParameters.make(Fraction(1, 3), Fraction(-1, 3))
+    Q = bounds.recursion_map(P).exact
+    grown = count_trees(monkeypatch)
+    res = search.neighborhood_capacity_f(P.exact.alpha, P.exact.beta, d=2,
+                                         n_max=5)
+    # its own tree at rank 2, then the roof's at the mapped parameters
+    assert grown == [(P.exact.mu, 2), (Q.mu, 3)]
+    assert res.stats["r_max"] == 2 and set(res.stats["leaf"]) == {
+        "strict", "equal"}
+    # no admissible mapped parameters, no roof
+    del grown[:]
+    P = CodeParameters.make(Fraction(1, 4), Fraction(-1))
+    with pytest.raises(ParameterDomain):
+        bounds.recursion_map(P)
+    search.neighborhood_capacity_f(P.exact.alpha, P.exact.beta, d=2,
+                                   n_max=5)
+    assert grown == [(P.exact.mu, 2)]
+
+
+def test_cli_capacity_rows_grow_one_tree(monkeypatch, capsys):
+    grown = count_trees(monkeypatch)
+    assert cli.main(["search", "--r", "3", "--p", "1", "--mu", "2",
+                     "--max-n", "5"]) == 0
+    assert grown == [(2, 3)]
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_enumeration_and_capacity_never_canonicalize(monkeypatch):
