@@ -87,47 +87,61 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
                               ) -> BoundReport:
     """t^2 <= (2 e(H) + t mu) q(G) <= p (2 e(H) + t mu) for induced H.
 
-    With subset given, checks that one subgraph; with subset None, sweeps
-    every nonempty vertex subset and reports the first violation as
-    witness.  The right inequality reduces to q <= p, which holds for any
-    valid certificate, so the sweep only multiplies out the left one.
+    With subset given, checks that one subgraph (its vertices must lie in
+    range(G.n), and there must be at least one; the witness is
+    sorted(set(subset))); with subset None, sweeps every nonempty vertex
+    subset and reports the first violation, in the order of the subset
+    bitmasks, as witness.  The right inequality reduces to q <= p, which
+    holds for any valid certificate, so the sweep only multiplies out the
+    left one.  The sweep costs 2^n integer steps, each mask's e(H) taken
+    from the mask without its top vertex, plus one comparison per
+    distinct (t, e) pair: the verdict depends on nothing else.
     """
+    if subset is not None:
+        for v in subset:
+            if v not in range(G.n):
+                raise ValueError("subset vertex %r is not in range(%d)"
+                                 % (v, G.n))
+        subset = sorted(set(subset))
+        if not subset:
+            raise ValueError("the subset must name at least one vertex")
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("subgraph", cert)
     q = cert.quadform
     P = params.exact or params
 
-    def edges_in(mask: int) -> int:
-        e = 0
-        m = mask
-        while m:
-            v = m.bit_length() - 1
-            m ^= 1 << v
-            e += (G.rows[v] & m).bit_count()
-        return e
-
     def left_ok(t: int, e: int) -> bool:
         return _le(t * t, (2 * e + t * P.mu) * q, tol)
 
     right_ok = _le(q, P.p, tol)
     if subset is not None:
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        t, e = mask.bit_count(), edges_in(mask)
-        holds = left_ok(t, e) and right_ok
+        mask = sum(1 << v for v in subset)
+        e = sum((G.rows[v] & mask).bit_count() for v in subset) // 2
+        holds = left_ok(len(subset), e) and right_ok
         return BoundReport(name="subgraph", applicable=True, holds=holds,
-                           value=float(q), witness=sorted(subset))
+                           value=float(q), witness=subset)
     if G.n > MAX_SUBSET_SWEEP_N:
         raise SizeGuardError("the subset sweep is guarded to n <= %d; "
                              "pass a subset" % MAX_SUBSET_SWEEP_N)
-    for mask in range(1, 1 << G.n):
-        t, e = mask.bit_count(), edges_in(mask)
-        if not left_ok(t, e):
-            bad = [v for v in range(G.n) if mask >> v & 1]
-            return BoundReport(name="subgraph", applicable=True, holds=False,
-                               value=float(q), witness=bad)
+    # edges[mask] is e(H) on mask, at most 190 under the guard; verdict
+    # is 0 (undecided), 1 (holds) or 2 (fails) per (t, e), at t << 8 | e
+    edges = bytearray(1 << G.n)
+    verdict = bytearray((G.n + 1) << 8)
+    for v, row in enumerate(G.rows):
+        top = 1 << v
+        for rest in range(top):
+            e = edges[rest] + (row & rest).bit_count()
+            mask = top | rest
+            edges[mask] = e
+            t = mask.bit_count()
+            ok = verdict[t << 8 | e]
+            if not ok:
+                ok = verdict[t << 8 | e] = 1 if left_ok(t, e) else 2
+            if ok == 2:
+                bad = [u for u in range(v + 1) if mask >> u & 1]
+                return BoundReport(name="subgraph", applicable=True,
+                                   holds=False, value=float(q), witness=bad)
     return BoundReport(name="subgraph", applicable=True, holds=right_ok,
                        value=float(q))
 

@@ -234,6 +234,8 @@ def rational_shift(G: Graph, shift: Fraction, sign: int):
     """A + shift*I (sign=+1) or shift*I - A (sign=-1) as a rational matrix.
 
     Off-diagonal entries are the ints 0 and sign, the diagonal is shift.
+    shifted_graph never builds it; it is the reference that
+    linalg.shifted_exact(rational_shift(...)) gives the same facts.
     """
     n = G.n
     M = [[0] * n for _ in range(n)]
@@ -244,16 +246,35 @@ def rational_shift(G: Graph, shift: Fraction, sign: int):
     return M
 
 
+def _bordered(G: Graph, diag: int, edge: int, other: int) -> list:
+    """The integer matrix diag on the diagonal, edge on the edges of G and
+    other elsewhere, bordered by the all-ones vector: the input B of
+    linalg.bareiss_bordered, written from the adjacency bitmasks."""
+    n = G.n
+    B = []
+    for v, row in enumerate(G.rows):
+        Bv = [edge if row >> u & 1 else other for u in range(n)]
+        Bv[v] = diag
+        Bv.append(1)
+        B.append(Bv)
+    B.append([1] * n + [0])
+    return B
+
+
 def shifted_graph(G: Graph, shift, sign: int,
                   tol: float = DEFAULT_TOL) -> linalg.Shifted:
     """The kernel facts of A + shift*I (sign=+1) or shift*I - A (sign=-1).
 
     The arithmetic of shift picks the kernel: a Fraction runs the exact
-    linalg.shifted_exact (cut 0), a float the spectral linalg.shifted at
-    tol' (values set).  Either way the decisions read the same fields.
+    integer core linalg.bareiss_bordered (cut 0) on L (A + shift I) or
+    L (shift I - A), L the denominator of shift, written as integers from
+    G.rows; a float runs the spectral linalg.shifted at tol' (values
+    set).  Either way the decisions read the same fields.
     """
     if isinstance(shift, Fraction):
-        return linalg.shifted_exact(rational_shift(G, shift, sign))
+        den = shift.denominator
+        return linalg.bareiss_bordered(
+            _bordered(G, shift.numerator, sign * den, 0), den, 1)
     return linalg.shifted(shift * np.eye(G.n) + sign * G.adjacency(), tol)
 
 
@@ -399,13 +420,16 @@ def _pad(U: np.ndarray, dim: int | None, rank_r: int) -> tuple[np.ndarray, int]:
 
 def realize_from_alpha(G: Graph, params: CodeParameters,
                        tol: float = DEFAULT_TOL,
-                       dim: int | None = None) -> SphericalCode:
+                       dim: int | None = None,
+                       cert: AlphaCertificate | None = None) -> SphericalCode:
     """Unit vectors realizing G as an alpha-graph, in dimension rank_r.
 
     Entries of the Gram matrix are alpha across edges and beta across
     non-edges; a larger ambient dimension pads with zero coordinates.
+    cert, when given, is certify_alpha(G, params, tol) already computed.
     """
-    cert = certify_alpha(G, params, tol)
+    if cert is None:
+        cert = certify_alpha(G, params, tol)
     if not cert.valid:
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)

@@ -51,15 +51,21 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows) -> "Graph":
-        G = cls.__new__(cls)
-        G.n = len(rows)
-        G.rows = tuple(rows)
+        G = cls._trusted(rows)
         for v, row in enumerate(G.rows):
             if row >> G.n or row >> v & 1:
                 raise ValueError("adjacency row out of range or loop at %d" % v)
             for u in _bits(row):
                 if not G.rows[u] >> v & 1:
                     raise ValueError("adjacency is not symmetric")
+        return G
+
+    @classmethod
+    def _trusted(cls, rows: list) -> "Graph":
+        """from_rows without its checks, for rows valid by construction."""
+        G = cls.__new__(cls)
+        G.n = len(rows)
+        G.rows = tuple(rows)
         return G
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -429,7 +435,8 @@ def extend_canonical(parents, keep=None) -> list[str]:
             rows = [row | (mask >> v & 1) << m
                     for v, row in enumerate(parent.rows)]
             rows.append(mask)
-            child = Graph.from_rows(rows)
+            # symmetric and loop-free by construction: no from_rows checks
+            child = Graph._trusted(rows)
             if keep is not None and not keep(child):
                 continue
             segs = _segments(child.rows, m + 1)

@@ -10,11 +10,15 @@ compares against the tolerance below.
 All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
 
-The exact backend at the bottom of the module takes nested lists of ints
-and fractions.Fraction.  Its kernel shifted_exact clears denominators and
-runs one fraction-free (Bareiss) elimination in Python integers, which
-yields the inertia, the rank, the range test and the quadratic form at
-once, every sign and rank decision exact.
+The exact backend at the bottom of the module is one integer core with
+two front ends.  The core, bareiss_bordered, runs one fraction-free
+(Bareiss) elimination in Python integers on a bordered integer matrix,
+which yields the inertia, the rank, the range test and the quadratic
+form at once, every sign and rank decision exact.  shifted_exact is the
+rational front end: it takes nested lists of ints and
+fractions.Fraction, clears denominators, checks symmetry and adds the
+border.  certificates.shifted_graph is the other: it writes the bordered
+integer matrix of a shifted adjacency straight from the graph's bitmasks.
 """
 
 from __future__ import annotations
@@ -201,10 +205,9 @@ def shifted_exact(M, v=None) -> Shifted:
     The exact twin of shifted: entries of M and v are ints or Fractions,
     and v defaults to the all-ones vector.  Returns the inertia, the rank
     and v^T M^# v as a Fraction (None when v leaves the column space), with
-    values None and cut 0.  One fraction-free Bareiss elimination of the bordered
-    integer matrix [[L M, W v], [W v^T, 0]] decides everything, L and W
-    being the denominator lcms; pivots come off the diagonal and never
-    from the border.
+    values None and cut 0.  This is the rational front end of
+    bareiss_bordered: L and W are the denominator lcms of M and v, and the
+    bordered integer matrix [[L M, W v], [W v^T, 0]] decides everything.
     """
     n = len(M)
     v = [1] * n if v is None else v
@@ -217,8 +220,22 @@ def shifted_exact(M, v=None) -> Shifted:
     if any(B[i][j] != B[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     B.append([row[n] for row in B] + [0])
+    return bareiss_bordered(B, L, W)
+
+
+def bareiss_bordered(B, L: int, W: int) -> Shifted:
+    """The exact kernel facts from a bordered integer matrix.
+
+    B is [[L M, W v], [W v^T, 0]] as n + 1 lists of ints: a symmetric
+    rational M scaled to integers by L > 0, bordered by the integer
+    vector W v, W > 0.  Neither symmetry nor the border is checked, and B is
+    consumed.  One fraction-free Bareiss elimination gives the inertia
+    and rank of M and v^T M^# v (None when v leaves the column space of
+    M) as a Fraction, with values None and cut 0; pivots come off the
+    diagonal and never from the border.
+    """
     prev, pos, neg = 1, 0, 0
-    m = n  # active rows and columns; the border is always the last one
+    m = len(B) - 1  # active rows and columns; the border is the last one
     while m:
         k = next((i for i in range(m) if B[i][i]), None)
         if k is None:

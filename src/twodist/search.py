@@ -31,12 +31,13 @@ exhaustive.
 oracle_cross_check validates certificates against an independent ground
 truth: the Gram candidate with unit diagonal, alpha on edges and beta on
 non-edges, tested for positive semidefiniteness and rank by the exact
-rational backend, then realized and re-extracted.
+integer kernel, then realized and re-extracted.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,8 +47,8 @@ import numpy as np
 from . import linalg
 from .bounds import dgs_bound, power_bound, recursion_map, turan_bound
 from .certificates import (CodeParameters, certify_alpha, certify_beta,
-                           rational_shift, realize_from_alpha, shifted_graph,
-                           verify_code, _fmt, _is_exact)
+                           realize_from_alpha, shifted_graph, verify_code,
+                           _bordered, _fmt, _is_exact)
 from .errors import InvariantViolation, ParameterDomain, SizeGuardError
 from .graphs import (complete_graph, emit_graph6, empty_graph,
                      enumerate_graphs, extend_canonical, parse_graph6)
@@ -141,7 +142,7 @@ class _Hereditary:
 
     def __call__(self, G) -> bool:
         if self.cut is None:
-            k = linalg.shifted_exact(rational_shift(G, self.mu, +1))
+            k = shifted_graph(G, self.mu, +1)
             psd, rank = not k.inertia.neg, k.rank
         else:
             values = np.linalg.eigvalsh(G.adjacency()
@@ -308,13 +309,13 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
     verify_tol = max(tol, 1e-8)
     for g6 in extremal:
         G = parse_graph6(g6)
-        code = realize_from_alpha(G, params, tol, dim=d)
+        ac = certify_alpha(G, params, tol)
+        code = realize_from_alpha(G, params, tol, dim=d, cert=ac)
         if not verify_code(code.vectors, params.alpha, params.beta,
                            verify_tol).valid:
             raise InvariantViolation(
                 "extremal graph %s realizes an invalid code" % g6)
         if params.alpha > 0:
-            ac = certify_alpha(G, params, tol)
             bc = certify_beta(G.complement(), params, tol)
             if not (bc.valid and bc.rank_r == ac.rank_r):
                 raise InvariantViolation(
@@ -396,22 +397,25 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
     if n_max < 1:
         raise ValueError("the oracle cross-check needs n_max >= 1")
     grid = RATIONAL_GRID if parameter_grid is None else tuple(parameter_grid)
+    # the Gram candidate scaled to integers: D on the diagonal, D alpha on
+    # edges and D beta elsewhere, D = lcm of the two denominators
+    scaled = []
     for P in grid:
-        if P.exact is None:
+        ex = P.exact
+        if ex is None:
             raise ValueError("the oracle needs exact rational parameters")
+        D = math.lcm(ex.alpha.denominator, ex.beta.denominator)
+        scaled.append((D, (ex.alpha * D).numerator, (ex.beta * D).numerator))
     checked = 0
     mismatches = []
     for n in range(1, n_max + 1):
         for G in enumerate_graphs(n):
             g6 = emit_graph6(G)
-            for P in grid:
+            for P, (D, a, b) in zip(grid, scaled):
                 ex = P.exact
                 checked += 1
                 c = certify_alpha(G, P, tol)
-                Gram = [[1 if i == j else
-                         (ex.alpha if G.has_edge(i, j) else ex.beta)
-                         for j in range(n)] for i in range(n)]
-                fact = linalg.shifted_exact(Gram)
+                fact = linalg.bareiss_bordered(_bordered(G, D, a, b), D, 1)
                 if c.valid != (fact.inertia.neg == 0):
                     mismatches.append((g6, float(ex.alpha), float(ex.beta),
                                        "validity"))
@@ -423,7 +427,7 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
                                        "rank"))
                     continue
                 try:
-                    realize_from_alpha(G, P, tol)
+                    realize_from_alpha(G, P, tol, cert=c)
                 except Exception:
                     mismatches.append((g6, float(ex.alpha), float(ex.beta),
                                        "round_trip"))

@@ -5,7 +5,9 @@ defining formulas on small graphs; equality cases (squares, pentagons)
 are pinned to 1e-9.
 """
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,10 @@ def test_subgraph_single_subset():
     assert rep.applicable and rep.holds
     assert rep.witness == [0, 1, 2]
     assert abs(rep.value - 1.0) <= 1e-9
+    # the witness is the sorted vertex set, without repeats
+    rep = bounds.check_subgraph_inequality(cycle_graph(4), P01X,
+                                           subset=[1, 0, 0])
+    assert rep.applicable and rep.holds and rep.witness == [0, 1]
 
 
 def test_subgraph_sweep_holds_for_valid_graphs():
@@ -74,6 +80,62 @@ def test_subgraph_reuses_supplied_certificate():
     c = certify_alpha(G, P01)
     rep = bounds.check_subgraph_inequality(G, P01, cert=c)
     assert rep.holds
+
+
+@pytest.mark.parametrize("subset, match", [
+    ([7], "7"), ([-1], "-1"), ([], "at least one vertex")],
+    ids=("outside", "negative", "empty"))
+def test_subgraph_rejects_bad_subsets(subset, match):
+    with pytest.raises(ValueError, match=match):
+        bounds.check_subgraph_inequality(cycle_graph(4), P01X, subset=subset)
+
+
+def naive_sweep(G, P, c, tol=bounds.DEFAULT_TOL):
+    """(holds, witness) of the sweep, recounting every subset from scratch."""
+    Q = P.exact or P
+    q = c.quadform
+    for mask in range(1, 1 << G.n):
+        verts = [v for v in range(G.n) if mask >> v & 1]
+        t = len(verts)
+        e = sum(G.has_edge(u, v) for i, u in enumerate(verts)
+                for v in verts[i + 1:])
+        if not bounds._le(t * t, (2 * e + t * Q.mu) * q, tol):
+            return False, verts
+    return bounds._le(q, Q.p, tol), None
+
+
+def test_subgraph_sweep_matches_naive_loop():
+    # valid certificates, and the same ones with the quadform shrunk until
+    # some subset fails, so the violation branch and its witness are hit
+    from twodist.search import RATIONAL_GRID
+
+    rng = random.Random(20261018)
+    seen = {"holds": 0, "fails": 0, "mixed": 0}
+    orders = set()
+    for n in range(5, 11):
+        for _ in range(3):
+            G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < 0.5])
+            for X in RATIONAL_GRID:
+                for P in (X, CodeParameters.make(X.alpha, X.beta)):
+                    c = certify_alpha(G, P)
+                    if not c.valid:
+                        continue
+                    orders.add(n)
+                    shrink = Fraction(3, 4) if P.exact else 0.75
+                    while True:
+                        rep = bounds.check_subgraph_inequality(G, P, cert=c)
+                        holds, witness = naive_sweep(G, P, c)
+                        assert (rep.holds, rep.witness) == (holds, witness)
+                        if not holds:
+                            seen["fails"] += 1
+                            seen["mixed"] += len(witness) > 1
+                            break
+                        seen["holds"] += 1
+                        c = dataclasses.replace(c,
+                                                quadform=c.quadform * shrink)
+    assert seen["holds"] >= 20 and seen["fails"] >= 20
+    assert seen["mixed"] >= 1 and orders == set(range(5, 11))
 
 
 # ---------------------------------------------------------------------------

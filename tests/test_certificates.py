@@ -470,6 +470,24 @@ def test_realize_invalid_graph_raises():
         cert.realize_from_alpha(complete_bipartite(1, 5), P)
 
 
+def test_realize_reuses_supplied_certificate(monkeypatch):
+    P = cert.CodeParameters.make(Fraction(0), Fraction(-1))
+    G = cycle_graph(4)
+    c = cert.certify_alpha(G, P)
+    expected = cert.realize_from_alpha(G, P).vectors
+
+    def no_recertification(*args, **kwargs):
+        raise AssertionError("the supplied certificate was not reused")
+
+    monkeypatch.setattr(cert, "certify_alpha", no_recertification)
+    assert np.array_equal(cert.realize_from_alpha(G, P, cert=c).vectors,
+                          expected)
+    invalid = dataclasses.replace(c, valid=False,
+                                  failure_reason="j_not_in_range")
+    with pytest.raises(CertificateInvalid, match="j_not_in_range"):
+        cert.realize_from_alpha(G, P, cert=invalid)
+
+
 def test_realize_from_beta_routes():
     # antipodal pair through the {0, beta} route
     P = cert.CodeParameters.make(0.0, -1.0)
@@ -609,3 +627,23 @@ def test_certificate_golden_digest(exact, digest):
     assert len(rows) == 6240
     text = "".join(row + "\n" for row in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_shifted_graph_matches_rational_reference():
+    # the integer matrix written from the bitmasks gives the same facts,
+    # field by field, as the rational front end on rational_shift
+    from twodist.graphs import enumerate_graphs
+    from twodist.search import RATIONAL_GRID
+
+    graphs = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+    compared = 0
+    for P in RATIONAL_GRID:
+        for shift, sign in ((P.exact.mu, +1), (P.exact.lam, -1)):
+            for G in graphs:
+                k = cert.shifted_graph(G, shift, sign)
+                ref = linalg.shifted_exact(cert.rational_shift(G, shift, sign))
+                assert k == ref, (G, shift, sign)
+                assert type(k.quadform) is type(ref.quadform)
+                assert type(k.cut) is type(ref.cut)
+                compared += 1
+    assert compared == 208 * 15 * 2

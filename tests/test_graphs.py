@@ -277,6 +277,25 @@ def test_orderly_extension_matches_canonicalize_and_deduplicate():
             level = [parse_graph6(g6) for g6 in sorted(grown)]
 
 
+def test_extend_canonical_builds_children_without_revalidation(monkeypatch):
+    # every child is symmetric and loop-free by construction, so none goes
+    # through from_rows; each is still a well-formed graph
+    parents = list(enumerate_graphs(4))
+    expected = sorted(emit_graph6(G) for G in enumerate_graphs(5))
+    children = []
+
+    def no_revalidation(rows):
+        raise AssertionError("a child went through from_rows")
+
+    monkeypatch.setattr(Graph, "from_rows", staticmethod(no_revalidation))
+    grown = extend_canonical(parents, lambda G: children.append(G) or True)
+    monkeypatch.undo()
+    assert sorted(grown) == expected
+    assert len(children) == len(parents) << 4
+    for G in children:
+        assert Graph.from_rows(G.rows) == G
+
+
 def test_non_canonical_parent_yields_no_child():
     # a smaller relabeling of the parent, with the new vertex kept last,
     # is a smaller labeling of every child

@@ -451,6 +451,31 @@ def test_oracle_single_points():
     assert rep.ok
 
 
+def test_consumers_reuse_their_certificates(monkeypatch):
+    # realize_from_alpha certifies through certificates.certify_alpha only
+    # when it is given no certificate; the oracle and max_code_size give it
+    # theirs, and max_code_size certifies each extremal graph once
+    from twodist import certificates
+
+    def no_recertification(*args, **kwargs):
+        raise AssertionError("a held certificate was recomputed")
+
+    monkeypatch.setattr(certificates, "certify_alpha", no_recertification)
+    certify, certified = search.certify_alpha, []
+
+    def counted(G, P, tol):
+        certified.append(emit_graph6(G))
+        return certify(G, P, tol)
+
+    monkeypatch.setattr(search, "certify_alpha", counted)
+    rep = search.oracle_cross_check(4)
+    assert rep.ok and len(certified) == rep.checked == 18 * 15
+    certified.clear()
+    res = search.max_code_size(Fraction(1, 3), Fraction(-1, 3), d=2, n_max=4)
+    assert len(res.extremal_graphs) == 2
+    assert certified == res.extremal_graphs
+
+
 def test_oracle_guards():
     with pytest.raises(SizeGuardError):
         search.oracle_cross_check(8)
@@ -481,7 +506,7 @@ def test_oracle_flags_each_kind_of_mismatch(monkeypatch, kind):
         c = certify(G, P, tol)
         return dataclasses.replace(c, rank_r=c.rank_r + 1) if c.valid else c
 
-    def fail_round_trip(G, P, tol):
+    def fail_round_trip(G, P, tol, cert=None):
         raise ReconstructionResidual("alpha-graph round trip failed")
 
     if kind == "validity":
