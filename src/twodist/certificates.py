@@ -20,7 +20,6 @@ band cut, which is 0 on the exact path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,21 +260,37 @@ def _bordered(G: Graph, diag: int, edge: int, other: int) -> list:
     return B
 
 
+def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
+    """shift*I + sign*A as a float matrix written from the bitmasks.
+
+    Each entry is computed as numpy computes shift * np.eye(n) + sign * A,
+    so a non-edge is shift*0.0 + sign*0.0: +0.0 for a positive shift
+    whatever the sign, never the -0.0 of -A, which would change LAPACK's
+    last bits.
+    """
+    off = shift * 0.0
+    return G.matrix(shift + sign * 0.0, off + sign, off + sign * 0.0)
+
+
 def shifted_graph(G: Graph, shift, sign: int,
                   tol: float = DEFAULT_TOL) -> linalg.Shifted:
     """The kernel facts of A + shift*I (sign=+1) or shift*I - A (sign=-1).
 
-    The arithmetic of shift picks the kernel: a Fraction runs the exact
-    integer core linalg.bareiss_bordered (cut 0) on L (A + shift I) or
-    L (shift I - A), L the denominator of shift, written as integers from
-    G.rows; a float runs the spectral linalg.shifted at tol' (values
-    set).  Either way the decisions read the same fields.
+    The arithmetic of shift picks the kernel, and either way the matrix
+    is written from G.rows straight into that backend's trusted core,
+    with no validation: it is symmetric by construction.  A Fraction runs
+    the exact integer core linalg.bareiss_bordered (cut 0) on
+    L (A + shift I) or L (shift I - A), L the denominator of shift; a
+    float runs the spectral core linalg.shifted_trusted at tol' (values
+    set) on the float matrix, bit for bit the matrix and the facts of
+    linalg.shifted(shift * np.eye(n) + sign * A).  The decisions read the
+    same fields.
     """
     if isinstance(shift, Fraction):
         den = shift.denominator
         return linalg.bareiss_bordered(
             _bordered(G, shift.numerator, sign * den, 0), den, 1)
-    return linalg.shifted(shift * np.eye(G.n) + sign * G.adjacency(), tol)
+    return linalg.shifted_trusted(_shift_matrix(G, shift, sign), tol)
 
 
 def certify_alpha(G: Graph, params: CodeParameters,
@@ -381,22 +396,24 @@ def certify_beta(G: Graph, params: CodeParameters,
 # ---------------------------------------------------------------------------
 
 def _factor_gram(Gram: np.ndarray, rank_r: int, tol: float) -> np.ndarray:
-    """Unit rows U with U U^T = Gram, dimension rank_r, deterministic signs."""
-    spec = linalg.eigen_decompose(Gram, tol)
-    cut = linalg.scaled_tol(Gram, tol)
-    keep = [i for i, v in enumerate(spec.values) if v > cut]
-    if len(keep) != rank_r:
+    """Unit rows U with U U^T = Gram, dimension rank_r, deterministic signs.
+
+    Gram is symmetric by construction and goes straight to the float
+    core.  Each eigenvector column is signed so that its first entry
+    above 1e-12 in absolute value is positive.
+    """
+    spec, cut = linalg.eigh_trusted(Gram, tol)
+    keep = spec.values > cut
+    rank = int(np.count_nonzero(keep))
+    if rank != rank_r:
         raise ReconstructionResidual(
             "Gram matrix has %d positive eigenvalues, certificate says %d"
-            % (len(keep), rank_r))
-    cols = []
-    for i in keep:
-        v = spec.vectors[:, i].copy()
-        lead = next((x for x in v if abs(x) > 1e-12), 1.0)
-        if lead < 0:
-            v = -v
-        cols.append(math.sqrt(spec.values[i]) * v)
-    U = np.column_stack(cols) if cols else np.zeros((Gram.shape[0], 0))
+            % (rank, rank_r))
+    V = spec.vectors[:, keep]
+    big = np.abs(V) > 1e-12
+    lead = V[big.argmax(axis=0), np.arange(V.shape[1])]
+    flip = big.any(axis=0) & (lead < 0)
+    U = V * np.where(flip, -1.0, 1.0) * np.sqrt(spec.values[keep])
     resid = float(np.max(np.abs(U @ U.T - Gram))) if U.size else float(
         np.max(np.abs(Gram)))
     if resid > 10 * cut:
@@ -434,8 +451,7 @@ def realize_from_alpha(G: Graph, params: CodeParameters,
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)
     a, b, mu = params.alpha, params.beta, params.mu
-    A = G.adjacency()
-    Gram = (a - b) * (A + mu * np.eye(G.n)) + b * np.ones((G.n, G.n))
+    Gram = (a - b) * _shift_matrix(G, mu, +1) + b
     U = _factor_gram(Gram, cert.rank_r, tol)
     U, d = _pad(U, dim, cert.rank_r)
     code = SphericalCode(alpha=a, beta=b, dim=d, vectors=U)
@@ -458,8 +474,7 @@ def realize_from_beta(G: Graph, params: CodeParameters,
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)
     a, b, lam = params.alpha, params.beta, params.lam
-    A = G.adjacency()
-    Gram = (a - b) * (lam * np.eye(G.n) - A) + a * np.ones((G.n, G.n))
+    Gram = (a - b) * _shift_matrix(G, lam, -1) + a
     U = _factor_gram(Gram, cert.rank_r, tol)
     U, d = _pad(U, dim, cert.rank_r)
     code = SphericalCode(alpha=a, beta=b, dim=d, vectors=U)

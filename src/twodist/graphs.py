@@ -90,12 +90,26 @@ class Graph:
         return Graph.from_rows([full & ~row & ~(1 << v)
                                 for v, row in enumerate(self.rows)])
 
+    def matrix(self, diag: float, edge: float, other: float) -> np.ndarray:
+        """The float matrix with diag on the diagonal, edge on the edges and
+        other elsewhere, written from the bitmasks.
+
+        Symmetric by construction, bit for bit, so it may go straight to
+        linalg.eigh_trusted: this is the writer of every float matrix
+        built from a graph.
+        """
+        n = self.n
+        width = (n + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        bits = np.unpackbits(
+            np.frombuffer(packed, np.uint8).reshape(n, width),
+            axis=1, count=n, bitorder="little")
+        M = np.array((other, edge), dtype=float).take(bits)
+        M.flat[::n + 1] = diag
+        return M
+
     def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v in _bits(self.rows[u]):
-                A[u, v] = 1.0
-        return A
+        return self.matrix(0.0, 1.0, 0.0)
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -222,13 +236,16 @@ def _graph6(n: int, segs) -> str:
 def induced_subgraph(G: Graph, vertices) -> Graph:
     """Induced subgraph on the given vertices, keeping their relative order."""
     verts = sorted(set(vertices))
+    if verts and not (0 <= verts[0] and verts[-1] < G.n):
+        raise ValueError("vertices out of range for n=%d" % G.n)
     index = {v: i for i, v in enumerate(verts)}
+    keep = sum(1 << v for v in verts)
     rows = [0] * len(verts)
-    for v in verts:
-        for u in _bits(G.rows[v]):
-            if u in index:
-                rows[index[v]] |= 1 << index[u]
-    return Graph.from_rows(rows)
+    for i, v in enumerate(verts):
+        for u in _bits(G.rows[v] & keep):
+            rows[i] |= 1 << index[u]
+    # the restriction of symmetric, loop-free rows: no from_rows checks
+    return Graph._trusted(rows)
 
 
 def subgraph_on_neighbors(G: Graph, u: int) -> Graph:
@@ -336,10 +353,9 @@ def check_eigenvalue_floor(G: Graph,
     least -sqrt(floor(n/2) * ceil(n/2))."""
     if not is_connected(G):
         raise NotConnectedError("the eigenvalue floor applies to connected graphs")
-    A = G.adjacency()
-    smallest = float(linalg.eigen_decompose(A, tol).values[-1])
+    spec, cut = linalg.eigh_trusted(G.adjacency(), tol)
+    smallest = float(spec.values[-1])
     floor = math.sqrt((G.n // 2) * ((G.n + 1) // 2))
-    cut = linalg.scaled_tol(A, tol)
     return EigenFloorReport(n=G.n, smallest=smallest, floor=floor,
                             holds=smallest >= -floor - cut,
                             gap=smallest + floor)

@@ -10,6 +10,19 @@ compares against the tolerance below.
 All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
 
+The float backend is one spectral core with two kinds of caller, the
+same shape as the exact backend below.  The core, eigh_trusted, runs
+one eigh on a float matrix that is symmetric by construction and
+computes tol' once; it neither copies nor checks nor symmetrizes the
+matrix, and shifted_trusted reads the certificate facts off it.  The
+validating front ends (shifted, eigen_decompose, inertia, rank_sym and
+rank_one_update_inertia) take a caller's matrix, check that it is square
+and symmetric within tol', and symmetrize it before the core sees it.
+The trusted writers build their matrix straight from a graph's bitmasks
+(Graph.matrix): certificates.shifted_graph for A + mu I and lam I - A,
+the Gram matrices of the realizations, the search's hereditary filter
+and the eigenvalue floor.
+
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
 (Bareiss) elimination in Python integers on a bordered integer matrix,
@@ -50,7 +63,7 @@ def norm_inf(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    return float(np.max(np.sum(np.abs(M), axis=1)))
+    return float(np.abs(M).sum(axis=1).max())
 
 
 def scaled_tol(M, tol: float = DEFAULT_TOL) -> float:
@@ -68,6 +81,20 @@ def _as_symmetric(M, tol: float) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
+def eigh_trusted(M: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> tuple[Spectrum, float]:
+    """The float core: the spectrum of M and tol', from one LAPACK eigh.
+
+    M must be a square float ndarray whose two triangles agree bit for
+    bit, as every matrix written from a graph's bitmasks does; it is not
+    copied, checked or symmetrized (LAPACK reads its lower triangle).
+    Returns the eigenvalues in descending order with matching orthonormal
+    eigenvector columns, and tol' = scaled_tol(M, tol), computed once.
+    """
+    values, vectors = np.linalg.eigh(M)
+    return Spectrum(values[::-1], vectors[:, ::-1]), scaled_tol(M, tol)
+
+
 def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by LAPACK (numpy's eigh).
 
@@ -75,13 +102,12 @@ def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
     eigenvector columns.  Only the symmetrized matrix reaches LAPACK, so
     both triangles count.
     """
-    values, vectors = np.linalg.eigh(_as_symmetric(M, tol))
-    return Spectrum(values[::-1], vectors[:, ::-1])
+    return eigh_trusted(_as_symmetric(M, tol), tol)[0]
 
 
 def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
-    pos = int(np.sum(values > cut))
-    neg = int(np.sum(values < -cut))
+    pos = int(np.count_nonzero(values > cut))
+    neg = int(np.count_nonzero(values < -cut))
     return Inertia(pos, neg, len(values) - pos - neg)
 
 
@@ -93,14 +119,16 @@ def _range_solve(spec: Spectrum, cut: float, v) -> np.ndarray | None:
     """
     coeffs = spec.vectors.T @ np.asarray(v, dtype=float)
     keep = np.abs(spec.values) > cut
-    if float(np.linalg.norm(coeffs[~keep])) > cut:
+    off = coeffs[~keep]
+    if math.sqrt(off.dot(off)) > cut:
         return None
     return spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
 
 
 def inertia(M, tol: float = DEFAULT_TOL) -> Inertia:
     """Counts of eigenvalues above, below and within tol' of zero."""
-    return _count_inertia(eigen_decompose(M, tol).values, scaled_tol(M, tol))
+    spec, cut = eigh_trusted(_as_symmetric(M, tol), tol)
+    return _count_inertia(spec.values, cut)
 
 
 def rank_sym(M, tol: float = DEFAULT_TOL) -> int:
@@ -126,10 +154,20 @@ def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
     For symmetric M (A + mu I or lam I - A) and the all-ones vector j:
     the spectrum, the inertia and rank at the cut tol', and the quadratic
     form j^T M^# j, read from the same decomposition, with tol' as the
-    cut.  M is positive semidefinite iff inertia.neg == 0.
+    cut.  M is positive semidefinite iff inertia.neg == 0.  This is the
+    validating front end of shifted_trusted: M must be square and
+    symmetric within tol' (ValueError otherwise) and is symmetrized.
     """
-    spec = eigen_decompose(M, tol)
-    cut = scaled_tol(M, tol)
+    return shifted_trusted(_as_symmetric(M, tol), tol)
+
+
+def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL) -> Shifted:
+    """shifted on a float matrix symmetric by construction, unchecked.
+
+    Reads the same fields off the core eigh_trusted, in the same order of
+    operations, so for such a matrix it agrees with shifted bit for bit.
+    """
+    spec, cut = eigh_trusted(M, tol)
     inert = _count_inertia(spec.values, cut)
     ones = np.ones(len(spec.values))
     x = _range_solve(spec, cut, ones)
@@ -166,8 +204,7 @@ def rank_one_update_inertia(M, u, c: float,
         raise ValueError("update coefficient c must be nonzero")
     M = _as_symmetric(M, tol)
     u = np.asarray(u, dtype=float)
-    spec = eigen_decompose(M, tol)
-    cut = scaled_tol(M, tol)
+    spec, cut = eigh_trusted(M, tol)
     base = _count_inertia(spec.values, cut)
     x = _range_solve(spec, cut, u)
     if x is None:

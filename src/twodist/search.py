@@ -48,7 +48,7 @@ from . import linalg
 from .bounds import dgs_bound, power_bound, recursion_map, turan_bound
 from .certificates import (CodeParameters, certify_alpha, certify_beta,
                            realize_from_alpha, shifted_graph, verify_code,
-                           _bordered, _fmt, _is_exact)
+                           _bordered, _fmt, _is_exact, _shift_matrix)
 from .errors import InvariantViolation, ParameterDomain, SizeGuardError
 from .graphs import (complete_graph, emit_graph6, empty_graph,
                      enumerate_graphs, extend_canonical, parse_graph6)
@@ -118,10 +118,11 @@ def _cut_max(mu: float, n_max: int, tol: float) -> float:
 
     ||A + mu I||_inf <= mu + n - 1, with equality at K_n, so this is
     tol * max(1, mu + n_max - 1); it is computed as the cut of K_n_max
-    itself so that it matches that leaf's cut to the last bit.
+    itself, from the matrix shifted_graph writes, so that it matches that
+    leaf's cut to the last bit.
     """
-    return linalg.scaled_tol(complete_graph(n_max).adjacency()
-                             + mu * np.eye(n_max), tol)
+    return linalg.scaled_tol(_shift_matrix(complete_graph(n_max), mu, +1),
+                             tol)
 
 
 class _Hereditary:
@@ -145,8 +146,7 @@ class _Hereditary:
             k = shifted_graph(G, self.mu, +1)
             psd, rank = not k.inertia.neg, k.rank
         else:
-            values = np.linalg.eigvalsh(G.adjacency()
-                                        + self.mu * np.eye(G.n))
+            values = np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1))
             psd = values[0] >= -self.cut
             rank = int(np.sum(values > self.cut))
         failed = "psd" if not psd else "rank" if rank > self.r else None

@@ -529,6 +529,55 @@ def test_realized_rank_matches_certificate():
 # code files
 # ---------------------------------------------------------------------------
 
+def column_signed_factor(Gram, tol):
+    # the Gram factor one column at a time: each eigenvector above the cut
+    # signed so that its first entry above 1e-12 in absolute value is
+    # positive, scaled by the root of its eigenvalue, rows normalized
+    spec = linalg.eigen_decompose(Gram, tol)
+    cut = linalg.scaled_tol(Gram, tol)
+    cols = []
+    for value, vec in zip(spec.values, spec.vectors.T):
+        if value > cut:
+            lead = next((x for x in vec if abs(x) > 1e-12), 1.0)
+            cols.append(math.sqrt(value) * (-vec if lead < 0 else vec))
+    U = np.column_stack(cols)
+    return U / np.linalg.norm(U, axis=1)[:, None]
+
+
+def test_realized_vectors_match_the_column_by_column_factor():
+    # the Gram matrix written from the bitmasks and the vectorized sign
+    # rule give the vectors of numpy's Gram and the per-column rule, bit
+    # for bit, on every valid (graph, grid point) up to n = 6
+    from twodist.graphs import enumerate_graphs
+    from twodist.search import BETA_GRID, RATIONAL_GRID
+
+    graphs = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+    checked = 0
+    for route, grid in (("alpha", RATIONAL_GRID), ("beta", BETA_GRID)):
+        for P in grid:
+            Q = cert.CodeParameters.make(P.alpha, P.beta)
+            a, b = Q.alpha, Q.beta
+            for G in graphs:
+                A = np.zeros((G.n, G.n))
+                for u, v in G.edges():
+                    A[u, v] = A[v, u] = 1.0
+                J = np.ones((G.n, G.n))
+                if route == "alpha":
+                    if not cert.certify_alpha(G, Q).valid:
+                        continue
+                    code = cert.realize_from_alpha(G, Q)
+                    Gram = (a - b) * (A + Q.mu * np.eye(G.n)) + b * J
+                else:
+                    if not cert.certify_beta(G, Q).valid:
+                        continue
+                    code = cert.realize_from_beta(G, Q)
+                    Gram = (a - b) * (Q.lam * np.eye(G.n) - A) + a * J
+                ref = column_signed_factor(Gram, linalg.DEFAULT_TOL)
+                assert code.vectors.tobytes() == ref.tobytes(), (route, G)
+                checked += 1
+    assert checked > 600
+
+
 def test_code_json_round_trip_is_byte_stable():
     P = pentagon_parameters()
     code = cert.realize_from_alpha(cycle_graph(5), P)

@@ -141,6 +141,44 @@ def test_adjacency_matrix():
     assert (A == A.T).all()
 
 
+def test_matrix_written_from_bitmasks():
+    # diag, edge and other land where a loop over the edges puts them,
+    # and the two triangles agree bit for bit, for any order
+    rng = random.Random(8)
+    for n in list(range(0, 13)) + [63, 64, 70]:
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.4])
+        ref = [[0.25] * n for _ in range(n)]
+        for u, v in G.edges():
+            ref[u][v] = ref[v][u] = -1.5
+        for v in range(n):
+            ref[v][v] = 3.0
+        M = G.matrix(3.0, -1.5, 0.25)
+        assert M.shape == (n, n) and M.dtype == float
+        assert M.tolist() == ref
+        assert M.tobytes() == M.T.copy().tobytes()
+
+
+def test_induced_subgraph_matches_validated_rows():
+    # built without from_rows' checks, it must equal the validated graph
+    rng = random.Random(19)
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < rng.random()])
+        verts = rng.sample(range(n), rng.randint(0, n))
+        order = sorted(verts)
+        ref = Graph.from_rows([
+            sum(1 << j for j, u in enumerate(order) if G.has_edge(v, u))
+            for v in order])
+        H = induced_subgraph(G, verts + verts[:1])
+        assert H == ref and H.n == len(order)
+        assert isinstance(H.rows, tuple)
+    for bad in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError):
+            induced_subgraph(cycle_graph(4), bad)
+
+
 def test_independence_number_examples():
     assert independence_number(cycle_graph(5)) == 2
     assert independence_number(complete_graph(4)) == 1

@@ -204,7 +204,7 @@ def test_rank_one_update_random_agrees_with_direct():
     assert checked >= 90
 
 
-def test_ldl_rational_basic():
+def test_shifted_exact_basic():
     k = linalg.shifted_exact([[Fraction(2), Fraction(1)],
                               [Fraction(1), Fraction(2)]])
     assert k.rank == 2 and k.inertia.neg == 0
@@ -214,7 +214,7 @@ def test_ldl_rational_basic():
     assert k.values is None
 
 
-def test_ldl_rational_c4_shift():
+def test_shifted_exact_c4_shift():
     A = [[Fraction(int(x)) for x in row] for row in cycle_adjacency(4)]
     for i in range(4):
         A[i][i] = Fraction(2)
@@ -226,14 +226,14 @@ def test_ldl_rational_c4_shift():
     assert linalg.shifted_exact(A, [1, -1, 1, -1]).quadform is None
 
 
-def test_ldl_rational_zero_diagonal_block():
+def test_shifted_exact_zero_diagonal_block():
     k = linalg.shifted_exact([[0, 1], [1, 0]])
     assert k.inertia.neg
     assert k.inertia == (1, 1, 0) and k.rank == 2
     assert k.quadform == 2
 
 
-def test_ldl_rational_zero_matrix():
+def test_shifted_exact_zero_matrix():
     k = linalg.shifted_exact([[0, 0], [0, 0]])
     assert k.rank == 0 and k.inertia.neg == 0
     assert k.inertia == (0, 0, 2)
@@ -241,7 +241,7 @@ def test_ldl_rational_zero_matrix():
     assert linalg.shifted_exact([[0, 0], [0, 0]], [0, 0]).quadform == 0
 
 
-def test_ldl_rational_indefinite():
+def test_shifted_exact_indefinite():
     k = linalg.shifted_exact([[1, 0], [0, -1]])
     assert k.inertia.neg
     assert k.inertia == (1, 1, 0)
@@ -338,3 +338,99 @@ def test_rank_one_update_exact():
     res, case = linalg.rank_one_update_inertia_exact(
         [[1, 0], [0, 0]], [1, 0], -2)
     assert case == 3 and res == (0, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the float core: validating front ends and trusted writers
+# ---------------------------------------------------------------------------
+
+def loop_adjacency(G):
+    A = np.zeros((G.n, G.n))
+    for u, v in G.edges():
+        A[u, v] = A[v, u] = 1.0
+    return A
+
+
+def grid_shifts():
+    # the 15 grid mu and lam values as floats, and the pentagon's mu, lam
+    from twodist.certificates import CodeParameters
+    from twodist.search import RATIONAL_GRID
+    root5 = math.sqrt(5.0)
+    pentagon = CodeParameters.make((root5 - 1) / 4, -(root5 + 1) / 4)
+    return ([float(x) for P in RATIONAL_GRID for x in (P.mu, P.lam)]
+            + [pentagon.mu, pentagon.lam])
+
+
+def test_float_shifted_graph_is_shifted_bit_for_bit():
+    # the matrix written from the bitmasks goes to the trusted core
+    # unchecked; every field must equal the validating front end's on
+    # shift * I + sign * A built by numpy
+    from twodist.certificates import shifted_graph
+    from twodist.graphs import Graph, complete_graph, cycle_graph
+
+    rng = random.Random(31)
+    shifts = grid_shifts()
+    assert len(shifts) == 32
+    knife = [(cycle_graph(5), GOLDEN, 3), (cycle_graph(4), 2.0, 3)]
+    knife += [(complete_graph(n), 1.0, 1) for n in range(1, 13)]
+    cases = [(G, s, +1) for G, s, _ in knife]
+    for n in range(1, 13):
+        for _ in range(5):
+            G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.5])
+            cases += [(G, s, sign) for s in shifts for sign in (+1, -1)]
+    for G, s, sign in cases:
+        k = shifted_graph(G, s, sign)
+        ref = linalg.shifted(s * np.eye(G.n) + sign * loop_adjacency(G))
+        assert np.array_equal(k.values, ref.values), (G, s, sign)
+        assert k.inertia == ref.inertia and k.rank == ref.rank
+        assert k.quadform == ref.quadform and k.cut == ref.cut
+    # the knife edges sit on a zero eigenvalue and still read as zero
+    for G, s, rank in knife:
+        k = shifted_graph(G, s, +1)
+        assert k.inertia.neg == 0 and k.rank == rank, G
+
+
+def test_float_writer_keeps_off_edge_zeros_positive():
+    # shift*I - A written as 0.0 - A, not -A: a -0.0 off the edges is a
+    # different matrix to LAPACK and changes the last bits it returns
+    from twodist.certificates import _shift_matrix
+    from twodist.graphs import Graph
+
+    G = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    for s in grid_shifts():
+        M = _shift_matrix(G, s, -1)
+        ref = s * np.eye(6) - loop_adjacency(G)
+        assert M.tobytes() == ref.tobytes()
+        assert not np.signbit(M[M == 0]).any()
+        trap = -loop_adjacency(G)
+        np.fill_diagonal(trap, s)
+        assert np.array_equal(trap, M) and trap.tobytes() != M.tobytes()
+
+
+def test_front_ends_reject_asymmetric():
+    M = np.array([[1.0, 2.0], [0.0, 1.0]])
+    u = np.array([1.0, 0.0])
+    for call in (linalg.shifted, linalg.eigen_decompose, linalg.inertia,
+                 linalg.rank_sym,
+                 lambda M: linalg.rank_one_update_inertia(M, u, 1.0)):
+        with pytest.raises(ValueError):
+            call(M)
+        with pytest.raises(ValueError):
+            call(np.ones((2, 3)))
+
+
+def test_front_end_symmetrizes_then_runs_the_core():
+    rng = random.Random(12)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        S = random_symmetric(rng, n)
+        M = S + 1e-12 * np.triu(np.ones((n, n)), 1)
+        k = linalg.shifted(M)
+        ref = linalg.shifted_trusted((M + M.T) / 2.0)
+        assert np.array_equal(k.values, ref.values)
+        assert (k.inertia, k.rank, k.quadform, k.cut) == (
+            ref.inertia, ref.rank, ref.quadform, ref.cut)
+        spec, cut = linalg.eigh_trusted(S)
+        assert np.array_equal(spec.values, linalg.eigen_decompose(S).values)
+        assert cut == linalg.scaled_tol(S)

@@ -16,7 +16,7 @@ import pytest
 from twodist import bounds, cli, graphs, linalg, search
 from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
                                   certify_beta, code_rank, rational_shift,
-                                  realize_from_beta)
+                                  realize_from_beta, shifted_graph)
 from twodist.errors import (ParameterDomain, ReconstructionResidual,
                             SizeGuardError)
 from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
@@ -176,6 +176,17 @@ def test_float_prune_cut_is_the_loosest_leaf_cut():
             K = complete_graph(n_max)
             assert cut == linalg.scaled_tol(K.adjacency()
                                             + mu * np.eye(n_max))
+
+
+def test_cut_max_is_the_complete_leaf_cut():
+    # bit for bit the cut shifted_graph gives K_n_max at the same mu
+    mus = [float(P.mu) for P in search.RATIONAL_GRID]
+    mus.append(CodeParameters.make(*pentagon_parameters()).mu)
+    for mu in mus:
+        for n_max in range(1, 13):
+            for tol in (linalg.DEFAULT_TOL, 1e-6):
+                leaf = shifted_graph(complete_graph(n_max), mu, +1, tol)
+                assert search._cut_max(mu, n_max, tol) == leaf.cut
 
 
 def test_float_pruning_keeps_what_a_larger_leaf_accepts():
