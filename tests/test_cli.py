@@ -304,6 +304,24 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "--alpha", "1/2", "--beta", "1/10", "--graph", "Cl"),
+     "graph checks need beta < 0"),
+    (("bounds", "--alpha", "0", "--beta", "-1"),
+     "parameter bounds need --d"),
+    (("search", "--max-n", "4"),
+     "give either --alpha/--beta/--d or --r/--p/--mu"),
+    (("search", "--alpha", "0", "--beta", "-1", "--max-n", "4"),
+     "--d is required with --alpha/--beta"),
+    (("crosscheck", "--alpha", "0", "--max-n", "3"),
+     "--alpha and --beta go together"),
+])
+def test_usage_error_lines(capsys, argv, message):
+    rc, out = run(capsys, *argv)
+    assert rc == 2
+    assert out == "error: %s\n" % message
+
+
 def test_non_ascii_graph6_exits_two(capsys, tmp_path):
     # "C\u00e9" once read as "C?", the empty graph on 4 vertices
     rc, out = run(capsys, "certify", "--alpha", "0", "--beta", "-1",
