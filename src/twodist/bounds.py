@@ -25,7 +25,7 @@ from .certificates import (AlphaCertificate, CodeParameters, certify_alpha,
 from .errors import EmptyFamilyError, InvariantViolation, SizeGuardError
 from .graphs import (Graph, contains_clique, delete_closed_neighborhood,
                      independence_number, is_complete, is_connected,
-                     subgraph_on_neighbors)
+                     subgraph_on_neighbors, _check_vertex)
 from .linalg import DEFAULT_TOL
 
 # check_subgraph_inequality sweeps all 2^n subsets when none is given
@@ -187,8 +187,11 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
     neighbors of u obeys q <= (alpha-beta)/(alpha^2-beta) and loses at
     least one rank against A + mu I; deleting the closed neighborhood
     obeys q <= (alpha-beta)/(-beta (1-beta)) with the same rank drop.
-    Empty subgraphs are skipped with a note.
+    Empty subgraphs are skipped with a note.  u, when given, must be a
+    vertex of G (ValueError otherwise).
     """
+    if u is not None:
+        _check_vertex(G, u)
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("neighborhood", cert)
@@ -283,31 +286,26 @@ def _close(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-9 * max(1.0, abs(y))
 
 
-def _check_recursion(mu_kept: bool, p_kept: bool) -> None:
-    if not mu_kept:
-        raise InvariantViolation("the recursion map did not preserve mu")
-    if not p_kept:
-        raise InvariantViolation("the recursion map broke the budget identity")
-
-
-def recursion_map(params: CodeParameters, check: bool = True) -> CodeParameters:
+def recursion_map(params: CodeParameters) -> CodeParameters:
     """Parameters seen by a derived code on the neighbors of a vertex.
 
     alpha maps to alpha/(1+alpha) and beta to (beta-alpha^2)/(1-alpha^2).
     Two identities pin the map down: mu is preserved, and the new budget p
-    equals (alpha-beta)/(alpha^2-beta) of the original parameters.  With
-    check=True these are checked to within tol on the float path and
-    exactly on the rational path; a failure raises InvariantViolation.
+    equals (alpha-beta)/(alpha^2-beta) of the original parameters while
+    the new beta is negative.  Every call checks both, exactly on the
+    rational path and to within 1e-9 * max(1, |value|) on the float path;
+    a failure raises InvariantViolation.
     """
     P = params.exact or params
     a, b = P.alpha, P.beta
     mapped = CodeParameters.make(a / (1 + a), (b - a * a) / (1 - a * a))
-    if check:
-        # rationals meet the identities exactly, floats up to rounding
-        same = operator.eq if params.exact else _close
-        Q = mapped.exact or mapped
-        _check_recursion(same(Q.mu, P.mu), Q.beta >= 0 or
-                         same(Q.p, (a - b) / (a * a - b)))
+    # rationals meet the identities exactly, floats up to rounding
+    same = operator.eq if params.exact else _close
+    Q = mapped.exact or mapped
+    if not same(Q.mu, P.mu):
+        raise InvariantViolation("the recursion map did not preserve mu")
+    if not (Q.beta >= 0 or same(Q.p, (a - b) / (a * a - b))):
+        raise InvariantViolation("the recursion map broke the budget identity")
     return mapped
 
 

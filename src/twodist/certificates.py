@@ -424,15 +424,28 @@ def _factor_gram(Gram: np.ndarray, rank_r: int, tol: float) -> np.ndarray:
     return U / norms[:, None]
 
 
-def _pad(U: np.ndarray, dim: int | None, rank_r: int) -> tuple[np.ndarray, int]:
-    if dim is None:
-        return U, rank_r
-    if dim < rank_r:
+def _realize(G: Graph, params: CodeParameters, Gram: np.ndarray,
+             rank_r: int, tol: float, dim: int | None,
+             route: str) -> SphericalCode:
+    """The tail shared by realize_from_alpha and realize_from_beta.
+
+    Factors the Gram matrix, pads the vectors with zero coordinates up to
+    dim (ParameterDomain below rank_r), and checks that the code's
+    alpha-graph or beta-graph (route) is G again.
+    """
+    U = _factor_gram(Gram, rank_r, tol)
+    d = rank_r if dim is None else dim
+    if d < rank_r:
         raise ParameterDomain("requested dimension %d below certified rank %d"
-                              % (dim, rank_r))
-    if dim > rank_r:
-        U = np.hstack([U, np.zeros((U.shape[0], dim - rank_r))])
-    return U, dim
+                              % (d, rank_r))
+    if d > rank_r:
+        U = np.hstack([U, np.zeros((U.shape[0], d - rank_r))])
+    code = SphericalCode(alpha=params.alpha, beta=params.beta, dim=d,
+                         vectors=U)
+    graph_of = alpha_graph if route == "alpha" else beta_graph
+    if graph_of(code, tol) != G:
+        raise ReconstructionResidual("%s-graph round trip failed" % route)
+    return code
 
 
 def realize_from_alpha(G: Graph, params: CodeParameters,
@@ -450,14 +463,9 @@ def realize_from_alpha(G: Graph, params: CodeParameters,
     if not cert.valid:
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)
-    a, b, mu = params.alpha, params.beta, params.mu
-    Gram = (a - b) * _shift_matrix(G, mu, +1) + b
-    U = _factor_gram(Gram, cert.rank_r, tol)
-    U, d = _pad(U, dim, cert.rank_r)
-    code = SphericalCode(alpha=a, beta=b, dim=d, vectors=U)
-    if alpha_graph(code, tol) != G:
-        raise ReconstructionResidual("alpha-graph round trip failed")
-    return code
+    a, b = params.alpha, params.beta
+    Gram = (a - b) * _shift_matrix(G, params.mu, +1) + b
+    return _realize(G, params, Gram, cert.rank_r, tol, dim, "alpha")
 
 
 def realize_from_beta(G: Graph, params: CodeParameters,
@@ -473,14 +481,9 @@ def realize_from_beta(G: Graph, params: CodeParameters,
     if not cert.valid:
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)
-    a, b, lam = params.alpha, params.beta, params.lam
-    Gram = (a - b) * _shift_matrix(G, lam, -1) + a
-    U = _factor_gram(Gram, cert.rank_r, tol)
-    U, d = _pad(U, dim, cert.rank_r)
-    code = SphericalCode(alpha=a, beta=b, dim=d, vectors=U)
-    if beta_graph(code, tol) != G:
-        raise ReconstructionResidual("beta-graph round trip failed")
-    return code
+    a, b = params.alpha, params.beta
+    Gram = (a - b) * _shift_matrix(G, params.lam, -1) + a
+    return _realize(G, params, Gram, cert.rank_r, tol, dim, "beta")
 
 
 # ---------------------------------------------------------------------------

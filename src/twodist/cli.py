@@ -194,10 +194,7 @@ def cmd_realize(args) -> int:
         code = realize_from_alpha(G, params, args.tol, dim=args.d)
     else:
         code = realize_from_beta(G.complement(), params, args.tol, dim=args.d)
-    text = dumps_code(code)
-    if not text.endswith("\n"):
-        text += "\n"
-    _write(text, args.out)
+    _write(dumps_code(code), args.out)
     return 0
 
 
@@ -224,16 +221,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.alpha is None or args.beta is None:
-        raise ValueError("--alpha and --beta are required")
-    a, b = _scalar_pair(args.alpha, args.beta, args.exact)
-    params = CodeParameters.make(a, b)
+    params = _params(args)
     header = ("name", "applicable", "holds", "value", "floored", "witness",
               "note")
     if args.graph is not None or args.infile is not None:
         if params.beta >= 0:
-            print("error: graph checks need beta < 0")
-            return 2
+            raise ValueError("graph checks need beta < 0")
         failed = False
         rows = []
         for label, G in _graph_inputs(args):
@@ -252,12 +245,13 @@ def cmd_bounds(args) -> int:
         _emit_rows(rows, ("check",) + header[1:], args.format, args.out)
         return 1 if failed else 0
     if args.d is None:
-        print("error: parameter bounds need --d")
-        return 2
+        raise ValueError("parameter bounds need --d")
     reports = [turan_bound(params, args.d),
                power_bound(params, args.d, k=args.k)]
     if args.max_n is not None:
-        f = neighborhood_capacity_f(a, b, args.d, args.max_n, tol=args.tol)
+        P = params.exact or params
+        f = neighborhood_capacity_f(P.alpha, P.beta, args.d, args.max_n,
+                                    tol=args.tol)
         rep = recursion_bound(params, f.value)
         rep.note = "f=%d from search" % f.value
         reports.append(rep)
@@ -273,13 +267,11 @@ def cmd_search(args) -> int:
     have_ab = args.alpha is not None and args.beta is not None
     have_cap = args.r is not None and args.p is not None and args.mu is not None
     if have_ab == have_cap:
-        print("error: give either --alpha/--beta/--d or --r/--p/--mu")
-        return 2
+        raise ValueError("give either --alpha/--beta/--d or --r/--p/--mu")
     results = []
     if have_ab:
         if args.d is None:
-            print("error: --d is required with --alpha/--beta")
-            return 2
+            raise ValueError("--d is required with --alpha/--beta")
         a, b = _scalar_pair(args.alpha, args.beta, args.exact)
         results.append(max_code_size(a, b, args.d, args.max_n, tol=args.tol,
                                      workers=args.workers))
@@ -309,8 +301,7 @@ def cmd_crosscheck(args) -> int:
     grid = None
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
-            print("error: --alpha and --beta go together")
-            return 2
+            raise ValueError("--alpha and --beta go together")
         grid = [CodeParameters.make(_scalar(args.alpha, True),
                                     _scalar(args.beta, True))]
     report = oracle_cross_check(args.max_n, parameter_grid=grid,

@@ -248,13 +248,20 @@ def induced_subgraph(G: Graph, vertices) -> Graph:
     return Graph._trusted(rows)
 
 
+def _check_vertex(G: Graph, u) -> None:
+    if u not in range(G.n):
+        raise ValueError("vertex %r is not in range(%d)" % (u, G.n))
+
+
 def subgraph_on_neighbors(G: Graph, u: int) -> Graph:
     """The subgraph induced on the open neighborhood of u."""
+    _check_vertex(G, u)
     return induced_subgraph(G, _bits(G.rows[u]))
 
 
 def delete_closed_neighborhood(G: Graph, u: int) -> Graph:
     """The subgraph induced on everything outside N[u]."""
+    _check_vertex(G, u)
     keep = [v for v in range(G.n) if v != u and not G.has_edge(u, v)]
     return induced_subgraph(G, keep)
 

@@ -15,13 +15,13 @@ same shape as the exact backend below.  The core, eigh_trusted, runs
 one eigh on a float matrix that is symmetric by construction and
 computes tol' once; it neither copies nor checks nor symmetrizes the
 matrix, and shifted_trusted reads the certificate facts off it.  The
-validating front ends (shifted, eigen_decompose, inertia, rank_sym and
-rank_one_update_inertia) take a caller's matrix, check that it is square
-and symmetric within tol', and symmetrize it before the core sees it.
-The trusted writers build their matrix straight from a graph's bitmasks
-(Graph.matrix): certificates.shifted_graph for A + mu I and lam I - A,
-the Gram matrices of the realizations, the search's hereditary filter
-and the eigenvalue floor.
+validating front ends (shifted, eigen_decompose, inertia, rank_sym, and
+rank_one_update_inertia on float input) take a caller's matrix, check
+that it is square and symmetric within tol', and symmetrize it before
+the core sees it.  The trusted writers build their matrix straight from
+a graph's bitmasks (Graph.matrix): certificates.shifted_graph for
+A + mu I and lam I - A, the Gram matrices of the realizations, the
+search's hereditary filter and the eigenvalue floor.
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
@@ -32,6 +32,13 @@ rational front end: it takes nested lists of ints and
 fractions.Fraction, clears denominators, checks symmetry and adds the
 border.  certificates.shifted_graph is the other: it writes the bordered
 integer matrix of a shifted adjacency straight from the graph's bitmasks.
+
+Both kernels take the vector: shifted_trusted(M, tol, v) and
+shifted_exact(M, v) return the same Shifted fields, v defaulting to j,
+and a Shifted carries its own zero band (cut: tol' for floats, 0 when
+exact).  So the rank-one update lemma has one body:
+rank_one_update_inertia picks the arithmetic from its inputs once, and
+its case table reads only Shifted.quadform and Shifted.cut.
 """
 
 from __future__ import annotations
@@ -111,20 +118,6 @@ def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
     return Inertia(pos, neg, len(values) - pos - neg)
 
 
-def _range_solve(spec: Spectrum, cut: float, v) -> np.ndarray | None:
-    """Minimum-norm solution of M x = v from the spectrum of M.
-
-    None when the component of v on the eigenvectors with |value| <= cut
-    has norm above cut, i.e. v leaves the column space.
-    """
-    coeffs = spec.vectors.T @ np.asarray(v, dtype=float)
-    keep = np.abs(spec.values) > cut
-    off = coeffs[~keep]
-    if math.sqrt(off.dot(off)) > cut:
-        return None
-    return spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
-
-
 def inertia(M, tol: float = DEFAULT_TOL) -> Inertia:
     """Counts of eigenvalues above, below and within tol' of zero."""
     spec, cut = eigh_trusted(_as_symmetric(M, tol), tol)
@@ -141,8 +134,8 @@ class Shifted(NamedTuple):
     values: np.ndarray | None  # descending eigenvalues; None when exact
     inertia: Inertia
     rank: int
-    quadform: object        # j^T M^# j (v^T M^# v in shifted_exact); None
-                            # when the vector leaves the column space
+    quadform: object        # v^T M^# v, v defaulting to j; None when v
+                            # leaves the column space
     cut: object             # the zero band: tol' for floats, the int 0 when
                             # exact, so q > p + cut and |q - p| <= cut are
                             # the exact q > p and q == p on rationals
@@ -161,18 +154,29 @@ def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
     return shifted_trusted(_as_symmetric(M, tol), tol)
 
 
-def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL) -> Shifted:
+def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
+                    v=None) -> Shifted:
     """shifted on a float matrix symmetric by construction, unchecked.
 
     Reads the same fields off the core eigh_trusted, in the same order of
     operations, so for such a matrix it agrees with shifted bit for bit.
+    v defaults to the all-ones vector j.  The quadratic form comes from
+    the minimum-norm solution of M x = v; v leaves the column space when
+    its component on the eigenvectors with |value| <= tol' has norm
+    above tol'.
     """
     spec, cut = eigh_trusted(M, tol)
     inert = _count_inertia(spec.values, cut)
-    ones = np.ones(len(spec.values))
-    x = _range_solve(spec, cut, ones)
-    return Shifted(spec.values, inert, inert.pos + inert.neg,
-                   None if x is None else float(ones @ x), cut)
+    v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
+    coeffs = spec.vectors.T @ v
+    keep = np.abs(spec.values) > cut
+    off = coeffs[~keep]
+    if math.sqrt(off.dot(off)) > cut:
+        q = None
+    else:
+        x = spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
+        q = float(v @ x)
+    return Shifted(spec.values, inert, inert.pos + inert.neg, q, cut)
 
 
 # Inertia shifts (d_pos, d_neg) for M + c*u*u^T, keyed by (c > 0, case).
@@ -190,7 +194,11 @@ _UPDATE_SHIFT = {
 }
 
 
-def rank_one_update_inertia(M, u, c: float,
+def _rational(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+def rank_one_update_inertia(M, u, c,
                             tol: float = DEFAULT_TOL) -> tuple[Inertia, int]:
     """Inertia of M + c * u u^T together with the case label that predicts it.
 
@@ -198,32 +206,40 @@ def rank_one_update_inertia(M, u, c: float,
     or s = c * x^T u relative to -1 where M x = u.  The returned inertia is
     computed directly from the updated matrix and must agree with the shift
     the case predicts; a disagreement raises AmbiguousCase, which can only
-    happen when s sits at the case boundary within tolerance.
+    happen when s sits at the case boundary within tolerance.  When c and
+    every entry of M (nested lists) and u are ints or Fractions, both
+    matrices go to shifted_exact and every decision is exact, so the
+    update is never ambiguous; otherwise M is checked and symmetrized,
+    and both go to the float core at tol'.
     """
     if c == 0:
         raise ValueError("update coefficient c must be nonzero")
-    M = _as_symmetric(M, tol)
-    u = np.asarray(u, dtype=float)
-    spec, cut = eigh_trusted(M, tol)
-    base = _count_inertia(spec.values, cut)
-    x = _range_solve(spec, cut, u)
-    if x is None:
+    if (_rational(c) and all(map(_rational, u))
+            and all(isinstance(row, (list, tuple)) and all(map(_rational, row))
+                    for row in M)):
+        base = shifted_exact(M, u)
+        updated = [[a + c * x * y for a, y in zip(row, u)]
+                   for row, x in zip(M, u)]
+        direct = shifted_exact(updated).inertia
+    else:
+        M = _as_symmetric(M, tol)
+        u = np.asarray(u, dtype=float)
+        base = shifted_trusted(M, tol, u)
+        direct = inertia(M + c * np.outer(u, u), tol)
+    if base.quadform is None:
         case = 1
         s = None
     else:
-        s = c * float(u @ x)
-        if abs(s + 1.0) <= cut:
+        s = c * base.quadform
+        if abs(s + 1) <= base.cut:
             case = 4
-        elif s > -1.0:
+        elif s > -1:
             case = 2
         else:
             case = 3
     dpos, dneg = _UPDATE_SHIFT[(c > 0, case)]
-    n = M.shape[0]
-    predicted = Inertia(base.pos + dpos, base.neg + dneg,
-                        n - (base.pos + dpos) - (base.neg + dneg))
-    updated = M + c * np.outer(u, u)
-    direct = inertia(updated, tol)
+    pos, neg, zero = base.inertia
+    predicted = Inertia(pos + dpos, neg + dneg, zero - dpos - dneg)
     if predicted != direct:
         raise AmbiguousCase(
             "update classification is ambiguous at this tolerance "
@@ -239,10 +255,11 @@ def rank_one_update_inertia(M, u, c: float,
 def shifted_exact(M, v=None) -> Shifted:
     """The certificate facts about a symmetric rational matrix, exactly.
 
-    The exact twin of shifted: entries of M and v are ints or Fractions,
-    and v defaults to the all-ones vector.  Returns the inertia, the rank
-    and v^T M^# v as a Fraction (None when v leaves the column space), with
-    values None and cut 0.  This is the rational front end of
+    The rational kernel, with the signature of shifted_trusted less the
+    tolerance: entries of M and v are ints or Fractions, and v defaults
+    to the all-ones vector.  Returns the inertia, the rank and v^T M^# v
+    as a Fraction (None when v leaves the column space), with values None
+    and cut 0.  This is the rational front end of
     bareiss_bordered: L and W are the denominator lcms of M and v, and the
     bordered integer matrix [[L M, W v], [W v^T, 0]] decides everything.
     """
@@ -305,35 +322,3 @@ def bareiss_bordered(B, L: int, W: int) -> Shifted:
     if not any(row[m] for row in B[:m]):
         q = Fraction(-B[m][m] * L, prev * W * W)
     return Shifted(None, Inertia(pos, neg, m), pos + neg, q, 0)
-
-
-def rank_one_update_inertia_exact(M, u, c) -> tuple[Inertia, int]:
-    """Exact twin of rank_one_update_inertia for rational data."""
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("update coefficient c must be nonzero")
-    M = [[Fraction(x) for x in row] for row in M]
-    u = [Fraction(x) for x in u]
-    base = shifted_exact(M, u)
-    if base.quadform is None:
-        case = 1
-    else:
-        s = c * base.quadform
-        if s == -1:
-            case = 4
-        elif s > -1:
-            case = 2
-        else:
-            case = 3
-    dpos, dneg = _UPDATE_SHIFT[(c > 0, case)]
-    n = len(M)
-    predicted = Inertia(base.inertia.pos + dpos, base.inertia.neg + dneg,
-                        n - (base.inertia.pos + dpos)
-                        - (base.inertia.neg + dneg))
-    updated = [[M[i][j] + c * u[i] * u[j] for j in range(n)] for i in range(n)]
-    direct = shifted_exact(updated).inertia
-    if predicted != direct:
-        raise AmbiguousCase(
-            "exact case table disagrees with direct inertia; "
-            "this indicates corrupted input")
-    return direct, case

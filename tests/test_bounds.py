@@ -223,6 +223,14 @@ def test_neighborhood_exact_path():
     assert rep.applicable and rep.holds
 
 
+@pytest.mark.parametrize("u", [-1, 4, 9])
+def test_neighborhood_rejects_a_vertex_outside_the_graph(u):
+    # -1 once read G.rows[-1], vertex 3, and kept it in the "deleted"
+    # part; 4 and 9 raised IndexError
+    with pytest.raises(ValueError, match="not in range"):
+        bounds.check_neighborhood(cycle_graph(4), P01X, u=u)
+
+
 # ---------------------------------------------------------------------------
 # sandwich bounds
 # ---------------------------------------------------------------------------

@@ -135,6 +135,13 @@ def test_induced_and_neighborhoods():
     assert delete_closed_neighborhood(G, 0).n == 0
 
 
+@pytest.mark.parametrize("u", [-1, 4, 9])
+def test_neighborhoods_reject_a_vertex_outside_the_graph(u):
+    for part in (subgraph_on_neighbors, delete_closed_neighborhood):
+        with pytest.raises(ValueError, match="not in range"):
+            part(cycle_graph(4), u)
+
+
 def test_adjacency_matrix():
     A = cycle_graph(4).adjacency()
     assert A.sum() == 8

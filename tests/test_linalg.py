@@ -332,12 +332,49 @@ def test_solve_rational_inconsistent():
 
 
 def test_rank_one_update_exact():
-    res, case = linalg.rank_one_update_inertia_exact(
+    res, case = linalg.rank_one_update_inertia(
         [[1, 0], [0, 1]], [1, 0], Fraction(-1))
     assert case == 4 and res == (1, 0, 1)
-    res, case = linalg.rank_one_update_inertia_exact(
+    res, case = linalg.rank_one_update_inertia(
         [[1, 0], [0, 0]], [1, 0], -2)
     assert case == 3 and res == (0, 1, 1)
+    # M = 1e-12 sits inside the float cut, so floats cannot decide this
+    # update; int and Fraction inputs take the exact kernel and see s < -1
+    M, c = [[Fraction(1, 10**12)]], -Fraction(10**12 + 1, 10**24)
+    assert linalg.rank_one_update_inertia(M, [1], c) == ((0, 1, 0), 3)
+    with pytest.raises(AmbiguousCase):
+        linalg.rank_one_update_inertia(
+            np.array([[1e-12]]), np.array([1.0]), float(c))
+
+
+def test_rank_one_update_both_arithmetics_agree():
+    # criterion 1's generator, each case run as float arrays and as
+    # int / Fraction lists: the rational call decides every case, and
+    # wherever the float call decides too, the two agree
+    rng = np.random.default_rng(20240801)
+    decided = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        M = rng.integers(-3, 4, size=(n, n)).astype(float)
+        M = (M + M.T) / 2.0
+        u = rng.integers(-2, 3, size=n).astype(float)
+        while not u.any():
+            u = rng.integers(-2, 3, size=n).astype(float)
+        c = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        Mq = [[Fraction(x) for x in row] for row in M.tolist()]
+        uq = [int(x) for x in u]
+        cq = Fraction(c)
+        exact = linalg.rank_one_update_inertia(Mq, uq, cq)
+        updated = [[Mq[i][j] + cq * uq[i] * uq[j] for j in range(n)]
+                   for i in range(n)]
+        assert exact[0] == linalg.shifted_exact(updated).inertia
+        try:
+            floating = linalg.rank_one_update_inertia(M, u, c)
+        except AmbiguousCase:
+            continue
+        assert floating == exact, (M, u, c)
+        decided += 1
+    assert decided >= 450
 
 
 # ---------------------------------------------------------------------------
