@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,35 +230,42 @@ class BetaCertificate:
     exact: bool = False
 
 
-def rational_shift(G: Graph, shift: Fraction, sign: int):
-    """A + shift*I (sign=+1) or shift*I - A (sign=-1) as a rational matrix.
+@lru_cache(maxsize=1024)
+def _layout(n: int, diag: int, edge: int, other: int) -> tuple[int, int, int]:
+    """The field width w of _bordered's rows and two constants of it.
 
-    Off-diagonal entries are the ints 0 and sign, the diagonal is shift.
-    shifted_graph never builds it; it is the reference that
-    linalg.shifted_exact(rational_shift(...)) gives the same facts.
+    Every vertex row of the bordered matrix has squared norm at most
+    s = diag^2 + (n-1) max(edge^2, other^2) + 1 and the border row has n,
+    so s^n n bounds the product that linalg.packed_width takes.  ones has
+    a 1 in each vertex field, and row * mul & ones spreads the bitmask
+    row into them.  row * mul is the sum of the copies row << (w-1) u,
+    u < n, and w is kept at least n + 1.  Bit b of copy u lies at
+    b + (w-1) u.  Two such bits meet only if b - b' = (w-1)(u' - u), and
+    one starts a field w u' only if b - u = w (u' - u); as |b - b'| and
+    |b - u| are below n <= w - 1, both need u = u'.  So the sum carries
+    nowhere, and the mask keeps exactly bit u of copy u, at field u.
     """
-    n = G.n
-    M = [[0] * n for _ in range(n)]
-    for v in range(n):
-        M[v][v] = shift
-        for u in G.neighbors(v):
-            M[v][u] = sign
-    return M
+    s = diag * diag + (n - 1) * max(edge * edge, other * other) + 1
+    w = max(linalg.packed_width(s ** n * max(n, 1)), n + 1)
+    mul = ((1 << (w - 1) * n) - 1) // ((1 << w - 1) - 1)
+    return w, mul, linalg.field_ones(n, w)
 
 
-def _bordered(G: Graph, diag: int, edge: int, other: int) -> list:
+def _bordered(G: Graph, diag: int, edge: int, other: int) -> tuple[list, int]:
     """The integer matrix diag on the diagonal, edge on the edges of G and
-    other elsewhere, bordered by the all-ones vector: the input B of
-    linalg.bareiss_bordered, written from the adjacency bitmasks."""
+    other elsewhere, bordered by the all-ones vector: the packed rows and
+    the width w that linalg.bareiss_bordered takes, written from the
+    adjacency bitmasks, vertex row v as other everywhere, plus
+    edge - other on the spread bitmask and diag - other at field v, plus
+    the border 1 at field n."""
     n = G.n
-    B = []
-    for v, row in enumerate(G.rows):
-        Bv = [edge if row >> u & 1 else other for u in range(n)]
-        Bv[v] = diag
-        Bv.append(1)
-        B.append(Bv)
-    B.append([1] * n + [0])
-    return B
+    w, mul, ones = _layout(n, diag, edge, other)
+    base = other * ones + (1 << w * n)
+    step = edge - other
+    R = [base + step * (row * mul & ones) + ((diag - other) << w * v)
+         for v, row in enumerate(G.rows)]
+    R.append(ones)  # the border row: 1 in every vertex field, corner 0
+    return R, w
 
 
 def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
@@ -279,8 +287,9 @@ def shifted_graph(G: Graph, shift, sign: int,
     The arithmetic of shift picks the kernel, and either way the matrix
     is written from G.rows straight into that backend's trusted core,
     with no validation: it is symmetric by construction.  A Fraction runs
-    the exact integer core linalg.bareiss_bordered (cut 0) on
-    L (A + shift I) or L (shift I - A), L the denominator of shift; a
+    the exact integer core linalg.bareiss_bordered (cut 0) on the packed
+    rows of L (A + shift I) or L (shift I - A), L the denominator of
+    shift, bordered by j (_bordered); a
     float runs the spectral core linalg.shifted_trusted at tol' (values
     set) on the float matrix, bit for bit the matrix and the facts of
     linalg.shifted(shift * np.eye(n) + sign * A).  The decisions read the
@@ -288,8 +297,8 @@ def shifted_graph(G: Graph, shift, sign: int,
     """
     if isinstance(shift, Fraction):
         den = shift.denominator
-        return linalg.bareiss_bordered(
-            _bordered(G, shift.numerator, sign * den, 0), den, 1)
+        R, w = _bordered(G, shift.numerator, sign * den, 0)
+        return linalg.bareiss_bordered(R, w, den, 1)
     return linalg.shifted_trusted(_shift_matrix(G, shift, sign), tol)
 
 

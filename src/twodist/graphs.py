@@ -451,7 +451,16 @@ def extend_canonical(parents, keep=None) -> list[str]:
     its own canonical parent, and no deduplication is needed.  A parent
     that is not in canonical labeling yields no child.
     """
-    out = []
+    return [g6 for g6, _, _ in _canonical_children(parents, keep)]
+
+
+def _canonical_children(parents, keep=None):
+    """extend_canonical as a generator of (graph6, child, kept) triples.
+
+    child is the kept Graph itself, already in its canonical labeling,
+    and kept is the true value keep(child) returned (True when keep is
+    None), so a filter can hand on what it computed about the child.
+    """
     for parent in parents:
         m = parent.n
         for mask in range(1 << m):
@@ -460,12 +469,12 @@ def extend_canonical(parents, keep=None) -> list[str]:
             rows.append(mask)
             # symmetric and loop-free by construction: no from_rows checks
             child = Graph._trusted(rows)
-            if keep is not None and not keep(child):
+            kept = True if keep is None else keep(child)
+            if not kept:
                 continue
             segs = _segments(child.rows, m + 1)
             if not _lower_segments(child.rows, m + 1, segs, first=True):
-                out.append(_graph6(m + 1, segs))
-    return out
+                yield _graph6(m + 1, segs), child, kept
 
 
 @lru_cache(maxsize=None)

@@ -27,11 +27,18 @@ The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
 (Bareiss) elimination in Python integers on a bordered integer matrix,
 which yields the inertia, the rank, the range test and the quadratic
-form at once, every sign and rank decision exact.  shifted_exact is the
-rational front end: it takes nested lists of ints and
-fractions.Fraction, clears denominators, checks symmetry and adds the
-border.  certificates.shifted_graph is the other: it writes the bordered
-integer matrix of a shifted adjacency straight from the graph's bitmasks.
+form at once, every sign and rank decision exact.  Each row of that
+matrix is one Python int holding the entries in signed w-bit fields, so
+a Bareiss step updates a whole row with two multiplications and one
+exact division.  The width w comes from Hadamard's bound on the minors
+of the bordered matrix (packed_width): every entry the elimination
+leaves is such a minor (Sylvester's identity), and the rare zero-pivot
+congruence re-derives w two bits wider; bareiss_bordered proves both.
+shifted_exact is the rational front end: it takes nested lists of ints
+and fractions.Fraction, clears denominators, checks symmetry, adds the
+border and packs the rows.  certificates.shifted_graph is the other: it
+writes the packed rows of a shifted adjacency straight from the graph's
+bitmasks.
 
 Both kernels take the vector: shifted_trusted(M, tol, v) and
 shifted_exact(M, v) return the same Shifted fields, v defaulting to j,
@@ -252,6 +259,25 @@ def rank_one_update_inertia(M, u, c,
 # exact rational backend
 # ---------------------------------------------------------------------------
 
+def packed_width(hadamard_sq: int) -> int:
+    """The field width w for bareiss_bordered from Hadamard's bound.
+
+    hadamard_sq is at least the product, over the rows of the bordered
+    matrix B, of max(1, squared 2-norm of the row).  Every minor of B is
+    then below 2^(w-1) in absolute value: |det B[I, J]| is at most the
+    product of the norms of its rows (Hadamard), a row restricted to the
+    columns J is no longer than the whole row, and a row of norm below 1
+    is zero; so |det B[I, J]| <= sqrt(hadamard_sq) < 2^(bits / 2)
+    <= 2^(w-1), with bits the bit length of hadamard_sq.
+    """
+    return (max(hadamard_sq, 1).bit_length() + 1) // 2 + 1
+
+
+def field_ones(count: int, w: int) -> int:
+    """The packed row with a 1 in each of the fields 0 .. count-1."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1)
+
+
 def shifted_exact(M, v=None) -> Shifted:
     """The certificate facts about a symmetric rational matrix, exactly.
 
@@ -259,9 +285,10 @@ def shifted_exact(M, v=None) -> Shifted:
     tolerance: entries of M and v are ints or Fractions, and v defaults
     to the all-ones vector.  Returns the inertia, the rank and v^T M^# v
     as a Fraction (None when v leaves the column space), with values None
-    and cut 0.  This is the rational front end of
-    bareiss_bordered: L and W are the denominator lcms of M and v, and the
-    bordered integer matrix [[L M, W v], [W v^T, 0]] decides everything.
+    and cut 0.  This is the rational front end of bareiss_bordered: L and
+    W are the denominator lcms of M and v, the bordered integer matrix
+    [[L M, W v], [W v^T, 0]] decides everything, and its rows are packed
+    at the width packed_width takes from their norms.
     """
     n = len(M)
     v = [1] * n if v is None else v
@@ -274,51 +301,106 @@ def shifted_exact(M, v=None) -> Shifted:
     if any(B[i][j] != B[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     B.append([row[n] for row in B] + [0])
-    return bareiss_bordered(B, L, W)
+    w = packed_width(math.prod(max(1, sum(x * x for x in row)) for row in B))
+    return bareiss_bordered([_pack(row, w) for row in B], w, L, W)
 
 
-def bareiss_bordered(B, L: int, W: int) -> Shifted:
-    """The exact kernel facts from a bordered integer matrix.
+def _pack(row, w: int) -> int:
+    """The entries of row as one int, entry i in the signed w-bit field i."""
+    return sum(x << w * i for i, x in enumerate(row))
 
-    B is [[L M, W v], [W v^T, 0]] as n + 1 lists of ints: a symmetric
-    rational M scaled to integers by L > 0, bordered by the integer
-    vector W v, W > 0.  Neither symmetry nor the border is checked, and B is
-    consumed.  One fraction-free Bareiss elimination gives the inertia
-    and rank of M and v^T M^# v (None when v leaves the column space of
-    M) as a Fraction, with values None and cut 0; pivots come off the
-    diagonal and never from the border.
+
+def bareiss_bordered(R: list, w: int, L: int, W: int) -> Shifted:
+    """The exact kernel facts from a bordered integer matrix, packed by rows.
+
+    B is [[L M, W v], [W v^T, 0]] of order n + 1: a symmetric rational M
+    scaled to integers by L > 0, bordered by the integer vector W v,
+    W > 0.  Row r of B is passed as the single int R[r] = sum over i of
+    B[r][i] << (w i), so column i is the signed w-bit field i, and w must
+    put every minor of B below 2^(w-1) in absolute value (packed_width
+    gives such a w).  Neither symmetry, the border nor w is checked, and R
+    is consumed.  One fraction-free Bareiss elimination gives the
+    inertia and rank of M and v^T M^# v (None when v leaves the column
+    space of M) as a Fraction, with values None and cut 0; pivots come
+    off the diagonal and never from the border.
+
+    A step with pivot row k, d = B[k][k], updates every live row i, the
+    border row included, in one line: R[i] = (d R[i] - f R[k]) // prev,
+    f = B[i][k], prev the pivot before.  Shifts, scaling and exact
+    division are linear, so the division of the packed int is exact
+    because each of its fields divides exactly (Bareiss), and field k
+    becomes d f - f d = 0 on its own.  Only d, f and the corner are read
+    back, by adding half = 2^(w-1) to every field and masking one out.
+
+    Why every field read back lies in (-2^(w-1), 2^(w-1)).  After pivots
+    P = p_1 .. p_s, field j of live row i is det B[P + i, P + j] by
+    Sylvester's identity, and zero in a pivot column: a minor of B of
+    order s + 1.  The border row and column are a row and a column of B
+    like the others, so this covers the border fields, the corner and
+    every pivot, since d is a diagonal field.  The products d R[i] and
+    f R[k] may overflow their fields, but only rows after the division
+    are ever read.
+
+    The zero-pivot congruence.  When every live diagonal is zero and
+    B[k][j] is not, the elimination adds row j to row k and column j to
+    column k, a congruence by E = I + e_k e_j^T that keeps inertia, rank
+    and the Schur complement of the border, and makes the pivot
+    2 B[k][j].  E leaves the pivot rows P alone, so the fields are now
+    the minors of E B E^T over the same P, not those of B.  Row
+    k of E is e_k + e_j and every other row is a unit vector, so a
+    minor of E has rows I and columns S nonzero only for S = I or
+    S = I - k + j, and it is then +-1; by Cauchy-Binet a minor of
+    E B E^T is a sum of at most 2 x 2 minors of B of the same order,
+    below 4 * 2^(w-1) = 2^(w+1).  So the congruence re-derives the width
+    as w + 2 and repacks the live rows; repeated congruences compose, 2
+    bits each.
     """
+    n = len(R) - 1  # the border is row and column n, never a pivot
     prev, pos, neg = 1, 0, 0
-    m = len(B) - 1  # active rows and columns; the border is the last one
-    while m:
-        k = next((i for i in range(m) if B[i][i]), None)
-        if k is None:
-            pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
-                         if B[i][j]), None)
+    live = list(range(n))
+    mask, half = (1 << w) - 1, 1 << w - 1
+    bias = half * field_ones(n + 1, w)  # half in every field
+    while live:
+        for k in live:
+            d = ((R[k] + bias) >> w * k & mask) - half
+            if d:
+                break
+        else:
+            B = {i: [((R[i] + bias) >> w * c & mask) - half
+                     for c in range(n + 1)] for i in live + [n]}
+            pair = next(((i, j) for a, i in enumerate(live)
+                         for j in live[a + 1:] if B[i][j]), None)
             if pair is None:
                 break
-            # congruence by I + e_j e_i^T: keeps inertia, rank and the
-            # Schur complement, and makes the pivot 2 a_ij
+            # the congruence by E = I + e_k e_j^T, repacked 2 bits wider
             k, j = pair
             B[k] = [a + b for a, b in zip(B[k], B[j])]
-            for row in B:
+            for row in B.values():
                 row[k] += row[j]
+            w += 2
+            mask, half = (1 << w) - 1, 1 << w - 1
+            bias = half * field_ones(n + 1, w)
+            for i, row in B.items():
+                R[i] = _pack(row, w)
+            continue
         # d and prev are consecutive leading principal minors, so the
         # LDL^T pivot d / prev has the sign of d * prev
-        d = B[k][k]
         if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        Bk = B.pop(k)
-        del Bk[k]
-        for row in B:
-            f = row.pop(k)
-            row[:] = [(d * a - f * b) // prev for a, b in zip(row, Bk)]
+        live.remove(k)
+        Rk = R[k]
+        shift = w * k
+        for i in live + [n]:
+            f = ((R[i] + bias) >> shift & mask) - half
+            R[i] = (d * R[i] - f * Rk) // prev
         prev = d
-        m -= 1
-    # with w in the range of N the corner is -prev * w^T N^# w
+    # with w in the range of N the corner is -prev * w^T N^# w; a live row
+    # is zero outside its border field, so it is zero exactly when w^T
+    # reaches none of the live rows
     q = None
-    if not any(row[m] for row in B[:m]):
-        q = Fraction(-B[m][m] * L, prev * W * W)
-    return Shifted(None, Inertia(pos, neg, m), pos + neg, q, 0)
+    if not any(R[i] for i in live):
+        corner = ((R[n] + bias) >> w * n) - half
+        q = Fraction(-corner * L, prev * W * W)
+    return Shifted(None, Inertia(pos, neg, len(live)), pos + neg, q, 0)

@@ -11,9 +11,11 @@ capacity does not scan every graph.  Positive semidefiniteness of
 A + mu I and rank at most r pass to every induced subgraph (Cauchy
 interlacing; a principal submatrix never has larger rank), so every
 qualifying graph is a one-vertex extension of a graph that passes both.
-_grow grows that tree of canonical survivors once per (mu, r_max) with
-graphs.extend_canonical, testing a child for canonicity only when it
-passes both tests, and keeps each survivor's kernel facts at its own cut.
+_grow grows that tree of canonical survivors once per (mu, r_max) by
+orderly generation (graphs.extend_canonical), testing a child for
+canonicity only when it passes both tests, and keeps each survivor's
+kernel facts at its own cut: exact ones are those its hereditary test
+already computed.
 _ask answers any (r <= r_max, p, mode) query by filtering those facts,
 which is where the range and budget tests, not inherited, run.  The
 float backend prunes at the loosest cut any leaf on n_max vertices uses,
@@ -41,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from .certificates import (CodeParameters, certify_alpha, certify_beta,
                            _bordered, _fmt, _is_exact, _shift_matrix)
 from .errors import InvariantViolation, ParameterDomain, SizeGuardError
 from .graphs import (complete_graph, emit_graph6, empty_graph,
-                     enumerate_graphs, extend_canonical, parse_graph6)
+                     enumerate_graphs, parse_graph6, _canonical_children)
 from .linalg import DEFAULT_TOL
 
 RATIONAL_GRID = tuple(
@@ -89,19 +92,15 @@ class SearchResult:
     stats: dict = field(default_factory=dict)
 
 
-def _rejection(G, r: int, p, mu, mode: str, tol: float):
-    """The first test G fails, or None when it qualifies.
+def _leaf_rejection(k, r: int, p, mode: str):
+    """The first leaf test that the kernel facts k of A + mu I fail, or
+    None when the graph qualifies.
 
     The tests in order: "psd" (A + mu I has a negative eigenvalue), "rank"
     (its rank exceeds r), "range" (j leaves its column space) and "budget"
-    (j^T (A + mu I)^# j misses p for the mode).  Floats compare at G's own
-    cut scaled_tol(A + mu I), rationals exactly.
+    (j^T (A + mu I)^# j misses p for the mode).  k compares at its own
+    cut, which is 0 on rationals.
     """
-    return _leaf_rejection(shifted_graph(G, mu, +1, tol), r, p, mode)
-
-
-def _leaf_rejection(k, r: int, p, mode: str):
-    """_rejection read off the kernel facts k of A + mu I."""
     if k.inertia.neg:
         return "psd"
     if k.rank > r:
@@ -130,18 +129,20 @@ class _Hereditary:
 
     Both tests pass to every induced subgraph (Cauchy interlacing, and a
     principal submatrix never has larger rank), so a child failing them
-    has no qualifying descendant.  Exact when cut is None.  Floats compare
-    at one fixed cut, which must be _cut_max: at that cut both
-    interlacing inequalities still hold, while a child's own smaller cut
-    could drop a graph that a descendant's leaf test accepts.  Counts the
-    rejections by test.
+    has no qualifying descendant.  Exact when cut is None, and then a
+    passing child's kernel facts are its leaf facts, so the call returns
+    them; a float child that passes gives True.  Floats compare at one
+    fixed cut, which must be _cut_max: at that cut both interlacing
+    inequalities still hold, while a child's own smaller cut could drop a
+    graph that a descendant's leaf test accepts.  A failing child gives
+    None.  Counts the rejections by test.
     """
 
     def __init__(self, r: int, mu, cut):
         self.r, self.mu, self.cut = r, mu, cut
         self.rejected = {"psd": 0, "rank": 0}
 
-    def __call__(self, G) -> bool:
+    def __call__(self, G):
         if self.cut is None:
             k = shifted_graph(G, self.mu, +1)
             psd, rank = not k.inertia.neg, k.rank
@@ -149,16 +150,18 @@ class _Hereditary:
             values = np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1))
             psd = values[0] >= -self.cut
             rank = int(np.sum(values > self.cut))
+            k = True
         failed = "psd" if not psd else "rank" if rank > self.r else None
         if failed:
             self.rejected[failed] += 1
-        return failed is None
+            return None
+        return k
 
 
 def _extend_shard(task):
     parents, r, mu, cut = task
     keep = _Hereditary(r, mu, cut)
-    return extend_canonical(parents, keep), keep.rejected
+    return list(_canonical_children(parents, keep)), keep.rejected
 
 
 def _pool_size(workers: int, items: int) -> int:
@@ -190,7 +193,10 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
     empty graph) by all neighbour masks; a child is tested for canonicity
     only if it passes the hereditary filter.  leaves holds (order, graph6,
     kernel facts at its own cut) per survivor; stats is the tree record.
-    Parents are dealt into one task per worker process.
+    A survivor is not rebuilt from its graph6 string: the child Graph
+    itself parents the next level, and an exact survivor keeps the facts
+    its hereditary test computed, so each tested child is eliminated
+    once.  Parents are dealt into one task per worker process.
     """
     # floats prune at one fixed cut, not at each child's own, so the
     # hereditary filter is where the search still picks its arithmetic
@@ -218,13 +224,16 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
                 level += grown
                 for test, count in pruned.items():
                     stats["pruned"][test] += count
-            level = sorted(level)
+            level.sort(key=itemgetter(0))  # graph6 strings are distinct
             stats["kept"][n] = len(level)
             if not level:
                 break
-            parents = [parse_graph6(g6) for g6 in level]
-            leaves += [(n, g6, shifted_graph(G, mu, +1, tol))
-                       for g6, G in zip(level, parents)]
+            parents = [child for _, child, _ in level]
+            # an exact child's hereditary facts are its leaf facts; a float
+            # leaf compares at its own cut, not at the pruning cut
+            leaves += [(n, g6, k if cut is None
+                        else shifted_graph(child, mu, +1, tol))
+                       for g6, child, k in level]
     return leaves, stats
 
 
@@ -415,7 +424,7 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
                 ex = P.exact
                 checked += 1
                 c = certify_alpha(G, P, tol)
-                fact = linalg.bareiss_bordered(_bordered(G, D, a, b), D, 1)
+                fact = linalg.bareiss_bordered(*_bordered(G, D, a, b), D, 1)
                 if c.valid != (fact.inertia.neg == 0):
                     mismatches.append((g6, float(ex.alpha), float(ex.beta),
                                        "validity"))

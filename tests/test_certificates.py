@@ -22,6 +22,8 @@ from twodist.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, disjoint_union, empty_graph,
                             path_graph)
 
+from reference import rational_shift
+
 
 def pentagon_parameters():
     # inner products of the regular pentagon: cos 72 and cos 144 degrees
@@ -690,7 +692,7 @@ def test_shifted_graph_matches_rational_reference():
         for shift, sign in ((P.exact.mu, +1), (P.exact.lam, -1)):
             for G in graphs:
                 k = cert.shifted_graph(G, shift, sign)
-                ref = linalg.shifted_exact(cert.rational_shift(G, shift, sign))
+                ref = linalg.shifted_exact(rational_shift(G, shift, sign))
                 assert k == ref, (G, shift, sign)
                 assert type(k.quadform) is type(ref.quadform)
                 assert type(k.cut) is type(ref.cut)

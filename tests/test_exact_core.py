@@ -1,0 +1,185 @@
+"""The packed-row exact core against two independent references.
+
+The list-of-lists Bareiss elimination it replaced (tests/reference.py)
+must give the same Shifted, field for field, and sympy's exact Matrix
+must give the same rank, inertia and quadratic form: the rank from
+rank(), the inertia from Descartes' rule of signs on the characteristic
+polynomial, which is exact because a symmetric matrix has only real
+eigenvalues, and the quadratic form from an exact solve.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference
+from twodist import certificates as cert
+from twodist import linalg
+from twodist.graphs import enumerate_graphs
+from twodist.linalg import Inertia
+
+SETTINGS = dict(deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def bordered_inputs(draw, min_n=0):
+    """A symmetric integer matrix of order at most 10 and a vector v.
+
+    The matrices are dense, with a zero diagonal (every pivot of the
+    first step comes from the congruence), or of low rank X D X^T with
+    D = diag(+-1); entries run up to 2^40.  v is j, zero, random (most
+    often outside the column space) or M y (inside it).
+    """
+    n = draw(st.integers(min_n, 10))
+    kind = draw(st.sampled_from(("dense", "zero_diagonal", "low_rank")))
+    big = draw(st.sampled_from((1, 2, 8, 1000, 1 << 40)))
+    if kind == "low_rank":
+        r = draw(st.integers(0, n))
+        X = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(n)]
+        signs = [draw(st.sampled_from((-1, 1))) for _ in range(r)]
+        M = [[sum(s * X[i][t] * X[j][t] for t, s in enumerate(signs))
+              for j in range(n)] for i in range(n)]
+    else:
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = draw(st.integers(-big, big))
+        if kind == "zero_diagonal":
+            for i in range(n):
+                M[i][i] = 0
+    vkind = draw(st.sampled_from(("ones", "zero", "random", "range")))
+    if vkind == "ones":
+        v = [1] * n
+    elif vkind == "zero":
+        v = [0] * n
+    elif vkind == "random":
+        v = [draw(st.integers(-big, big)) for _ in range(n)]
+    else:
+        y = [draw(st.integers(-2, 2)) for _ in range(n)]
+        v = [sum(a * b for a, b in zip(row, y)) for row in M]
+    return M, v
+
+
+def sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sympy_facts(M, v):
+    """(inertia, rank, quadform) of M and v from sympy, exactly."""
+    A, b = sympy.Matrix(M), sympy.Matrix(v)
+    rank = A.rank()
+    x = sympy.Symbol("x")
+    coeffs = [int(c) for c in A.charpoly(x).all_coeffs()]
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    d = len(coeffs) - 1
+    inertia = Inertia(sign_changes(coeffs),
+                      sign_changes([c * (-1) ** (d - i)
+                                    for i, c in enumerate(coeffs)]), zero)
+    q = None
+    if A.row_join(b).rank() == rank:
+        sol, params = A.gauss_jordan_solve(b)
+        value = (b.T * sol.subs({p: 0 for p in params}))[0]
+        q = Fraction(int(value.p), int(value.q))
+    return inertia, rank, q
+
+
+@settings(max_examples=400, **SETTINGS)
+@given(bordered_inputs())
+def test_packed_core_matches_list_reference(case):
+    M, v = case
+    k = linalg.shifted_exact(M, v)
+    ref = reference.shifted_exact(M, v)
+    assert k == ref
+    assert type(k.quadform) is type(ref.quadform)
+    assert type(k.cut) is type(ref.cut)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(bordered_inputs(min_n=1))
+def test_packed_core_matches_sympy(case):
+    M, v = case
+    k = linalg.shifted_exact(M, v)
+    inertia, rank, q = sympy_facts(M, v)
+    assert (k.inertia, k.rank, k.quadform) == (inertia, rank, q)
+    assert k.values is None and k.cut == 0
+
+
+def paley_conference(q: int):
+    """The symmetric conference matrix of order q + 1, q = 1 (mod 4) prime:
+    zero diagonal, +-1 elsewhere, C^2 = q I."""
+    squares = {i * i % q for i in range(1, q)}
+    chi = [0] + [1 if i in squares else -1 for i in range(1, q)]
+    return [[0] + [1] * q] + [[1] + [chi[(j - i) % q] for j in range(q)]
+                              for i in range(q)]
+
+
+@pytest.mark.parametrize("q", (5, 13))
+@pytest.mark.parametrize("c", (1, 3, 1 << 40))
+def test_congruence_at_the_width_bound(q, c):
+    # C^2 = q I makes every row of c C have squared norm q c^2 and
+    # |det cC| = (q c^2)^(n/2): the matrix meets Hadamard's bound, so at
+    # v = 0 its determinant, the last pivot, lies within one bit of the
+    # width.  Its diagonal is zero, so the first pivot comes from the
+    # congruence, which widens the fields.
+    C = paley_conference(q)
+    n = q + 1
+    M = [[c * x for x in row] for row in C]
+    w = linalg.packed_width((q * c * c) ** n)
+    det = (q * c * c) ** (n // 2)
+    assert 1 << w - 2 <= det < 1 << w - 1
+    assert abs(int(sympy.Matrix(M).det())) == det
+    half = Inertia(n // 2, n // 2, 0)
+    for v, quadform in (([0] * n, 0),
+                        ([1] * n, Fraction(sum(map(sum, C)), q * c))):
+        k = linalg.shifted_exact(M, v)
+        assert k == reference.shifted_exact(M, v)
+        assert (k.inertia, k.rank, k.quadform) == (half, n, quadform)
+
+
+@pytest.mark.parametrize("M, v, inertia, quadform", [
+    # w = 2 holds every minor of B, but the congruence's pivot 2 needs 3
+    ([[0, 1], [1, 0]], [0, 1], Inertia(1, 1, 0), 0),
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 0]], [0, 0, 0], Inertia(1, 1, 1), 0),
+    ([[0, 0, 1], [0, 0, -1], [1, -1, 0]], [0, 0, 0], Inertia(1, 1, 1), 0),
+    ([[0, 1], [1, 0]], [1, 1], Inertia(1, 1, 0), 2),
+    ([[0, (1 << 20) - 1, (1 << 20) - 1], [(1 << 20) - 1, 0, (1 << 20) - 1],
+      [(1 << 20) - 1, (1 << 20) - 1, 0]], [1, 1, 1], Inertia(1, 2, 0),
+     Fraction(3, 2 * ((1 << 20) - 1))),
+])
+def test_congruence_widens_the_fields(M, v, inertia, quadform):
+    # rows packed at exactly the width packed_width gives; the zero
+    # diagonal forces the congruence at once, and its pivot 2 B[k][j] can
+    # leave the fields that hold every minor of B
+    B = [row + [x] for row, x in zip(M, v)] + [v + [0]]
+    w = linalg.packed_width(
+        math.prod(max(1, sum(x * x for x in row)) for row in B))
+    R = [sum(x << w * i for i, x in enumerate(row)) for row in B]
+    k = linalg.bareiss_bordered(R, w, 1, 1)
+    assert k == reference.bareiss_bordered(B, 1, 1)
+    assert (k.inertia, k.quadform) == (inertia, quadform)
+
+
+def test_bordered_writes_the_packed_matrix():
+    # the bitmask writer (spread by one multiplication and a mask) packs
+    # exactly the list matrix, at every width its layout picks
+    entries = ((5, 3, 0), (0, 1, 0), (1, -1, 0), (3, 1, -1), (4, -3, 2),
+               (1 << 30, -7, 1 << 20))
+    for n in range(0, 7):
+        for G in enumerate_graphs(n):
+            for diag, edge, other in entries:
+                R, w = cert._bordered(G, diag, edge, other)
+                assert w >= n + 1
+                B = [[diag if u == v else edge if G.has_edge(u, v)
+                      else other for u in range(n)] + [1]
+                     for v in range(n)] + [[1] * n + [0]]
+                assert R == [sum(x << w * i for i, x in enumerate(row))
+                             for row in B]

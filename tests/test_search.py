@@ -15,13 +15,15 @@ import pytest
 
 from twodist import bounds, cli, graphs, linalg, search
 from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
-                                  certify_beta, code_rank, rational_shift,
-                                  realize_from_beta, shifted_graph)
+                                  certify_beta, code_rank, realize_from_beta,
+                                  shifted_graph)
 from twodist.errors import (ParameterDomain, ReconstructionResidual,
                             SizeGuardError)
 from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
                             disjoint_union, emit_graph6, empty_graph,
                             enumerate_graphs, parse_graph6)
+
+from reference import _rejection, rational_shift
 
 
 def pentagon_parameters():
@@ -117,8 +119,7 @@ def full_scan(r, p, mu, n_max, mode):
     """Reference capacity: every canonical graph through the leaf tests."""
     hits = [(n, emit_graph6(G)) for n in range(1, n_max + 1)
             for G in enumerate_graphs(n)
-            if search._rejection(G, r, p, mu, mode, linalg.DEFAULT_TOL)
-            is None]
+            if _rejection(G, r, p, mu, mode, linalg.DEFAULT_TOL) is None]
     value = max((n for n, _ in hits), default=0)
     return value, sorted(g6 for n, g6 in hits if n == value)
 
@@ -220,8 +221,8 @@ def test_search_stats_at_mu_two_rank_three():
         below = res.stats["kept"].get(n - 1, 1)
         assert res.stats["tested"][n] == below << (n - 1)
     qualifying = sum(
-        search._rejection(G, 3, Fraction(1), Fraction(2), "equal",
-                          linalg.DEFAULT_TOL) is None
+        _rejection(G, 3, Fraction(1), Fraction(2), "equal",
+                   linalg.DEFAULT_TOL) is None
         for n in range(1, 6) for G in enumerate_graphs(n))
     leaf = res.stats["rejected"]["range"] + res.stats["rejected"]["budget"]
     assert leaf == sum(res.stats["kept"].values()) - qualifying
@@ -300,6 +301,30 @@ def test_enumeration_and_capacity_never_canonicalize(monkeypatch):
     assert len(enumerate_graphs(6)) == 156
     assert search.capacity(3, 1, 2, n_max=7, mode="equal").value == 4
     assert search.capacity(4, 1.0, 2.0, n_max=7).value > 0
+
+
+def test_exact_tree_eliminates_each_tested_child_once(monkeypatch):
+    # a survivor keeps the kernel facts of its hereditary test and its own
+    # Graph: no second elimination, no graph6 round trip
+    real = linalg.bareiss_bordered
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    def forbidden(text):
+        raise AssertionError("parse_graph6 called on %s" % text)
+
+    monkeypatch.setattr(linalg, "bareiss_bordered", counted)
+    monkeypatch.setattr(search, "parse_graph6", forbidden)
+    res = search.capacity(6, 1, Fraction(2), n_max=7)
+    assert len(calls) == sum(res.stats["tested"].values())
+    assert sum(res.stats["kept"].values()) > 0
+    del calls[:]
+    res_f = search.capacity(6, 1.0, 2.0, n_max=7)
+    assert not calls
+    assert res_f.stats == dict(res.stats, backend="float")
 
 
 # ---------------------------------------------------------------------------
