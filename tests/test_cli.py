@@ -183,6 +183,104 @@ def test_bounds_graph_checks_invalid_cert(capsys):
     assert "quadform_exceeds" in out
 
 
+# The full stdout of `bounds --graph` at a float and an exact point: the
+# neighborhood witness prints every subgraph's quadratic form with repr,
+# so the float rows pin the spectral kernel's last bits on this LAPACK
+# build, and the exact rows the rational values.
+BOUNDS_GRAPH_GOLDEN = [
+    (('--alpha', '0.30901699437494745', '--beta=-0.8090169943749475',
+      '--graph', 'Dhc'),
+     'check,applicable,holds,value,floored,witness,note\n'
+     'Dhc:subgraph,yes,yes,1.3819660112501049,,,\n'
+     'Dhc:independence,yes,yes,2.2360679774997894,2,2,\n'
+     'Dhc:clique_free,yes,yes,3,,,\n'
+     'Dhc:neighborhood,yes,yes,,,"'
+     "(0, 'neighbors', 1.2360679774997896, 2, True);"
+     "(0, 'deleted', 0.7639320225002102, 2, True);"
+     "(1, 'neighbors', 1.2360679774997896, 2, True);"
+     "(1, 'deleted', 0.7639320225002102, 2, True);"
+     "(2, 'neighbors', 1.2360679774997896, 2, True);"
+     "(2, 'deleted', 0.7639320225002102, 2, True);"
+     "(3, 'neighbors', 1.2360679774997896, 2, True);"
+     "(3, 'deleted', 0.7639320225002102, 2, True);"
+     "(4, 'neighbors', 1.2360679774997896, 2, True);"
+     '(4, \'deleted\', 0.7639320225002102, 2, True)"'
+     ',\n'),
+    (('--alpha', '0', '--beta=-1', '--exact', '--graph', 'Cl'),
+     'check,applicable,holds,value,floored,witness,note\n'
+     'Cl:subgraph,yes,yes,1,,,\n'
+     'Cl:independence,yes,yes,2,2,2,\n'
+     'Cl:clique_free,yes,yes,3,,,\n'
+     'Cl:neighborhood,yes,yes,,,"'
+     "(0, 'neighbors', 1.0, 2, True);"
+     "(0, 'deleted', 0.5, 1, True);"
+     "(1, 'neighbors', 1.0, 2, True);"
+     "(1, 'deleted', 0.5, 1, True);"
+     "(2, 'neighbors', 1.0, 2, True);"
+     "(2, 'deleted', 0.5, 1, True);"
+     "(3, 'neighbors', 1.0, 2, True);"
+     '(3, \'deleted\', 0.5, 1, True)"'
+     ',\n'),
+    (('--alpha', '0', '--beta=-1/4', '--graph', 'H~^m~Fw'),
+     'check,applicable,holds,value,floored,witness,note\n'
+     'H~^m~Fw:subgraph,yes,yes,0.852560939504589,,,\n'
+     'H~^m~Fw:independence,yes,yes,4.2628046975229452,4,3,\n'
+     'H~^m~Fw:clique_free,yes,yes,10,,,\n'
+     'H~^m~Fw:neighborhood,yes,yes,,,"'
+     "(0, 'neighbors', 0.8103448275862069, 7, True);"
+     "(0, 'deleted', 0.2, 1, True);"
+     "(1, 'neighbors', 0.8469183872124596, 8, True);"
+     "(1, 'deleted', 'skipped empty');"
+     "(2, 'neighbors', 0.8157181571815718, 7, True);"
+     "(2, 'deleted', 0.2, 1, True);"
+     "(3, 'neighbors', 0.6731517509727627, 6, True);"
+     "(3, 'deleted', 0.4, 2, True);"
+     "(4, 'neighbors', 0.7045454545454546, 6, True);"
+     "(4, 'deleted', 0.3333333333333333, 2, True);"
+     "(5, 'neighbors', 0.6129032258064516, 5, True);"
+     "(5, 'deleted', 0.5333333333333333, 3, True);"
+     "(6, 'neighbors', 0.7427772600186393, 6, True);"
+     "(6, 'deleted', 0.3333333333333333, 2, True);"
+     "(7, 'neighbors', 0.5384615384615384, 4, True);"
+     "(7, 'deleted', 0.582089552238806, 4, True);"
+     "(8, 'neighbors', 0.5862068965517241, 5, True);"
+     '(8, \'deleted\', 0.4782608695652174, 3, True)"'
+     ',1 empty subgraphs skipped\n'),
+    (('--alpha', '0', '--beta=-0.25', '--graph', 'H~^m~Fw'),
+     'check,applicable,holds,value,floored,witness,note\n'
+     'H~^m~Fw:subgraph,yes,yes,0.85256093950459022,,,\n'
+     'H~^m~Fw:independence,yes,yes,4.2628046975229514,4,3,\n'
+     'H~^m~Fw:clique_free,yes,yes,10,,,\n'
+     'H~^m~Fw:neighborhood,yes,yes,,,"'
+     "(0, 'neighbors', 0.8103448275862069, 7, True);"
+     "(0, 'deleted', 0.2, 1, True);"
+     "(1, 'neighbors', 0.8469183872124602, 8, True);"
+     "(1, 'deleted', 'skipped empty');"
+     "(2, 'neighbors', 0.8157181571815723, 7, True);"
+     "(2, 'deleted', 0.2, 1, True);"
+     "(3, 'neighbors', 0.673151750972763, 6, True);"
+     "(3, 'deleted', 0.4, 2, True);"
+     "(4, 'neighbors', 0.7045454545454546, 6, True);"
+     "(4, 'deleted', 0.33333333333333326, 2, True);"
+     "(5, 'neighbors', 0.6129032258064513, 5, True);"
+     "(5, 'deleted', 0.5333333333333332, 3, True);"
+     "(6, 'neighbors', 0.7427772600186393, 6, True);"
+     "(6, 'deleted', 0.33333333333333326, 2, True);"
+     "(7, 'neighbors', 0.5384615384615387, 4, True);"
+     "(7, 'deleted', 0.582089552238806, 4, True);"
+     "(8, 'neighbors', 0.5862068965517244, 5, True);"
+     '(8, \'deleted\', 0.4782608695652174, 3, True)"'
+     ',1 empty subgraphs skipped\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BOUNDS_GRAPH_GOLDEN)
+def test_bounds_graph_golden_stdout(capsys, argv, expected):
+    rc, out = run(capsys, "bounds", *argv)
+    assert rc == 0
+    assert out == expected
+
+
 def test_search_golden_csv(capsys):
     rc, out = run(capsys, "search", "--alpha", "0", "--beta", "-1",
                   "--d", "2", "--max-n", "6")
