@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (AlphaCertificate, CodeParameters, certify_alpha,
-                           shifted_graph)
+                           shifted_graph, shifted_principal)
 from .errors import EmptyFamilyError, InvariantViolation, SizeGuardError
-from .graphs import (Graph, contains_clique, delete_closed_neighborhood,
-                     independence_number, is_complete, is_connected,
-                     subgraph_on_neighbors, _check_vertex)
+from .graphs import (Graph, contains_clique, independence_number,
+                     is_complete, is_connected, _check_vertex)
 from .linalg import DEFAULT_TOL
 
 # check_subgraph_inequality sweeps all 2^n subsets when none is given
@@ -149,7 +148,11 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
 def check_independence(G: Graph, params: CodeParameters,
                        tol: float = DEFAULT_TOL,
                        cert: AlphaCertificate | None = None) -> BoundReport:
-    """Independent sets have at most mu q(G) <= (1-beta)/(-beta) vertices."""
+    """Independent sets have at most mu q(G) <= (1-beta)/(-beta) vertices.
+
+    floored is the floor of the cap mu q(G): exact for a rational cap, and
+    math.floor(cap + tol) for a float one.
+    """
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("independence", cert)
@@ -157,9 +160,10 @@ def check_independence(G: Graph, params: CodeParameters,
     P = params.exact or params
     cap, roof = P.mu * cert.quadform, (1 - P.beta) / (-P.beta)
     holds = _le(t, cap, tol) and _le(cap, roof, tol)
+    floored = (math.floor(cap) if isinstance(cap, Fraction)
+               else math.floor(float(cap) + tol))
     return BoundReport(name="independence", applicable=True, holds=holds,
-                       value=float(cap), floored=math.floor(float(cap) + tol),
-                       witness=t)
+                       value=float(cap), floored=floored, witness=t)
 
 
 def check_clique_free(G: Graph, params: CodeParameters,
@@ -188,7 +192,9 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
     least one rank against A + mu I; deleting the closed neighborhood
     obeys q <= (alpha-beta)/(-beta (1-beta)) with the same rank drop.
     Empty subgraphs are skipped with a note.  u, when given, must be a
-    vertex of G (ValueError otherwise).
+    vertex of G (ValueError otherwise).  No subgraph is built: each
+    neighborhood is a vertex mask, its matrix is a principal submatrix
+    of A + mu I, and one shifted_principal call decides all of them.
     """
     if u is not None:
         _check_vertex(G, u)
@@ -201,25 +207,28 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
     budget_del = (a - b) / (-b * (1 - b))
     rank_all = _shift_rank(cert)
     vertices = range(G.n) if u is None else [u]
+    full = (1 << G.n) - 1
+    parts = [(v, tag, S, budget) for v in vertices for tag, S, budget in (
+        ("neighbors", G.rows[v], budget_nbr),
+        ("deleted", full & ~(G.rows[v] | 1 << v), budget_del))]
+    facts = iter(shifted_principal(G, P.mu, +1,
+                                   [S for _, _, S, _ in parts if S], tol))
     details = []
     holds = True
     skipped = 0
-    for v in vertices:
-        for tag, H, budget in (
-                ("neighbors", subgraph_on_neighbors(G, v), budget_nbr),
-                ("deleted", delete_closed_neighborhood(G, v), budget_del)):
-            if H.n == 0:
-                skipped += 1
-                details.append((v, tag, "skipped empty"))
-                continue
-            k = shifted_graph(H, P.mu, +1, tol)
-            if k.quadform is None:
-                holds = False
-                details.append((v, tag, "j not in range"))
-                continue
-            good = _le(k.quadform, budget, tol) and k.rank <= rank_all - 1
-            holds = holds and good
-            details.append((v, tag, float(k.quadform), k.rank, good))
+    for v, tag, S, budget in parts:
+        if not S:
+            skipped += 1
+            details.append((v, tag, "skipped empty"))
+            continue
+        k = next(facts)
+        if k.quadform is None:
+            holds = False
+            details.append((v, tag, "j not in range"))
+            continue
+        good = _le(k.quadform, budget, tol) and k.rank <= rank_all - 1
+        holds = holds and good
+        details.append((v, tag, float(k.quadform), k.rank, good))
     note = "%d empty subgraphs skipped" % skipped if skipped else None
     return BoundReport(name="neighborhood", applicable=True, holds=holds,
                        witness=details, note=note)

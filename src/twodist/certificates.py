@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import (AmbiguousPair, CertificateInvalid, ParameterDomain,
                      ReconstructionResidual)
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .linalg import DEFAULT_TOL
 
 
@@ -300,6 +300,55 @@ def shifted_graph(G: Graph, shift, sign: int,
         R, w = _bordered(G, shift.numerator, sign * den, 0)
         return linalg.bareiss_bordered(R, w, den, 1)
     return linalg.shifted_trusted(_shift_matrix(G, shift, sign), tol)
+
+
+def shifted_principal(G: Graph, shift, sign: int, masks,
+                      tol: float = DEFAULT_TOL) -> list:
+    """shifted_graph of the subgraph induced on each vertex mask, in order.
+
+    Each mask is a nonempty bitmask of vertices of G (ValueError
+    otherwise), and its matrix is the principal submatrix of G's shifted
+    adjacency on those vertices, in increasing order: the matrix
+    shifted_graph writes for the induced subgraph, entry for entry.  No
+    subgraph is built.  The arithmetic of shift picks the kernel, as in
+    shifted_graph.  A float writes G's matrix once, slices each mask's
+    submatrix out of it and runs linalg.shifted_stack once per order, so
+    every Shifted is bit for bit the subgraph's.  A Fraction writes, per
+    mask S, G's packed bordered rows restricted to S, vertex row v as the
+    border plus edge times the spread bitmask G.rows[v] & S plus the
+    diagonal at field v, and the border row the spread S, at G's own
+    width; linalg.bareiss_bordered eliminates them on the fields of S.
+    """
+    n = G.n
+    for S in masks:
+        if not 0 < S < 1 << n:
+            raise ValueError("vertex mask %r is empty or not in range(%d)"
+                             % (S, n))
+    if isinstance(shift, Fraction):
+        den = shift.denominator
+        diag, edge = shift.numerator, sign * den
+        w, mul, ones = _layout(n, diag, edge, 0)
+        border = 1 << w * n
+        out = []
+        for S in masks:
+            fields = _bits(S)
+            R = [0] * n + [S * mul & ones]
+            for v in fields:
+                R[v] = (border + edge * ((G.rows[v] & S) * mul & ones)
+                        + (diag << w * v))
+            out.append(linalg.bareiss_bordered(R, w, den, 1, fields))
+        return out
+    M = _shift_matrix(G, shift, sign)
+    out = [None] * len(masks)
+    by_order = {}
+    for i, S in enumerate(masks):
+        by_order.setdefault(S.bit_count(), []).append(i)
+    for where in by_order.values():
+        idx = np.array([_bits(masks[i]) for i in where])
+        stack = M[idx[:, :, None], idx[:, None, :]]
+        for i, k in zip(where, linalg.shifted_stack(stack, tol)):
+            out[i] = k
+    return out
 
 
 def certify_alpha(G: Graph, params: CodeParameters,

@@ -2,8 +2,9 @@
 
 Vertices are 0..n-1 and each row of a Graph is an int bitmask of neighbors.
 Everything here targets exhaustive work at small order: graph6 round trips,
-isomorphism-free enumeration, independence and clique search by branch and
-bound, and the neighborhood subgraphs the bound checks consume.
+isomorphism-free enumeration, and independence and clique search by branch
+and bound.  The bound checks build no subgraphs: a neighborhood is a vertex
+mask, read off the parent's rows (certificates.shifted_principal).
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
@@ -233,37 +234,9 @@ def _graph6(n: int, segs) -> str:
 # structure
 # ---------------------------------------------------------------------------
 
-def induced_subgraph(G: Graph, vertices) -> Graph:
-    """Induced subgraph on the given vertices, keeping their relative order."""
-    verts = sorted(set(vertices))
-    if verts and not (0 <= verts[0] and verts[-1] < G.n):
-        raise ValueError("vertices out of range for n=%d" % G.n)
-    index = {v: i for i, v in enumerate(verts)}
-    keep = sum(1 << v for v in verts)
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in _bits(G.rows[v] & keep):
-            rows[i] |= 1 << index[u]
-    # the restriction of symmetric, loop-free rows: no from_rows checks
-    return Graph._trusted(rows)
-
-
 def _check_vertex(G: Graph, u) -> None:
     if u not in range(G.n):
         raise ValueError("vertex %r is not in range(%d)" % (u, G.n))
-
-
-def subgraph_on_neighbors(G: Graph, u: int) -> Graph:
-    """The subgraph induced on the open neighborhood of u."""
-    _check_vertex(G, u)
-    return induced_subgraph(G, _bits(G.rows[u]))
-
-
-def delete_closed_neighborhood(G: Graph, u: int) -> Graph:
-    """The subgraph induced on everything outside N[u]."""
-    _check_vertex(G, u)
-    keep = [v for v in range(G.n) if v != u and not G.has_edge(u, v)]
-    return induced_subgraph(G, keep)
 
 
 def components(G: Graph) -> list[list[int]]:

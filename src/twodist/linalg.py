@@ -2,10 +2,12 @@
 
 Matrices are square 2d numpy arrays of floats and vectors are 1d numpy
 arrays.  Everything is sized for small instances (n <= 64).  Eigenvalues
-come from one LAPACK call (numpy.linalg.eigh) per matrix.  Results repeat
-bit for bit on one machine with a fixed number of BLAS threads, but not
-across LAPACK builds: their last bits may differ, while every decision
-compares against the tolerance below.
+come from LAPACK (numpy.linalg.eigh): one call for a matrix, or one
+numpy call for a (k, m, m) stack of matrices of one order, which runs
+LAPACK slice by slice and gives each slice the bits of its own call.
+Results repeat bit for bit on one machine with a fixed number of BLAS
+threads, but not across LAPACK builds: their last bits may differ, while
+every decision compares against the tolerance below.
 
 All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
@@ -14,14 +16,21 @@ The float backend is one spectral core with two kinds of caller, the
 same shape as the exact backend below.  The core, eigh_trusted, runs
 one eigh on a float matrix that is symmetric by construction and
 computes tol' once; it neither copies nor checks nor symmetrizes the
-matrix, and shifted_trusted reads the certificate facts off it.  The
-validating front ends (shifted, eigen_decompose, inertia, rank_sym, and
-rank_one_update_inertia on float input) take a caller's matrix, check
-that it is square and symmetric within tol', and symmetrize it before
-the core sees it.  The trusted writers build their matrix straight from
-a graph's bitmasks (Graph.matrix): certificates.shifted_graph for
-A + mu I and lam I - A, the Gram matrices of the realizations, the
-search's hereditary filter and the eigenvalue floor.
+matrix, and shifted_trusted reads the certificate facts off it.
+shifted_stack is the same core over a stack: one eigh for every slice,
+the cuts, inertias and ranks counted for the whole stack at once, and
+each slice's quadratic form read by the body shifted_trusted uses
+(_read_shifted), so each slice's facts are those shifted_trusted gives
+it, bit for bit.  The validating front ends (shifted, eigen_decompose,
+inertia, rank_sym, and rank_one_update_inertia on float input) take a
+caller's matrix, check that it is square and symmetric within tol', and
+symmetrize it before the core sees it.  The trusted writers build their
+matrix straight from a graph's bitmasks (Graph.matrix):
+certificates.shifted_graph for A + mu I and lam I - A,
+certificates.shifted_principal for a stack of its principal submatrices
+(the neighborhoods of bounds.check_neighborhood), the Gram matrices of
+the realizations, the search's hereditary filter and the eigenvalue
+floor.
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
@@ -38,7 +47,9 @@ shifted_exact is the rational front end: it takes nested lists of ints
 and fractions.Fraction, clears denominators, checks symmetry, adds the
 border and packs the rows.  certificates.shifted_graph is the other: it
 writes the packed rows of a shifted adjacency straight from the graph's
-bitmasks.
+bitmasks, and certificates.shifted_principal writes them restricted to
+a vertex set S, which the core then eliminates on the fields of S
+alone, at the width of the whole matrix.
 
 Both kernels take the vector: shifted_trusted(M, tol, v) and
 shifted_exact(M, v) return the same Shifted fields, v defaulting to j,
@@ -173,7 +184,36 @@ def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
     above tol'.
     """
     spec, cut = eigh_trusted(M, tol)
-    inert = _count_inertia(spec.values, cut)
+    return _read_shifted(spec, cut, _count_inertia(spec.values, cut), v)
+
+
+def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+    """shifted_trusted(S[i], tol) for every slice of a (k, m, m) stack.
+
+    One eigh call runs LAPACK slice by slice over the stack; every slice
+    must be symmetric by construction, as for shifted_trusted.  The cuts,
+    the inertias and the ranks are counted for the whole stack at once,
+    with the same float operations per slice, and each slice's quadratic
+    form is read by the body shifted_trusted uses, so slice i gives
+    shifted_trusted(S[i], tol) bit for bit, in every field.
+    """
+    values, vectors = np.linalg.eigh(S)
+    values, vectors = values[:, ::-1], vectors[:, :, ::-1]
+    cuts = tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))
+    band = cuts[:, None]
+    pos = np.add.reduce(values > band, 1).tolist()
+    neg = np.add.reduce(values < -band, 1).tolist()
+    m = S.shape[1]
+    j = np.ones(m)
+    return [_read_shifted(Spectrum(val, vec), cut,
+                          Inertia(p, q, m - p - q), j)
+            for val, vec, cut, p, q in zip(values, vectors, cuts.tolist(),
+                                           pos, neg)]
+
+
+def _read_shifted(spec: Spectrum, cut: float, inert: Inertia,
+                  v=None) -> Shifted:
+    """The Shifted fields of one spectrum: v^T M^# v read at the cut."""
     v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
     coeffs = spec.vectors.T @ v
     keep = np.abs(spec.values) > cut
@@ -310,7 +350,8 @@ def _pack(row, w: int) -> int:
     return sum(x << w * i for i, x in enumerate(row))
 
 
-def bareiss_bordered(R: list, w: int, L: int, W: int) -> Shifted:
+def bareiss_bordered(R: list, w: int, L: int, W: int,
+                     fields=None) -> Shifted:
     """The exact kernel facts from a bordered integer matrix, packed by rows.
 
     B is [[L M, W v], [W v^T, 0]] of order n + 1: a symmetric rational M
@@ -323,6 +364,14 @@ def bareiss_bordered(R: list, w: int, L: int, W: int) -> Shifted:
     inertia and rank of M and v^T M^# v (None when v leaves the column
     space of M) as a Fraction, with values None and cut 0; pivots come
     off the diagonal and never from the border.
+
+    fields, when given, lists the vertex fields S of a principal
+    submatrix, and the facts are those of M[S, S] and v[S]: only the rows
+    in S and the border row n are read, and each of them must be zero in
+    every vertex field outside S.  The border stays field n.  The width
+    that holds for B holds here too, as every minor of the bordered
+    principal submatrix is a minor of B; so does the argument below,
+    with B read as that submatrix padded by zeros.
 
     A step with pivot row k, d = B[k][k], updates every live row i, the
     border row included, in one line: R[i] = (d R[i] - f R[k]) // prev,
@@ -357,7 +406,7 @@ def bareiss_bordered(R: list, w: int, L: int, W: int) -> Shifted:
     """
     n = len(R) - 1  # the border is row and column n, never a pivot
     prev, pos, neg = 1, 0, 0
-    live = list(range(n))
+    live = list(range(n) if fields is None else fields)
     mask, half = (1 << w) - 1, 1 << w - 1
     bias = half * field_ones(n + 1, w)  # half in every field
     while live:

@@ -5,14 +5,22 @@ packed-row core in twodist.linalg replaced, with its body unchanged, and
 shifted_exact is the rational front end written over it.  rational_shift
 and _rejection are the rational matrix of a shifted adjacency and the
 leaf test of a single graph, which the search and the certificates no
-longer need themselves.
+longer need themselves.  induced_subgraph, subgraph_on_neighbors and
+delete_closed_neighborhood are the subgraph builders that the
+neighborhood check used before it read every neighborhood off the
+parent's matrix, and check_neighborhood_by_subgraphs is that check's
+per-subgraph body, one subgraph and one kernel call per neighborhood.
 """
 
 import math
 from fractions import Fraction
 
-from twodist.certificates import shifted_graph
-from twodist.linalg import Inertia, Shifted
+from twodist.bounds import (BoundReport, _le, _not_applicable,
+                            _resolve_cert, _shift_rank)
+from twodist.certificates import (AlphaCertificate, CodeParameters,
+                                  shifted_graph)
+from twodist.graphs import Graph, _bits, _check_vertex
+from twodist.linalg import DEFAULT_TOL, Inertia, Shifted
 from twodist.search import _leaf_rejection
 
 
@@ -101,3 +109,80 @@ def _rejection(G, r: int, p, mu, mode: str, tol: float):
     """
     return _leaf_rejection(shifted_graph(G, mu, +1, tol), r, p, mode)
 
+
+
+def induced_subgraph(G: Graph, vertices) -> Graph:
+    """Induced subgraph on the given vertices, keeping their relative order."""
+    verts = sorted(set(vertices))
+    if verts and not (0 <= verts[0] and verts[-1] < G.n):
+        raise ValueError("vertices out of range for n=%d" % G.n)
+    index = {v: i for i, v in enumerate(verts)}
+    keep = sum(1 << v for v in verts)
+    rows = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for u in _bits(G.rows[v] & keep):
+            rows[i] |= 1 << index[u]
+    # the restriction of symmetric, loop-free rows: no from_rows checks
+    return Graph._trusted(rows)
+
+
+def subgraph_on_neighbors(G: Graph, u: int) -> Graph:
+    """The subgraph induced on the open neighborhood of u."""
+    _check_vertex(G, u)
+    return induced_subgraph(G, _bits(G.rows[u]))
+
+
+def delete_closed_neighborhood(G: Graph, u: int) -> Graph:
+    """The subgraph induced on everything outside N[u]."""
+    _check_vertex(G, u)
+    keep = [v for v in range(G.n) if v != u and not G.has_edge(u, v)]
+    return induced_subgraph(G, keep)
+
+
+def check_neighborhood_by_subgraphs(G: Graph, params: CodeParameters,
+                                    u: int | None = None,
+                                    tol: float = DEFAULT_TOL,
+                                    cert: AlphaCertificate | None = None
+                                    ) -> BoundReport:
+    """Budget and rank conditions on neighborhood subgraphs.
+
+    For each vertex u of a valid alpha-graph, the subgraph on the
+    neighbors of u obeys q <= (alpha-beta)/(alpha^2-beta) and loses at
+    least one rank against A + mu I; deleting the closed neighborhood
+    obeys q <= (alpha-beta)/(-beta (1-beta)) with the same rank drop.
+    Empty subgraphs are skipped with a note.  u, when given, must be a
+    vertex of G (ValueError otherwise).
+    """
+    if u is not None:
+        _check_vertex(G, u)
+    cert = _resolve_cert(G, params, tol, cert)
+    if not cert.valid:
+        return _not_applicable("neighborhood", cert)
+    P = params.exact or params
+    a, b = P.alpha, P.beta
+    budget_nbr = (a - b) / (a * a - b)
+    budget_del = (a - b) / (-b * (1 - b))
+    rank_all = _shift_rank(cert)
+    vertices = range(G.n) if u is None else [u]
+    details = []
+    holds = True
+    skipped = 0
+    for v in vertices:
+        for tag, H, budget in (
+                ("neighbors", subgraph_on_neighbors(G, v), budget_nbr),
+                ("deleted", delete_closed_neighborhood(G, v), budget_del)):
+            if H.n == 0:
+                skipped += 1
+                details.append((v, tag, "skipped empty"))
+                continue
+            k = shifted_graph(H, P.mu, +1, tol)
+            if k.quadform is None:
+                holds = False
+                details.append((v, tag, "j not in range"))
+                continue
+            good = _le(k.quadform, budget, tol) and k.rank <= rank_all - 1
+            holds = holds and good
+            details.append((v, tag, float(k.quadform), k.rank, good))
+    note = "%d empty subgraphs skipped" % skipped if skipped else None
+    return BoundReport(name="neighborhood", applicable=True, holds=holds,
+                       witness=details, note=note)

@@ -13,11 +13,15 @@ from fractions import Fraction
 import pytest
 
 from twodist import bounds
-from twodist.certificates import CodeParameters, certify_alpha
+from twodist.certificates import (AlphaCertificate, CodeParameters,
+                                  certify_alpha)
 from twodist.errors import EmptyFamilyError, ParameterDomain, SizeGuardError
-from twodist.graphs import (Graph, complete_bipartite, complete_graph,
-                            cycle_graph, disjoint_union, empty_graph,
-                            enumerate_graphs)
+from twodist.graphs import (Graph, canonical_form, complete_bipartite,
+                            complete_graph, cycle_graph, disjoint_union,
+                            empty_graph, enumerate_graphs)
+from twodist.search import RATIONAL_GRID
+
+from reference import check_neighborhood_by_subgraphs
 
 
 def pentagon_parameters():
@@ -159,6 +163,20 @@ def test_independence_pentagon_equality():
     assert abs(rep.value - math.sqrt(5.0)) <= 1e-9
 
 
+def test_independence_floors_an_exact_cap_exactly():
+    # cap = mu q = 3 - 10^-12 at (0, -1): the float floor with its slack
+    # reads 3 there, while the exact floor is 2
+    q = (3 - Fraction(1, 10 ** 12)) / 2
+    cert = AlphaCertificate(valid=True, rank_r=2, quadform=q,
+                            equality_case=False, exact=True)
+    rep = bounds.check_independence(cycle_graph(4), P01X, cert=cert)
+    assert rep.value == float(2 * q) and rep.floored == 2
+    cert = AlphaCertificate(valid=True, rank_r=2, quadform=float(q),
+                            equality_case=False)
+    rep = bounds.check_independence(cycle_graph(4), P01, cert=cert)
+    assert rep.floored == 3
+
+
 def test_clique_free_small_graphs():
     # rank-2 pentagon must avoid triangles
     rep = bounds.check_clique_free(cycle_graph(5), pentagon_parameters())
@@ -229,6 +247,58 @@ def test_neighborhood_rejects_a_vertex_outside_the_graph(u):
     # part; 4 and 9 raised IndexError
     with pytest.raises(ValueError, match="not in range"):
         bounds.check_neighborhood(cycle_graph(4), P01X, u=u)
+
+
+PENTAGON = pentagon_parameters()
+
+
+def neighborhood_points():
+    """The 15 exact grid points, their floats and the pentagon point."""
+    return (list(RATIONAL_GRID)
+            + [CodeParameters.make(P.alpha, P.beta) for P in RATIONAL_GRID]
+            + [PENTAGON])
+
+
+def assert_neighborhood_matches_reference(graphs, each_u_to: int):
+    """check_neighborhood equals the per-subgraph reference, report for
+    report, on every valid certificate: with u=None, and with each u on
+    graphs of order at most each_u_to.  The reports compare with ==, so
+    every witness float is the reference's bit for bit.  Returns the
+    (graph, parameters) pairs compared."""
+    seen = []
+    for G in graphs:
+        for P in neighborhood_points():
+            c = certify_alpha(G, P)
+            if not c.valid:
+                continue
+            seen.append((G, P))
+            us = [None] + (list(range(G.n)) if G.n <= each_u_to else [])
+            for u in us:
+                rep = bounds.check_neighborhood(G, P, u=u, cert=c)
+                ref = check_neighborhood_by_subgraphs(G, P, u=u, cert=c)
+                assert rep == ref, (G, P.alpha, P.beta, u)
+    return seen
+
+
+def test_neighborhood_matches_the_subgraph_reference_up_to_order_6():
+    seen = assert_neighborhood_matches_reference(
+        (G for n in range(1, 7) for G in enumerate_graphs(n)), each_u_to=5)
+    c5 = canonical_form(cycle_graph(5))
+    assert any(canonical_form(G) == c5 and P is PENTAGON for G, P in seen)
+    assert any(P.exact for _, P in seen) and any(G.n == 6 for G, _ in seen)
+
+
+def test_neighborhood_matches_the_subgraph_reference_on_random_graphs():
+    rng = random.Random(31)
+    graphs = []
+    for n in range(7, 13):
+        for _ in range(4):
+            d = rng.choice((0.3, 0.5, 0.7, 0.85))
+            graphs.append(Graph(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n)
+                                    if rng.random() < d]))
+    seen = assert_neighborhood_matches_reference(graphs, each_u_to=12)
+    assert any(G.n >= 11 for G, _ in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from twodist.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, disjoint_union, empty_graph,
                             path_graph)
 
-from reference import rational_shift
+from reference import induced_subgraph, rational_shift
 
 
 def pentagon_parameters():
@@ -698,3 +698,51 @@ def test_shifted_graph_matches_rational_reference():
                 assert type(k.cut) is type(ref.cut)
                 compared += 1
     assert compared == 208 * 15 * 2
+
+
+def test_shifted_principal_is_shifted_graph_of_the_induced_subgraph():
+    # each mask's facts are those of the induced subgraph's own matrix:
+    # equal Shifted for Fractions, every field bit for bit for floats,
+    # at both signs, in the order of the masks
+    from twodist.search import RATIONAL_GRID
+
+    rng = random.Random(47)
+    exact = [x for P in RATIONAL_GRID for x in (P.exact.mu, P.exact.lam)]
+    golden = (1 + math.sqrt(5)) / 2
+    shifts = exact + [float(x) for x in exact[::4]] + [golden]
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 11)
+        G = rand_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 9))]
+        masks += [(1 << n) - 1, 1 << rng.randrange(n)]
+        cases += [(G, masks, shift, sign) for shift in shifts
+                  for sign in (+1, -1)]
+    # knife edges: a wheel's rim C4 at shift 2 and C5 at the golden
+    # shift is singular with j in its range, and every rim vertex has a
+    # neighbor, the hub, outside the mask
+    for m, shift in ((4, Fraction(2)), (5, golden)):
+        wheel = Graph(m + 1, [(i, (i + 1) % m) for i in range(m)]
+                      + [(i, m) for i in range(m)])
+        cases.append((wheel, [(1 << m) - 1], shift, +1))
+    singular = 0
+    for G, masks, shift, sign in cases:
+        ks = cert.shifted_principal(G, shift, sign, masks)
+        assert len(ks) == len(masks)
+        for k, S in zip(ks, masks):
+            H = induced_subgraph(G, [v for v in range(G.n) if S >> v & 1])
+            ref = cert.shifted_graph(H, shift, sign)
+            singular += ref.rank < H.n and ref.quadform is not None
+            if ref.values is None:
+                assert k == ref
+                continue
+            assert k.values.tobytes() == ref.values.tobytes()
+            assert (k.inertia, k.rank, k.quadform, k.cut) == (
+                ref.inertia, ref.rank, ref.quadform, ref.cut)
+    assert singular >= 2
+
+
+@pytest.mark.parametrize("mask", [0, 1 << 4, -1, 31])
+def test_shifted_principal_rejects_an_empty_or_foreign_mask(mask):
+    with pytest.raises(ValueError, match="vertex mask"):
+        cert.shifted_principal(cycle_graph(4), 2.0, +1, [1, mask])

@@ -183,3 +183,57 @@ def test_bordered_writes_the_packed_matrix():
                      for v in range(n)] + [[1] * n + [0]]
                 assert R == [sum(x << w * i for i, x in enumerate(row))
                              for row in B]
+
+
+def masked_rows(B, fields, w):
+    """The packed rows of B restricted to the vertex fields and the
+    border: rows outside them are 0, and fields outside them are 0."""
+    n = len(B) - 1
+    keep = set(fields) | {n}
+    R = [0] * (n + 1)
+    for i in keep:
+        R[i] = sum(x << w * c for c, x in enumerate(B[i]) if c in keep)
+    return R
+
+
+def principal(B, fields):
+    """The principal submatrix of B on the fields and the border."""
+    rows = list(fields) + [len(B) - 1]
+    return [[B[i][c] for c in rows] for i in rows]
+
+
+@st.composite
+def masked_inputs(draw):
+    """A bordered_inputs matrix and a sorted random set of its vertices."""
+    M, v = draw(bordered_inputs(min_n=1))
+    fields = sorted(draw(st.sets(st.integers(0, len(M) - 1))))
+    return M, v, fields
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(masked_inputs())
+def test_masked_elimination_matches_the_principal_submatrix(case):
+    # rows packed at the width of the whole bordered matrix, eliminated
+    # on the fields of S only: the facts of the list reference on the
+    # principal submatrix, congruence and indefinite inputs included
+    M, v, fields = case
+    B = [row + [x] for row, x in zip(M, v)] + [v + [0]]
+    w = linalg.packed_width(
+        math.prod(max(1, sum(x * x for x in row)) for row in B))
+    k = linalg.bareiss_bordered(masked_rows(B, fields, w), w, 1, 1, fields)
+    assert k == reference.bareiss_bordered(principal(B, fields), 1, 1)
+
+
+@pytest.mark.parametrize("fields", ([0, 2, 4, 6, 8, 10, 12], list(range(7)),
+                                    [1, 2, 3, 5, 8, 13], list(range(14))))
+def test_masked_congruence_at_the_width_bound(fields):
+    # the Paley matrix of order 14 scaled by 2^40 meets Hadamard's bound,
+    # and its principal submatrices start with the congruence too
+    M = [[(1 << 40) * x for x in row] for row in paley_conference(13)]
+    for v in ([0] * 14, [1] * 14):
+        B = [row + [x] for row, x in zip(M, v)] + [v + [0]]
+        w = linalg.packed_width(
+            math.prod(max(1, sum(x * x for x in row)) for row in B))
+        k = linalg.bareiss_bordered(masked_rows(B, fields, w), w, 1, 1,
+                                    fields)
+        assert k == reference.bareiss_bordered(principal(B, fields), 1, 1)

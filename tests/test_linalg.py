@@ -471,3 +471,59 @@ def test_front_end_symmetrizes_then_runs_the_core():
         spec, cut = linalg.eigh_trusted(S)
         assert np.array_equal(spec.values, linalg.eigen_decompose(S).values)
         assert cut == linalg.scaled_tol(S)
+
+
+def assert_same_float_shifted(k, ref):
+    """Every Shifted field equal bit for bit, with the same types."""
+    assert k.values.tobytes() == ref.values.tobytes()
+    assert (k.inertia, k.rank, k.quadform, k.cut) == (
+        ref.inertia, ref.rank, ref.quadform, ref.cut)
+    assert type(k.quadform) is type(ref.quadform)
+    assert type(k.cut) is float and type(k.rank) is int
+    assert all(type(x) is int for x in k.inertia)
+
+
+def stack_slices(rng, kind, m):
+    """One symmetric float matrix of order m, symmetric bit for bit."""
+    if kind == "random":
+        return random_symmetric(rng, m)
+    if kind == "semidefinite":
+        # rank r < m with j in the range: a column of X is all ones
+        r = rng.randint(1, max(1, m - 1))
+        X = np.array([[1.0] + [rng.uniform(-1, 1) for _ in range(r - 1)]
+                      for _ in range(m)])
+    else:
+        # j leaves the range of a rank-deficient X X^T for most X
+        r = rng.randint(0, m - 1)
+        X = np.array([[rng.uniform(-1, 1) for _ in range(r)]
+                      for _ in range(m)]).reshape(m, r)
+    S = X @ X.T
+    return (S + S.T) / 2
+
+
+def test_stack_is_shifted_trusted_slice_by_slice():
+    # one eigh over the stack, the cuts and inertias counted at once:
+    # each slice must still be shifted_trusted of that slice, every bit
+    rng = random.Random(43)
+    stacks = [np.array([[[2.0]]]), np.array([[[0.0]], [[-1.5]], [[3.0]]]),
+              np.array([GOLDEN * np.eye(5) + cycle_adjacency(5)] * 2)]
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        kind = rng.choice(("random", "semidefinite", "off_range"))
+        stacks.append(np.array([stack_slices(rng, kind, m)
+                                for _ in range(rng.choice((1, 2, 3, 6)))]))
+    seen = set()
+    for S in stacks:
+        ks = linalg.shifted_stack(S)
+        assert len(ks) == len(S)
+        for k, M in zip(ks, S):
+            ref = linalg.shifted_trusted(M)
+            assert_same_float_shifted(k, ref)
+            seen.add((len(S) == 1, len(M) == 1, k.rank < len(M),
+                      k.quadform is None))
+    # stacks of one, order 1, rank-deficient slices with j in the range
+    # and slices where j leaves it all occur
+    assert any(one for one, _, _, _ in seen)
+    assert any(order_1 for _, order_1, _, _ in seen)
+    assert (False, False, True, False) in seen
+    assert any(off for _, _, _, off in seen)
