@@ -206,14 +206,15 @@ def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     m = S.shape[1]
     j = np.ones(m)
     return [_read_shifted(Spectrum(val, vec), cut,
-                          Inertia(p, q, m - p - q), j)
-            for val, vec, cut, p, q in zip(values, vectors, cuts.tolist(),
-                                           pos, neg)]
+                          Inertia(up, down, m - up - down), j)
+            for val, vec, cut, up, down in zip(values, vectors,
+                                               cuts.tolist(), pos, neg)]
 
 
 def _read_shifted(spec: Spectrum, cut: float, inert: Inertia,
-                  v=None) -> Shifted:
-    """The Shifted fields of one spectrum: v^T M^# v read at the cut."""
+                  v) -> Shifted:
+    """The Shifted fields of one spectrum: v^T M^# v read at the cut, v
+    None meaning j."""
     v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
     coeffs = spec.vectors.T @ v
     keep = np.abs(spec.values) > cut

@@ -110,7 +110,6 @@ def _rejection(G, r: int, p, mu, mode: str, tol: float):
     return _leaf_rejection(shifted_graph(G, mu, +1, tol), r, p, mode)
 
 
-
 def induced_subgraph(G: Graph, vertices) -> Graph:
     """Induced subgraph on the given vertices, keeping their relative order."""
     verts = sorted(set(vertices))
