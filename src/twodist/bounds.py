@@ -94,7 +94,9 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
     holds for any valid certificate, so the sweep only multiplies out the
     left one.  The sweep costs 2^n integer steps, each mask's e(H) taken
     from the mask without its top vertex, plus one comparison per
-    distinct (t, e) pair: the verdict depends on nothing else.
+    distinct (t, e) pair: the verdict depends on nothing else.  A
+    rational q and mu compare in integers, multiplied out by their
+    denominators; a float one compares with relative slack tol.
     """
     if subset is not None:
         for v in subset:
@@ -109,9 +111,19 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
         return _not_applicable("subgraph", cert)
     q = cert.quadform
     P = params.exact or params
+    mu = P.mu
+    if isinstance(q, float) or isinstance(mu, float):
+        def left_ok(t: int, e: int) -> bool:
+            return _le(t * t, (2 * e + t * mu) * q, tol)
+    else:
+        # times the positive denominators of mu and q: t^2 qd md <=
+        # (2 e md + t mn) qn, in integers
+        scale = q.denominator * mu.denominator
+        per_edge = 2 * mu.denominator * q.numerator
+        per_vertex = mu.numerator * q.numerator
 
-    def left_ok(t: int, e: int) -> bool:
-        return _le(t * t, (2 * e + t * P.mu) * q, tol)
+        def left_ok(t: int, e: int) -> bool:
+            return t * t * scale <= e * per_edge + t * per_vertex
 
     right_ok = _le(q, P.p, tol)
     if subset is not None:
@@ -158,8 +170,8 @@ def check_independence(G: Graph, params: CodeParameters,
         return _not_applicable("independence", cert)
     t = independence_number(G)
     P = params.exact or params
-    cap, roof = P.mu * cert.quadform, (1 - P.beta) / (-P.beta)
-    holds = _le(t, cap, tol) and _le(cap, roof, tol)
+    cap = P.mu * cert.quadform
+    holds = _le(t, cap, tol) and _le(cap, P.indep_roof, tol)
     floored = (math.floor(cap) if isinstance(cap, Fraction)
                else math.floor(float(cap) + tol))
     return BoundReport(name="independence", applicable=True, holds=holds,
@@ -202,15 +214,12 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
     if not cert.valid:
         return _not_applicable("neighborhood", cert)
     P = params.exact or params
-    a, b = P.alpha, P.beta
-    budget_nbr = (a - b) / (a * a - b)
-    budget_del = (a - b) / (-b * (1 - b))
     rank_all = _shift_rank(cert)
     vertices = range(G.n) if u is None else [u]
     full = (1 << G.n) - 1
     parts = [(v, tag, S, budget) for v in vertices for tag, S, budget in (
-        ("neighbors", G.rows[v], budget_nbr),
-        ("deleted", full & ~(G.rows[v] | 1 << v), budget_del))]
+        ("neighbors", G.rows[v], P.budget_nbr),
+        ("deleted", full & ~(G.rows[v] | 1 << v), P.budget_del))]
     facts = iter(shifted_principal(G, P.mu, +1,
                                    [S for _, _, S, _ in parts if S], tol))
     details = []
@@ -313,7 +322,7 @@ def recursion_map(params: CodeParameters) -> CodeParameters:
     Q = mapped.exact or mapped
     if not same(Q.mu, P.mu):
         raise InvariantViolation("the recursion map did not preserve mu")
-    if not (Q.beta >= 0 or same(Q.p, (a - b) / (a * a - b))):
+    if not (Q.beta >= 0 or same(Q.p, P.budget_nbr)):
         raise InvariantViolation("the recursion map broke the budget identity")
     return mapped
 

@@ -46,6 +46,10 @@ class ExactParameters:
     mu: Fraction
     lam: Fraction
     p: Fraction | None
+    budget_nbr: Fraction | None
+    budget_del: Fraction | None
+    indep_roof: Fraction | None
+    beta_budget: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,16 @@ class CodeParameters:
 
     mu = (1-beta)/(alpha-beta) and lam = (1-alpha)/(alpha-beta) are the
     shifts entering the two certification routes; p = (alpha-beta)/(-beta)
-    is the quadratic-form budget and exists only for beta < 0.  ``exact``
-    is populated when both inputs are rational, and switches every
-    certificate decision to exact arithmetic.  It has the same field
-    names, so ``P = params.exact or params`` gives alpha, beta, mu, lam
-    and p in the arithmetic of the backend that decides.
+    is the quadratic-form budget and exists only for beta < 0.  The
+    constants of the derived checks exist only for beta < 0 too: the
+    neighborhood budgets budget_nbr = (alpha-beta)/(alpha^2-beta) and
+    budget_del = (alpha-beta)/(-beta (1-beta)), and the independence roof
+    indep_roof = (1-beta)/(-beta).  beta_budget = (alpha-beta)/(-alpha)
+    is the quadratic-form budget of certify_beta and exists only for
+    alpha > 0.  ``exact`` is populated when both inputs are rational, and
+    switches every certificate decision to exact arithmetic.  It has the
+    same field names, so ``P = params.exact or params`` gives every
+    scalar in the arithmetic of the backend that decides.
     """
 
     alpha: float
@@ -66,6 +75,10 @@ class CodeParameters:
     mu: float
     lam: float
     p: float | None
+    budget_nbr: float | None
+    budget_del: float | None
+    indep_roof: float | None
+    beta_budget: float | None
     exact: ExactParameters | None
 
     @classmethod
@@ -85,12 +98,23 @@ class CodeParameters:
                 alpha=a, beta=b,
                 mu=(1 - b) / (a - b),
                 lam=(1 - a) / (a - b),
-                p=(a - b) / (-b) if b < 0 else None)
+                **_budgets(a, b))
         return cls(alpha=af, beta=bf,
                    mu=(1.0 - bf) / (af - bf),
                    lam=(1.0 - af) / (af - bf),
-                   p=(af - bf) / (-bf) if bf < 0 else None,
+                   **_budgets(af, bf),
                    exact=exact)
+
+
+def _budgets(a, b) -> dict:
+    """The budgets and the roof of CodeParameters, in the arithmetic of a
+    and b, None where their sign condition fails."""
+    neg = b < 0
+    return dict(p=(a - b) / (-b) if neg else None,
+                budget_nbr=(a - b) / (a * a - b) if neg else None,
+                budget_del=(a - b) / (-b * (1 - b)) if neg else None,
+                indep_roof=(1 - b) / (-b) if neg else None,
+                beta_budget=(a - b) / (-a) if a > 0 else None)
 
 
 @dataclass
@@ -398,9 +422,11 @@ def certify_beta_zero(G: Graph, beta,
         raise ParameterDomain("the {0, beta} route needs beta in [-1, 0)")
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
-    # the pair (0, beta) has lam = 1/(-beta), in the arithmetic of beta
-    params = CodeParameters.make(0, beta)
-    k = shifted_graph(G, (params.exact or params).lam, -1, tol)
+    # the pair (0, beta) has lam = 1/(-beta), in the arithmetic of beta,
+    # as CodeParameters.make(0, beta) computes it
+    lam = (Fraction(1) / -Fraction(beta) if _is_exact(beta)
+           else 1.0 / (0.0 - float(beta)))
+    k = shifted_graph(G, lam, -1, tol)
     exact = k.values is None
     if k.inertia.neg:
         return BetaCertificate(valid=False, failure_reason="eigenvalue_above",
@@ -435,7 +461,7 @@ def certify_beta(G: Graph, params: CodeParameters,
     if k.inertia.neg > 1:
         return BetaCertificate(valid=False, failure_reason="negative_inertia",
                                exact=exact)
-    bound = (P.alpha - P.beta) / (-P.alpha)
+    bound = P.beta_budget
     q = k.quadform
     if q is None:
         return BetaCertificate(valid=False, case="three",

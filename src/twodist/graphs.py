@@ -286,7 +286,14 @@ def independence_number(G: Graph) -> int:
 
 
 def contains_clique(G: Graph, t: int) -> bool:
-    """Whether G contains a clique on t vertices."""
+    """Whether G contains a clique on t vertices, by branch and bound.
+
+    Guarded like independence_number: SizeGuardError above
+    MAX_INDEPENDENCE_N vertices.
+    """
+    if G.n > MAX_INDEPENDENCE_N:
+        raise SizeGuardError("clique search guarded to n <= %d"
+                             % MAX_INDEPENDENCE_N)
     if t <= 0:
         return True
     if t == 1:

@@ -39,7 +39,10 @@ which yields the inertia, the rank, the range test and the quadratic
 form at once, every sign and rank decision exact.  Each row of that
 matrix is one Python int holding the entries in signed w-bit fields, so
 a Bareiss step updates a whole row with two multiplications and one
-exact division.  The width w comes from Hadamard's bound on the minors
+exact division.  The multipliers of a step, column k of the live rows,
+are read off the pivot row k alone: every entry left is a minor of a
+symmetric matrix, so the live part stays symmetric and column k is
+row k.  The width w comes from Hadamard's bound on the minors
 of the bordered matrix (packed_width): every entry the elimination
 leaves is such a minor (Sylvester's identity), and the rare zero-pivot
 congruence re-derives w two bits wider; bareiss_bordered proves both.
@@ -381,6 +384,9 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
     because each of its fields divides exactly (Bareiss), and field k
     becomes d f - f d = 0 on its own.  Only d, f and the corner are read
     back, by adding half = 2^(w-1) to every field and masking one out.
+    Every f of a step is read from the pivot row, as f = B[k][i], off
+    the same biased R[k] that gave d: half is added to the pivot row
+    once per step, and the multipliers need no other row.
 
     Why every field read back lies in (-2^(w-1), 2^(w-1)).  After pivots
     P = p_1 .. p_s, field j of live row i is det B[P + i, P + j] by
@@ -390,6 +396,14 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
     every pivot, since d is a diagonal field.  The products d R[i] and
     f R[k] may overflow their fields, but only rows after the division
     are ever read.
+
+    Why column k is row k.  By the same identity, field j of live row i
+    is det B[P + i, P + j], and transposing that minor of the symmetric
+    B gives det B[P + j, P + i], field i of live row j: the live rows,
+    the border included, stay a symmetric matrix after every step.  So
+    B[i][k] = B[k][i].  The congruence below replaces B by E B E^T,
+    which is symmetric again, so the read holds after it too, and on a
+    principal submatrix, which is symmetric as well.
 
     The zero-pivot congruence.  When every live diagonal is zero and
     B[k][j] is not, the elimination adds row j to row k and column j to
@@ -412,7 +426,8 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
     bias = half * field_ones(n + 1, w)  # half in every field
     while live:
         for k in live:
-            d = ((R[k] + bias) >> w * k & mask) - half
+            col = R[k] + bias
+            d = (col >> w * k & mask) - half
             if d:
                 break
         else:
@@ -441,9 +456,9 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
             neg += 1
         live.remove(k)
         Rk = R[k]
-        shift = w * k
+        # the live part stays symmetric, so B[i][k] is field i of row k
         for i in live + [n]:
-            f = ((R[i] + bias) >> shift & mask) - half
+            f = (col >> w * i & mask) - half
             R[i] = (d * R[i] - f * Rk) // prev
         prev = d
     # with w in the range of N the corner is -prev * w^T N^# w; a live row

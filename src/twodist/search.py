@@ -358,8 +358,7 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
     if d < 1:
         raise ValueError("dimension must be at least 1")
     P = params.exact or params
-    p2, mu = _arguments(d, (P.alpha - P.beta) / (P.alpha * P.alpha - P.beta),
-                        P.mu, n_max)
+    p2, mu = _arguments(d, P.budget_nbr, P.mu, n_max)
     leaves, tree = _grow(mu, d, n_max, tol, workers)
     value, extremal, leaf = _ask(leaves,
                                  [(d, p2, "strict"), (d, p2, "equal")])

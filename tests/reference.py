@@ -10,16 +10,24 @@ delete_closed_neighborhood are the subgraph builders that the
 neighborhood check used before it read every neighborhood off the
 parent's matrix, and check_neighborhood_by_subgraphs is that check's
 per-subgraph body, one subgraph and one kernel call per neighborhood.
+
+check_subgraph_inequality_in_fractions, check_independence_in_fractions
+and check_neighborhood_in_fractions are the bodies of the three derived
+checks before they compared in integers and read their budgets and roof
+from CodeParameters: every exact comparison is one of Fractions built
+per call, through bounds._le, and every budget is recomputed per call.
+On floats they run the same float operations as the package.
 """
 
 import math
 from fractions import Fraction
 
-from twodist.bounds import (BoundReport, _le, _not_applicable,
-                            _resolve_cert, _shift_rank)
+from twodist.bounds import (MAX_SUBSET_SWEEP_N, BoundReport, _le,
+                            _not_applicable, _resolve_cert, _shift_rank)
 from twodist.certificates import (AlphaCertificate, CodeParameters,
-                                  shifted_graph)
-from twodist.graphs import Graph, _bits, _check_vertex
+                                  shifted_graph, shifted_principal)
+from twodist.errors import SizeGuardError
+from twodist.graphs import Graph, _bits, _check_vertex, independence_number
 from twodist.linalg import DEFAULT_TOL, Inertia, Shifted
 from twodist.search import _leaf_rejection
 
@@ -182,6 +190,122 @@ def check_neighborhood_by_subgraphs(G: Graph, params: CodeParameters,
             good = _le(k.quadform, budget, tol) and k.rank <= rank_all - 1
             holds = holds and good
             details.append((v, tag, float(k.quadform), k.rank, good))
+    note = "%d empty subgraphs skipped" % skipped if skipped else None
+    return BoundReport(name="neighborhood", applicable=True, holds=holds,
+                       witness=details, note=note)
+
+
+def check_subgraph_inequality_in_fractions(
+        G: Graph, params: CodeParameters, subset=None,
+        tol: float = DEFAULT_TOL,
+        cert: AlphaCertificate | None = None) -> BoundReport:
+    """bounds.check_subgraph_inequality, each (t, e) pair compared by
+    _le on t^2 and the Fraction (2 e + t mu) q."""
+    if subset is not None:
+        for v in subset:
+            if v not in range(G.n):
+                raise ValueError("subset vertex %r is not in range(%d)"
+                                 % (v, G.n))
+        subset = sorted(set(subset))
+        if not subset:
+            raise ValueError("the subset must name at least one vertex")
+    cert = _resolve_cert(G, params, tol, cert)
+    if not cert.valid:
+        return _not_applicable("subgraph", cert)
+    q = cert.quadform
+    P = params.exact or params
+
+    def left_ok(t: int, e: int) -> bool:
+        return _le(t * t, (2 * e + t * P.mu) * q, tol)
+
+    right_ok = _le(q, P.p, tol)
+    if subset is not None:
+        mask = sum(1 << v for v in subset)
+        e = sum((G.rows[v] & mask).bit_count() for v in subset) // 2
+        holds = left_ok(len(subset), e) and right_ok
+        return BoundReport(name="subgraph", applicable=True, holds=holds,
+                           value=float(q), witness=subset)
+    if G.n > MAX_SUBSET_SWEEP_N:
+        raise SizeGuardError("the subset sweep is guarded to n <= %d; "
+                             "pass a subset" % MAX_SUBSET_SWEEP_N)
+    # edges[mask] is e(H) on mask, at most 190 under the guard; verdict
+    # is 0 (undecided), 1 (holds) or 2 (fails) per (t, e), at t << 8 | e
+    edges = bytearray(1 << G.n)
+    verdict = bytearray((G.n + 1) << 8)
+    for v, row in enumerate(G.rows):
+        top = 1 << v
+        for rest in range(top):
+            e = edges[rest] + (row & rest).bit_count()
+            mask = top | rest
+            edges[mask] = e
+            t = mask.bit_count()
+            ok = verdict[t << 8 | e]
+            if not ok:
+                ok = verdict[t << 8 | e] = 1 if left_ok(t, e) else 2
+            if ok == 2:
+                bad = [u for u in range(v + 1) if mask >> u & 1]
+                return BoundReport(name="subgraph", applicable=True,
+                                   holds=False, value=float(q), witness=bad)
+    return BoundReport(name="subgraph", applicable=True, holds=right_ok,
+                       value=float(q))
+
+
+def check_independence_in_fractions(
+        G: Graph, params: CodeParameters, tol: float = DEFAULT_TOL,
+        cert: AlphaCertificate | None = None) -> BoundReport:
+    """bounds.check_independence with the roof (1-beta)/(-beta)
+    recomputed per call."""
+    cert = _resolve_cert(G, params, tol, cert)
+    if not cert.valid:
+        return _not_applicable("independence", cert)
+    t = independence_number(G)
+    P = params.exact or params
+    cap, roof = P.mu * cert.quadform, (1 - P.beta) / (-P.beta)
+    holds = _le(t, cap, tol) and _le(cap, roof, tol)
+    floored = (math.floor(cap) if isinstance(cap, Fraction)
+               else math.floor(float(cap) + tol))
+    return BoundReport(name="independence", applicable=True, holds=holds,
+                       value=float(cap), floored=floored, witness=t)
+
+
+def check_neighborhood_in_fractions(
+        G: Graph, params: CodeParameters, u: int | None = None,
+        tol: float = DEFAULT_TOL,
+        cert: AlphaCertificate | None = None) -> BoundReport:
+    """bounds.check_neighborhood with both budgets recomputed per call."""
+    if u is not None:
+        _check_vertex(G, u)
+    cert = _resolve_cert(G, params, tol, cert)
+    if not cert.valid:
+        return _not_applicable("neighborhood", cert)
+    P = params.exact or params
+    a, b = P.alpha, P.beta
+    budget_nbr = (a - b) / (a * a - b)
+    budget_del = (a - b) / (-b * (1 - b))
+    rank_all = _shift_rank(cert)
+    vertices = range(G.n) if u is None else [u]
+    full = (1 << G.n) - 1
+    parts = [(v, tag, S, budget) for v in vertices for tag, S, budget in (
+        ("neighbors", G.rows[v], budget_nbr),
+        ("deleted", full & ~(G.rows[v] | 1 << v), budget_del))]
+    facts = iter(shifted_principal(G, P.mu, +1,
+                                   [S for _, _, S, _ in parts if S], tol))
+    details = []
+    holds = True
+    skipped = 0
+    for v, tag, S, budget in parts:
+        if not S:
+            skipped += 1
+            details.append((v, tag, "skipped empty"))
+            continue
+        k = next(facts)
+        if k.quadform is None:
+            holds = False
+            details.append((v, tag, "j not in range"))
+            continue
+        good = _le(k.quadform, budget, tol) and k.rank <= rank_all - 1
+        holds = holds and good
+        details.append((v, tag, float(k.quadform), k.rank, good))
     note = "%d empty subgraphs skipped" % skipped if skipped else None
     return BoundReport(name="neighborhood", applicable=True, holds=holds,
                        witness=details, note=note)

@@ -11,13 +11,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference
 from twodist import bounds
 from twodist.certificates import (AlphaCertificate, CodeParameters,
                                   certify_alpha)
 from twodist.errors import EmptyFamilyError, ParameterDomain, SizeGuardError
-from twodist.graphs import (Graph, canonical_form, complete_bipartite,
-                            complete_graph, cycle_graph, disjoint_union,
+from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, canonical_form,
+                            complete_bipartite, complete_graph,
+                            contains_clique, cycle_graph, disjoint_union,
                             empty_graph, enumerate_graphs)
 from twodist.search import RATIONAL_GRID
 
@@ -200,6 +204,19 @@ def test_clique_free_exceptional_complete_graph():
     assert rep.note == "exceptional complete graph"
 
 
+def test_clique_free_is_guarded():
+    # K_33 at (1/2, -1/2) is valid with rank 33, so the check asks for a
+    # K_34 on 33 vertices: above the guard of contains_clique
+    P = CodeParameters.make(Fraction(1, 2), Fraction(-1, 2))
+    G = complete_graph(MAX_INDEPENDENCE_N + 1)
+    cert = certify_alpha(G, P)
+    assert cert.valid and cert.rank_r == G.n
+    with pytest.raises(SizeGuardError):
+        bounds.check_clique_free(G, P, cert=cert)
+    n = MAX_INDEPENDENCE_N
+    assert contains_clique(complete_graph(n), n)
+
+
 # ---------------------------------------------------------------------------
 # neighborhood conditions
 # ---------------------------------------------------------------------------
@@ -299,6 +316,116 @@ def test_neighborhood_matches_the_subgraph_reference_on_random_graphs():
                                     if rng.random() < d]))
     seen = assert_neighborhood_matches_reference(graphs, each_u_to=12)
     assert any(G.n >= 11 for G, _ in seen)
+
+
+# ---------------------------------------------------------------------------
+# the derived checks against their Fraction bodies
+# ---------------------------------------------------------------------------
+
+def scaled(c: AlphaCertificate, factor) -> AlphaCertificate:
+    """c with its quadratic form scaled by factor, in its own arithmetic."""
+    return dataclasses.replace(
+        c, quadform=c.quadform * (factor if c.exact else float(factor)))
+
+
+def assert_derived_checks_match_fractions(G, P, c, subsets, u=None):
+    """The three derived checks give the reports of their Fraction bodies
+    in tests/reference.py, every field equal and value bit for bit: the
+    subset sweep, each given subset, the independence cap and the
+    neighborhood budgets at u.  Returns the subgraph reports."""
+    sub = [(bounds.check_subgraph_inequality(G, P, cert=c),
+            reference.check_subgraph_inequality_in_fractions(G, P, cert=c))]
+    sub += [(bounds.check_subgraph_inequality(G, P, subset=S, cert=c),
+             reference.check_subgraph_inequality_in_fractions(
+                 G, P, subset=S, cert=c)) for S in subsets]
+    pairs = sub + [
+        (bounds.check_independence(G, P, cert=c),
+         reference.check_independence_in_fractions(G, P, cert=c)),
+        (bounds.check_neighborhood(G, P, u=u, cert=c),
+         reference.check_neighborhood_in_fractions(G, P, u=u, cert=c))]
+    for rep, ref in pairs:
+        assert rep == ref, (G, P.alpha, P.beta, rep, ref)
+        if ref.value is not None:
+            assert rep.value.hex() == ref.value.hex()
+    return [rep for rep, _ in sub]
+
+
+def test_derived_checks_match_their_fraction_bodies_up_to_order_6():
+    # every graph with n <= 6 at the 15 exact grid points, their floats
+    # and the pentagon point; each valid certificate also with q lowered
+    # by a quarter, so the sweep finds violations and reports witnesses,
+    # and raised by a quarter, so q <= p and the roof can fail
+    rng = random.Random(13)
+    verdicts = set()
+    graphs = exact = 0
+    for n in range(1, 7):
+        for G in enumerate_graphs(n):
+            graphs += 1
+            for P in neighborhood_points():
+                c = certify_alpha(G, P)
+                if not c.valid:
+                    continue
+                exact += c.exact
+                some = [v for v in range(n) if rng.random() < 0.5] or [0]
+                for f in (1, Fraction(3, 4), Fraction(5, 4)):
+                    reps = assert_derived_checks_match_fractions(
+                        G, P, scaled(c, f), [range(n), some],
+                        u=rng.randrange(n))
+                    verdicts.update((r.holds, r.witness is None)
+                                    for r in reps)
+    assert graphs == 208 and exact > 300
+    assert verdicts == {(True, True), (False, False), (True, False),
+                        (False, True)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+    st.integers(0, n - 1))))
+def test_derived_checks_match_their_fraction_bodies_on_random_graphs(case):
+    n, bits, subset, u = case
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    G = Graph(n, [e for e, on in zip(pairs, bits) if on])
+    for P in neighborhood_points():
+        c = certify_alpha(G, P)
+        if c.valid:
+            for cc in (c, scaled(c, Fraction(7, 8))):
+                assert_derived_checks_match_fractions(G, P, cc, [subset],
+                                                      u=u)
+
+
+def test_subgraph_inequality_at_its_equality_edge():
+    # on a regular graph of degree k, q = n / (k + mu), so the whole
+    # vertex set meets t^2 = (2e + t mu) q exactly: it holds, and fails
+    # once q is lowered by one part in 10^12
+    seen = 0
+    for n in range(1, 7):
+        for G in enumerate_graphs(n):
+            k = G.rows[0].bit_count()
+            if any(row.bit_count() != k for row in G.rows):
+                continue
+            for P in neighborhood_points():
+                c = certify_alpha(G, P)
+                if not c.valid:
+                    continue
+                t, e = n, n * k // 2
+                if c.exact:
+                    seen += 1
+                    assert t * t == (2 * e + t * P.exact.mu) * c.quadform
+                whole = list(range(n))
+                reps = assert_derived_checks_match_fractions(
+                    G, P, c, [whole])
+                assert all(r.holds for r in reps)
+                if not c.exact:
+                    continue
+                low = scaled(c, 1 - Fraction(1, 10 ** 12))
+                reps = assert_derived_checks_match_fractions(
+                    G, P, low, [whole])
+                assert [r.holds for r in reps] == [False, False]
+    assert seen > 20
 
 
 # ---------------------------------------------------------------------------

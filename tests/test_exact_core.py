@@ -9,6 +9,7 @@ eigenvalues, and the quadratic form from an exact solve.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,39 @@ def test_congruence_widens_the_fields(M, v, inertia, quadform):
     k = linalg.bareiss_bordered(R, w, 1, 1)
     assert k == reference.bareiss_bordered(B, 1, 1)
     assert (k.inertia, k.quadform) == (inertia, quadform)
+
+
+@pytest.mark.parametrize("q", (5, 13))
+@pytest.mark.parametrize("p", (1, -2, 1 << 40))
+def test_congruence_after_a_regular_pivot(q, p, monkeypatch):
+    # M = [[p, p u^T], [p u, p u u^T + Z]] with Z the zero-diagonal Paley
+    # matrix: pivot 0 is regular, and it leaves p Z, whose zero diagonal
+    # forces the congruence on the repacked rows, after which the
+    # remaining pivots read their columns from the wider fields
+    rng = random.Random(q * 7 + p % 97)
+    Z = paley_conference(q)
+    n = q + 2
+    u = [rng.randint(-3, 3) for _ in range(n - 1)]
+    M = [[p] + [p * x for x in u]] + [
+        [p * x] + [p * x * y + z for y, z in zip(u, row)]
+        for x, row in zip(u, Z)]
+    y = [rng.randint(-2, 2) for _ in range(n)]
+    for v in ([1] * n, [0] * n, [rng.randint(-9, 9) for _ in range(n)],
+              [sum(a * b for a, b in zip(row, y)) for row in M]):
+        packs = []
+
+        def pack(row, w, _pack=linalg._pack):
+            packs.append(w)
+            return _pack(row, w)
+
+        monkeypatch.setattr(linalg, "_pack", pack)
+        k = linalg.shifted_exact(M, v)
+        monkeypatch.undo()
+        # n + 1 rows packed at first, then the live rows and the border
+        # again, two bits wider, at each congruence
+        assert len(packs) > n + 1 and max(packs) >= packs[0] + 2
+        assert k.rank == n
+        assert k == reference.shifted_exact(M, v)
 
 
 def test_bordered_writes_the_packed_matrix():
