@@ -59,12 +59,13 @@ class CodeParameters:
     mu = (1-beta)/(alpha-beta) and lam = (1-alpha)/(alpha-beta) are the
     shifts entering the two certification routes; p = (alpha-beta)/(-beta)
     is the quadratic-form budget and exists only for beta < 0.  The
-    constants of the derived checks exist only for beta < 0 too: the
-    neighborhood budgets budget_nbr = (alpha-beta)/(alpha^2-beta) and
-    budget_del = (alpha-beta)/(-beta (1-beta)), and the independence roof
-    indep_roof = (1-beta)/(-beta).  beta_budget = (alpha-beta)/(-alpha)
-    is the quadratic-form budget of certify_beta and exists only for
-    alpha > 0.  ``exact`` is populated when both inputs are rational, and
+    neighborhood budget budget_nbr = (alpha-beta)/(alpha^2-beta), which is
+    also the budget p of the recursion map's parameters, exists whenever
+    alpha^2 != beta.  The other constants of the derived checks exist
+    only for beta < 0: the deleted-neighborhood budget budget_del =
+    (alpha-beta)/(-beta (1-beta)) and the independence roof indep_roof =
+    (1-beta)/(-beta).  beta_budget = (alpha-beta)/(-alpha) is the
+    quadratic-form budget of certify_beta and exists only for alpha > 0.  ``exact`` is populated when both inputs are rational, and
     switches every certificate decision to exact arithmetic.  It has the
     same field names, so ``P = params.exact or params`` gives every
     scalar in the arithmetic of the backend that decides.
@@ -108,10 +109,10 @@ class CodeParameters:
 
 def _budgets(a, b) -> dict:
     """The budgets and the roof of CodeParameters, in the arithmetic of a
-    and b, None where their sign condition fails."""
+    and b, None where their condition fails."""
     neg = b < 0
     return dict(p=(a - b) / (-b) if neg else None,
-                budget_nbr=(a - b) / (a * a - b) if neg else None,
+                budget_nbr=(a - b) / (a * a - b) if a * a != b else None,
                 budget_del=(a - b) / (-b * (1 - b)) if neg else None,
                 indep_roof=(1 - b) / (-b) if neg else None,
                 beta_budget=(a - b) / (-a) if a > 0 else None)
@@ -422,11 +423,9 @@ def certify_beta_zero(G: Graph, beta,
         raise ParameterDomain("the {0, beta} route needs beta in [-1, 0)")
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
-    # the pair (0, beta) has lam = 1/(-beta), in the arithmetic of beta,
-    # as CodeParameters.make(0, beta) computes it
-    lam = (Fraction(1) / -Fraction(beta) if _is_exact(beta)
-           else 1.0 / (0.0 - float(beta)))
-    k = shifted_graph(G, lam, -1, tol)
+    # the pair (0, beta) has lam = 1/(-beta), in the arithmetic of beta
+    params = CodeParameters.make(0, beta)
+    k = shifted_graph(G, (params.exact or params).lam, -1, tol)
     exact = k.values is None
     if k.inertia.neg:
         return BetaCertificate(valid=False, failure_reason="eigenvalue_above",

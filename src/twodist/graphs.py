@@ -288,16 +288,19 @@ def independence_number(G: Graph) -> int:
 def contains_clique(G: Graph, t: int) -> bool:
     """Whether G contains a clique on t vertices, by branch and bound.
 
-    Guarded like independence_number: SizeGuardError above
-    MAX_INDEPENDENCE_N vertices.
+    The search is guarded like independence_number: SizeGuardError above
+    MAX_INDEPENDENCE_N vertices.  The trivial cases t <= 1 and t > n are
+    answered at any size.
     """
-    if G.n > MAX_INDEPENDENCE_N:
-        raise SizeGuardError("clique search guarded to n <= %d"
-                             % MAX_INDEPENDENCE_N)
     if t <= 0:
         return True
     if t == 1:
         return G.n >= 1
+    if t > G.n:
+        return False
+    if G.n > MAX_INDEPENDENCE_N:
+        raise SizeGuardError("clique search guarded to n <= %d"
+                             % MAX_INDEPENDENCE_N)
     rows = G.rows
 
     def ext(allowed: int, need: int) -> bool:

@@ -205,16 +205,31 @@ def test_clique_free_exceptional_complete_graph():
 
 
 def test_clique_free_is_guarded():
-    # K_33 at (1/2, -1/2) is valid with rank 33, so the check asks for a
-    # K_34 on 33 vertices: above the guard of contains_clique
+    # the line graph of K_9 (36 vertices) at (2/5, -1/5) is valid with
+    # rank 9, so the check searches for a K_10: above the guard
+    P = CodeParameters.make(Fraction(2, 5), Fraction(-1, 5))
+    pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    G = Graph(len(pairs), [(x, y) for x in range(len(pairs))
+                           for y in range(x + 1, len(pairs))
+                           if set(pairs[x]) & set(pairs[y])])
+    cert = certify_alpha(G, P)
+    assert cert.valid and cert.rank_r == 9
+    with pytest.raises(SizeGuardError):
+        bounds.check_clique_free(G, P, cert=cert)
+    # K_33 at (1/2, -1/2) has rank 33: a K_34 on 33 vertices needs no
+    # search, so the check answers above the guard
     P = CodeParameters.make(Fraction(1, 2), Fraction(-1, 2))
     G = complete_graph(MAX_INDEPENDENCE_N + 1)
     cert = certify_alpha(G, P)
     assert cert.valid and cert.rank_r == G.n
-    with pytest.raises(SizeGuardError):
-        bounds.check_clique_free(G, P, cert=cert)
+    assert bounds.check_clique_free(G, P, cert=cert).holds
     n = MAX_INDEPENDENCE_N
     assert contains_clique(complete_graph(n), n)
+    big = complete_graph(n + 1)
+    assert contains_clique(big, 0) and contains_clique(big, 1)
+    assert not contains_clique(big, n + 2)
+    with pytest.raises(SizeGuardError):
+        contains_clique(big, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +518,25 @@ def test_recursion_map_float_identities():
     assert abs(Q.mu - P.mu) <= 1e-9
     target = (P.alpha - P.beta) / (P.alpha ** 2 - P.beta)
     assert abs(Q.p - target) <= 1e-9
+
+
+@pytest.mark.parametrize("a, b, alpha, beta", [
+    (Fraction(1, 2), Fraction(1, 8), Fraction(1, 3), Fraction(-1, 6)),
+    (Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(-1, 3)),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(0))])
+def test_recursion_map_from_nonnegative_beta(a, b, alpha, beta):
+    # 0 <= beta <= alpha^2 maps to a nonpositive beta; while it is negative
+    # the new p is (alpha-beta)/(alpha^2-beta), on both paths
+    Q = bounds.recursion_map(CodeParameters.make(a, b))
+    assert (Q.exact.alpha, Q.exact.beta) == (alpha, beta)
+    F = bounds.recursion_map(CodeParameters.make(float(a), float(b)))
+    assert abs(F.alpha - alpha) <= 1e-12 and abs(F.beta - beta) <= 1e-12
+    if beta < 0:
+        budget = (a - b) / (a * a - b)
+        assert Q.exact.p == budget
+        assert abs(F.p - float(budget)) <= 1e-12
+    else:
+        assert Q.p is None and F.p is None
 
 
 def test_recursion_map_leaving_domain():
