@@ -153,24 +153,56 @@ class VerifyReport:
     values_present: set        # subset of {"alpha", "beta"}
 
 
+# a block of pair products holds at most this many entries, so the
+# memory of a check stays bounded on large codes
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_rows(V: np.ndarray):
+    """The inner products of the rows of V, in the order of i, then j.
+
+    Yields (i, row) with row[k] = V[i] @ V[i + 1 + k] for every j > i, as
+    Python floats.  The products of a block of rows come from one stacked
+    matmul of (1, d) @ (d, 1) pairs, so each has the bits of V[i] @ V[j];
+    a Gram product V @ V.T would not (its BLAS kernels sum in another
+    order).  A block of b rows against the n - a - 1 rows after its first
+    row a holds at most _PAIR_BLOCK products, or is one row, so the whole
+    pass costs under n^2 products and O(n d + _PAIR_BLOCK) memory.
+    """
+    n = V.shape[0]
+    rows = max(1, _PAIR_BLOCK // max(n, 1))
+    for a in range(0, n, rows):
+        block = (V[a:a + rows, None, None, :]
+                 @ V[None, a + 1:, :, None])[:, :, 0, 0]
+        for r, row in enumerate(block.tolist()):
+            yield a + r, row[r:]
+
+
 def verify_code(vectors, alpha: float, beta: float,
                 tol: float = DEFAULT_TOL) -> VerifyReport:
     """Check unit norms and two-distance structure of a vector set.
 
     A pair only needs to be within tol of one of the two values; codes
-    where a value never occurs still verify.
+    where a value never occurs still verify.  Each vector is one entry
+    along the first axis, read flattened, so a 1-d array holds vectors
+    of dimension 1.  The norms and the n (n - 1) / 2 pair products are
+    those of np.linalg.norm(V[i]) and V[i] @ V[j], bit for bit, taken a
+    block of rows at a time (_pair_rows): under n^2 products and
+    O(n d + _PAIR_BLOCK) memory.
     """
     V = np.asarray(vectors, dtype=float)
+    V = V.reshape(V.shape[0], V[:1].size)
     norms = []
     pairs = []
     present = set()
-    for i in range(V.shape[0]):
-        nv = float(np.linalg.norm(V[i]))
-        if abs(nv - 1.0) > tol:
-            norms.append((i, nv))
-    for i in range(V.shape[0]):
-        for j in range(i + 1, V.shape[0]):
-            val = float(V[i] @ V[j])
+    # np.linalg.norm(V[i]) is the dot product of a contiguous copy
+    C = np.ascontiguousarray(V)
+    nv = np.sqrt((C[:, None, :] @ C[:, :, None])[:, 0, 0])
+    for i, x in enumerate(nv.tolist()):
+        if abs(x - 1.0) > tol:
+            norms.append((i, x))
+    for i, row in _pair_rows(V):
+        for j, val in enumerate(row, i + 1):
             if abs(val - alpha) <= tol:
                 present.add("alpha")
             elif abs(val - beta) <= tol:
@@ -183,23 +215,27 @@ def verify_code(vectors, alpha: float, beta: float,
 
 
 def _split_graph(code: SphericalCode, tol: float, which: str) -> Graph:
+    """The graph of the pairs whose inner product is nearer to alpha
+    (which="alpha") or to beta, its rows written from the products of
+    _pair_rows: under n^2 products and O(n d + _PAIR_BLOCK) memory.  The
+    first pair near neither value, in the order of i, then j, raises
+    CertificateInvalid."""
     alpha, beta = code.alpha, code.beta
     if abs(alpha - beta) <= 2 * tol:
         raise AmbiguousPair("alpha and beta are closer than 2*tol")
-    V = code.vectors
-    n = V.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = float(V[i] @ V[j])
+    want = which == "alpha"
+    rows = [0] * code.vectors.shape[0]
+    for i, row in _pair_rows(code.vectors):
+        for j, val in enumerate(row, i + 1):
             da, db = abs(val - alpha), abs(val - beta)
             if min(da, db) > tol:
                 raise CertificateInvalid(
                     "pair (%d, %d) has inner product %r, near neither value"
                     % (i, j, val))
-            if (da < db) == (which == "alpha"):
-                edges.append((i, j))
-    return Graph(n, edges)
+            if (da < db) == want:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph._trusted(rows)
 
 
 def alpha_graph(code: SphericalCode, tol: float = DEFAULT_TOL) -> Graph:
@@ -403,10 +439,10 @@ def certify_alpha(G: Graph, params: CodeParameters,
     q = k.quadform
     if q is None:
         return verdict(valid=False, failure_reason="j_not_in_range")
-    if q > P.p + k.cut:
+    above, equality, _ = linalg.band(q, P.p, k.cut)
+    if above:
         return verdict(valid=False, failure_reason="quadform_exceeds",
                        quadform=q)
-    equality = abs(q - P.p) <= k.cut
     return verdict(valid=True, rank_r=k.rank - 1 if equality else k.rank,
                    quadform=q, equality_case=equality)
 
@@ -465,10 +501,10 @@ def certify_beta(G: Graph, params: CodeParameters,
     if q is None:
         return BetaCertificate(valid=False, case="three",
                                failure_reason="j_not_in_range", exact=exact)
-    if q > bound + k.cut:
+    above, equality, _ = linalg.band(q, bound, k.cut)
+    if above:
         return BetaCertificate(valid=False, case="three", quadform=q,
                                failure_reason="quadform_exceeds", exact=exact)
-    equality = abs(q - bound) <= k.cut
     return BetaCertificate(valid=True, case="three",
                            rank_r=k.rank - 1 if equality else k.rank,
                            quadform=q, equality_case=equality, exact=exact)

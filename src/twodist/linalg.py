@@ -18,13 +18,20 @@ one eigh on a float matrix that is symmetric by construction and
 computes tol' once; it neither copies nor checks nor symmetrizes the
 matrix, and shifted_trusted reads the certificate facts off it.
 shifted_stack is the same core over a stack: one eigh for every slice,
-the cuts, inertias and ranks counted for the whole stack at once, and
-each slice's quadratic form read by the body shifted_trusted uses
-(_read_shifted), so each slice's facts are those shifted_trusted gives
-it, bit for bit.  The validating front ends (shifted, eigen_decompose,
-inertia, rank_sym, and rank_one_update_inertia on float input) take a
-caller's matrix, check that it is square and symmetric within tol', and
-symmetrize it before the core sees it.  The trusted writers build their
+the cuts, inertias and ranks counted for the whole stack at once, the
+coefficients V^T j of every slice taken in one stacked product (each
+slice's are the bits of its own V^T j), and each slice's quadratic form
+read by the body shifted_trusted uses (_read_shifted), so each slice's
+facts are those shifted_trusted gives it, bit for bit.  That one reader
+has a full-rank read: when the inertia puts every eigenvalue outside
+the band, v has no part off the range (its norm is sqrt(0), never above
+the cut), so it divides every coefficient at once, the entries the
+masked division gives, and multiplies on the column-major copy of the
+vectors that the masked columns are, so the bits are the same; the
+general read masks the band.  The validating front ends (shifted,
+eigen_decompose, inertia, rank_sym, and rank_one_update_inertia on
+float input) take a caller's matrix, check that it is square and
+symmetric within tol', and symmetrize it before the core sees it.  The trusted writers build their
 matrix straight from a graph's bitmasks (Graph.matrix):
 certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
@@ -59,7 +66,11 @@ shifted_exact(M, v) return the same Shifted fields, v defaulting to j,
 and a Shifted carries its own zero band (cut: tol' for floats, 0 when
 exact).  So the rank-one update lemma has one body:
 rank_one_update_inertia picks the arithmetic from its inputs once, and
-its case table reads only Shifted.quadform and Shifted.cut.
+its case table reads only Shifted.quadform and Shifted.cut.  band reads
+a value against a budget in that zero band for every decision that
+compares one (the certificates, the search's leaf test, the update's
+case): above, inside or below it, with no Fraction arithmetic when the
+cut is the exact 0.
 """
 
 from __future__ import annotations
@@ -134,9 +145,11 @@ def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
-    pos = int(np.count_nonzero(values > cut))
-    neg = int(np.count_nonzero(values < -cut))
-    return Inertia(pos, neg, len(values) - pos - neg)
+    # the comparisons of values > cut and values < -cut, on Python floats
+    vals, low = values.tolist(), -cut
+    pos = len([x for x in vals if x > cut])
+    neg = len([x for x in vals if x < low])
+    return Inertia(pos, neg, len(vals) - pos - neg)
 
 
 def inertia(M, tol: float = DEFAULT_TOL) -> Inertia:
@@ -160,6 +173,19 @@ class Shifted(NamedTuple):
     cut: object             # the zero band: tol' for floats, the int 0 when
                             # exact, so q > p + cut and |q - p| <= cut are
                             # the exact q > p and q == p on rationals
+
+
+def band(q, p, cut) -> tuple[bool, bool, bool]:
+    """Whether q lies above, inside or below the zero band cut around p.
+
+    On floats these are q > p + cut, |q - p| <= cut and q < p - cut, the
+    comparisons the float decisions read.  The exact cut is the int 0,
+    and then they are q > p, q == p and q < p, compared directly, so no
+    Fraction is built for p + cut, p - cut, q - p or its absolute value.
+    """
+    if isinstance(cut, int):
+        return q > p, q == p, q < p
+    return q > p + cut, abs(q - p) <= cut, q < p - cut
 
 
 def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
@@ -196,30 +222,47 @@ def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     One eigh call runs LAPACK slice by slice over the stack; every slice
     must be symmetric by construction, as for shifted_trusted.  The cuts,
     the inertias and the ranks are counted for the whole stack at once,
-    with the same float operations per slice, and each slice's quadratic
-    form is read by the body shifted_trusted uses, so slice i gives
-    shifted_trusted(S[i], tol) bit for bit, in every field.
+    with the same float operations per slice, and so are the coefficients
+    V^T j, one stacked matmul whose slices have the bits of each slice's
+    own product.  Each slice's quadratic form is read from them by the
+    body shifted_trusted uses, so slice i gives shifted_trusted(S[i], tol)
+    bit for bit, in every field.
     """
     values, vectors = np.linalg.eigh(S)
     values, vectors = values[:, ::-1], vectors[:, :, ::-1]
     cuts = tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))
-    band = cuts[:, None]
-    pos = np.add.reduce(values > band, 1).tolist()
-    neg = np.add.reduce(values < -band, 1).tolist()
+    col = cuts[:, None]
+    pos = np.add.reduce(values > col, 1).tolist()
+    neg = np.add.reduce(values < -col, 1).tolist()
     m = S.shape[1]
     j = np.ones(m)
+    coeffs = vectors.transpose(0, 2, 1) @ j
     return [_read_shifted(Spectrum(val, vec), cut,
-                          Inertia(up, down, m - up - down), j)
-            for val, vec, cut, up, down in zip(values, vectors,
-                                               cuts.tolist(), pos, neg)]
+                          Inertia(up, down, m - up - down), j, vj)
+            for val, vec, cut, up, down, vj in zip(values, vectors,
+                                                   cuts.tolist(), pos, neg,
+                                                   coeffs)]
 
 
 def _read_shifted(spec: Spectrum, cut: float, inert: Inertia,
-                  v) -> Shifted:
+                  v, coeffs=None) -> Shifted:
     """The Shifted fields of one spectrum: v^T M^# v read at the cut, v
-    None meaning j."""
+    None meaning j, and coeffs V^T v when the caller has them.
+
+    At full rank every eigenvalue lies outside the band, so the part of
+    v off the range is empty and its norm sqrt(0) is never above the
+    cut (tol >= 0): the read divides every coefficient at once, which
+    gives the entries that the masked division gives.  The gemv runs on
+    a column-major copy of the vectors, the layout that vectors[:, keep]
+    takes, so both branches give the same bits.
+    """
     v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
-    coeffs = spec.vectors.T @ v
+    if coeffs is None:
+        coeffs = spec.vectors.T @ v
+    rank = inert.pos + inert.neg
+    if rank == len(spec.values):
+        x = np.asfortranarray(spec.vectors) @ (coeffs / spec.values)
+        return Shifted(spec.values, inert, rank, float(v @ x), cut)
     keep = np.abs(spec.values) > cut
     off = coeffs[~keep]
     if math.sqrt(off.dot(off)) > cut:
@@ -227,7 +270,7 @@ def _read_shifted(spec: Spectrum, cut: float, inert: Inertia,
     else:
         x = spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
         q = float(v @ x)
-    return Shifted(spec.values, inert, inert.pos + inert.neg, q, cut)
+    return Shifted(spec.values, inert, rank, q, cut)
 
 
 # Inertia shifts (d_pos, d_neg) for M + c*u*u^T, keyed by (c > 0, case).
@@ -282,7 +325,7 @@ def rank_one_update_inertia(M, u, c,
         s = None
     else:
         s = c * base.quadform
-        if abs(s + 1) <= base.cut:
+        if band(s, -1, base.cut)[1]:
             case = 4
         elif s > -1:
             case = 2

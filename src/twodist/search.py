@@ -107,9 +107,8 @@ def _leaf_rejection(k, r: int, p, mode: str):
         return "rank"
     if k.quadform is None:
         return "range"
-    q = k.quadform
-    ok = q < p - k.cut if mode == "strict" else abs(q - p) <= k.cut
-    return None if ok else "budget"
+    _, equal, below = linalg.band(k.quadform, p, k.cut)
+    return None if (below if mode == "strict" else equal) else "budget"
 
 
 def _cut_max(mu: float, n_max: int, tol: float) -> float:

@@ -17,18 +17,30 @@ checks before they compared in integers and read their budgets and roof
 from CodeParameters: every exact comparison is one of Fractions built
 per call, through bounds._le, and every budget is recomputed per call.
 On floats they run the same float operations as the package.
+
+read_shifted is the float reader before it took precomputed
+coefficients and read a full-rank spectrum without the off-range mask,
+count_inertia the inertia count before it compared on Python floats,
+and shifted_trusted the float kernel over both.  verify_code and
+split_graph are the per-pair loops that checked a code and extracted its
+alpha- or beta-graph before the pair products were taken a block of
+rows at a time.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from twodist.bounds import (MAX_SUBSET_SWEEP_N, BoundReport, _le,
                             _not_applicable, _resolve_cert, _shift_rank)
 from twodist.certificates import (AlphaCertificate, CodeParameters,
-                                  shifted_graph, shifted_principal)
-from twodist.errors import SizeGuardError
+                                  SphericalCode, VerifyReport, shifted_graph,
+                                  shifted_principal)
+from twodist.errors import AmbiguousPair, CertificateInvalid, SizeGuardError
 from twodist.graphs import Graph, _bits, _check_vertex, independence_number
-from twodist.linalg import DEFAULT_TOL, Inertia, Shifted
+from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
+                            eigh_trusted)
 from twodist.search import _leaf_rejection
 
 
@@ -309,3 +321,78 @@ def check_neighborhood_in_fractions(
     note = "%d empty subgraphs skipped" % skipped if skipped else None
     return BoundReport(name="neighborhood", applicable=True, holds=holds,
                        witness=details, note=note)
+
+
+def count_inertia(values: np.ndarray, cut: float) -> Inertia:
+    """linalg._count_inertia, counted by numpy on the array."""
+    pos = int(np.count_nonzero(values > cut))
+    neg = int(np.count_nonzero(values < -cut))
+    return Inertia(pos, neg, len(values) - pos - neg)
+
+
+def read_shifted(spec: Spectrum, cut: float, inert: Inertia,
+                 v) -> Shifted:
+    """linalg._read_shifted with the off-range mask on every spectrum."""
+    v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
+    coeffs = spec.vectors.T @ v
+    keep = np.abs(spec.values) > cut
+    off = coeffs[~keep]
+    if math.sqrt(off.dot(off)) > cut:
+        q = None
+    else:
+        x = spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
+        q = float(v @ x)
+    return Shifted(spec.values, inert, inert.pos + inert.neg, q, cut)
+
+
+def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
+                    v=None) -> Shifted:
+    """linalg.shifted_trusted over count_inertia and read_shifted."""
+    spec, cut = eigh_trusted(M, tol)
+    return read_shifted(spec, cut, count_inertia(spec.values, cut), v)
+
+
+def verify_code(vectors, alpha: float, beta: float,
+                tol: float = DEFAULT_TOL) -> VerifyReport:
+    """certificates.verify_code, one norm and one product per call."""
+    V = np.asarray(vectors, dtype=float)
+    norms = []
+    pairs = []
+    present = set()
+    for i in range(V.shape[0]):
+        nv = float(np.linalg.norm(V[i]))
+        if abs(nv - 1.0) > tol:
+            norms.append((i, nv))
+    for i in range(V.shape[0]):
+        for j in range(i + 1, V.shape[0]):
+            val = float(V[i] @ V[j])
+            if abs(val - alpha) <= tol:
+                present.add("alpha")
+            elif abs(val - beta) <= tol:
+                present.add("beta")
+            else:
+                pairs.append((i, j, val))
+    return VerifyReport(valid=not norms and not pairs,
+                        norm_violations=norms, pair_violations=pairs,
+                        values_present=present)
+
+
+def split_graph(code: SphericalCode, tol: float, which: str) -> Graph:
+    """certificates._split_graph, one product per pair and an edge list."""
+    alpha, beta = code.alpha, code.beta
+    if abs(alpha - beta) <= 2 * tol:
+        raise AmbiguousPair("alpha and beta are closer than 2*tol")
+    V = code.vectors
+    n = V.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = float(V[i] @ V[j])
+            da, db = abs(val - alpha), abs(val - beta)
+            if min(da, db) > tol:
+                raise CertificateInvalid(
+                    "pair (%d, %d) has inner product %r, near neither value"
+                    % (i, j, val))
+            if (da < db) == (which == "alpha"):
+                edges.append((i, j))
+    return Graph(n, edges)

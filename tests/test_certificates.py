@@ -22,6 +22,7 @@ from twodist.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, disjoint_union, empty_graph,
                             path_graph)
 
+import reference
 from reference import induced_subgraph, rational_shift
 
 
@@ -117,6 +118,124 @@ def test_graph_extraction_ambiguous_pair():
                               vectors=np.eye(2))
     with pytest.raises(AmbiguousPair):
         cert.alpha_graph(code)
+
+
+def outcome(call):
+    """What call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_codes(rng):
+    """Realized codes, the same codes perturbed, and random unit rows."""
+    from twodist.search import RATIONAL_GRID
+
+    points = [cert.CodeParameters.make(float(P.alpha), float(P.beta))
+              for P in RATIONAL_GRID] + [pentagon_parameters()]
+    codes = []
+    while len(codes) < 60:
+        P = rng.choice(points)
+        G = rand_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.5, 0.8)))
+        if cert.certify_alpha(G, P).valid:
+            codes.append(cert.realize_from_alpha(G, P))
+    for code in codes[:40]:
+        V = code.vectors.copy()
+        for _ in range(rng.randint(1, 3)):
+            # below tol, at it, or far above it; or a whole row replaced
+            i, k = rng.randrange(V.shape[0]), rng.randrange(V.shape[1])
+            V[i, k] += rng.choice((1e-11, 1e-9, 1e-6, 0.3)) * rng.choice(
+                (-1, 1))
+        if rng.random() < 0.3:
+            row = np.array([rng.gauss(0, 1) for _ in range(V.shape[1])])
+            V[rng.randrange(V.shape[0])] = row / np.linalg.norm(row)
+        codes.append(cert.SphericalCode(code.alpha, code.beta, code.dim, V))
+    for _ in range(10):
+        n, d = rng.randint(1, 9), rng.randint(1, 6)
+        V = np.array([[rng.gauss(0, 1) for _ in range(d)] for _ in range(n)])
+        codes.append(cert.SphericalCode(0.0, -0.5, d, V / np.linalg.norm(
+            V, axis=1)[:, None]))
+    # rows that are not contiguous in memory, or run backwards
+    codes += [cert.SphericalCode(code.alpha, code.beta, code.dim, V)
+              for code in codes[::10]
+              for V in (np.asfortranarray(code.vectors),
+                        code.vectors[:, ::-1], code.vectors[::-1, ::-1])]
+    return codes
+
+
+def assert_code_matches_reference(code, tol=1e-9):
+    assert cert.verify_code(code.vectors, code.alpha, code.beta, tol) == (
+        reference.verify_code(code.vectors, code.alpha, code.beta, tol))
+    for which, graph_of in (("alpha", cert.alpha_graph),
+                            ("beta", cert.beta_graph)):
+        got = outcome(lambda: graph_of(code, tol))
+        assert got == outcome(lambda: reference.split_graph(code, tol, which))
+        yield got
+
+
+def test_verify_and_extraction_match_the_per_pair_reference(monkeypatch):
+    # the pair products are taken a block of rows at a time: the reports,
+    # the graphs and the first bad pair's message are those of one
+    # V[i] @ V[j] per pair, with the blocks of every size down to one row
+    rng = random.Random(53)
+    codes = reference_codes(rng)
+    seen = set()
+    for block in (cert._PAIR_BLOCK, 7, 1):
+        monkeypatch.setattr(cert, "_PAIR_BLOCK", block)
+        for code in codes:
+            rep = cert.verify_code(code.vectors, code.alpha, code.beta)
+            for got in assert_code_matches_reference(code):
+                seen.add((isinstance(got, Graph), rep.valid,
+                          len(rep.pair_violations) > 1,
+                          bool(rep.norm_violations)))
+    # valid codes, codes with several bad pairs and with bad norms, and
+    # codes whose extraction raises all occur
+    assert (True, True, False, False) in seen
+    assert any(not graph and several for graph, _, several, _ in seen)
+    assert any(norm for _, _, _, norm in seen)
+
+
+def test_verify_and_extraction_match_the_reference_on_large_codes():
+    # the cross-polytope on 400 vectors fills three blocks of rows at
+    # the default block size: beta = -1 on the antipodal pairs only
+    n = 400
+    V = np.vstack([np.eye(n // 2), -np.eye(n // 2)])
+    assert n * n > 2 * cert._PAIR_BLOCK
+    assert [(i, len(row)) for i, row in cert._pair_rows(V)] == [
+        (i, n - 1 - i) for i in range(n)]
+    code = cert.SphericalCode(0.0, -1.0, n // 2, V)
+    matching = Graph(n, [(i, i + n // 2) for i in range(n // 2)])
+    assert list(assert_code_matches_reference(code)) == [
+        matching.complement(), matching]
+    bad = V.copy()
+    bad[250, 3] = 0.5  # pairs (3, 250) and (203, 250) are near neither
+    code = cert.SphericalCode(0.0, -1.0, n // 2, bad)
+    rep = cert.verify_code(bad, 0.0, -1.0)
+    assert rep.pair_violations == [(3, 250, 0.5), (203, 250, -0.5)]
+    assert rep.norm_violations == [(250, math.sqrt(1.25))]
+    for got in assert_code_matches_reference(code):
+        assert got[0] is CertificateInvalid and "(3, 250)" in got[1]
+
+
+def test_verify_accepts_empty_and_one_dimensional_input():
+    # every input the per-pair loop accepts gives its report; a 1-d array
+    # is a list of vectors of dimension 1
+    for vectors in ([], [0.5], [1.0], [[]], np.zeros((0, 3)),
+                    np.zeros((3, 0)), np.ones((1, 2, 2)),
+                    np.zeros((0, 2, 2))):
+        assert cert.verify_code(vectors, 0.0, -1.0) == (
+            reference.verify_code(vectors, 0.0, -1.0))
+    assert cert.verify_code([1.0, -1.0, 1.0], 1 - 1e-12, -1.0) == (
+        cert.verify_code([[1.0], [-1.0], [1.0]], 1 - 1e-12, -1.0))
+    assert cert.verify_code([1.0, -1.0], 0.0, -1.0).values_present == {
+        "beta"}
+    # a pair within tol of both values counts as alpha only
+    for alpha, beta in ((1e-12, -1e-12), (0.0, -1e-10)):
+        assert cert.verify_code(np.eye(2), alpha, beta) == (
+            reference.verify_code(np.eye(2), alpha, beta))
+        assert cert.verify_code(np.eye(2), alpha, beta).values_present == {
+            "alpha"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from twodist import linalg
 from twodist.errors import AmbiguousCase
 
@@ -527,3 +528,93 @@ def test_stack_is_shifted_trusted_slice_by_slice():
     assert any(order_1 for _, order_1, _, _ in seen)
     assert (False, False, True, False) in seen
     assert any(off for _, _, _, off in seen)
+
+
+def reader_matrices(rng, orders):
+    """Symmetric matrices of each order, full rank and rank deficient
+    with j in the range or out of it, at both signs: (M, kind)."""
+    for m in orders:
+        for kind in ("random", "semidefinite", "off_range"):
+            for sign in (1.0, -1.0):
+                yield sign * stack_slices(rng, kind, m), kind
+
+
+def test_reader_matches_the_masked_reference_bit_for_bit():
+    # the full-rank read divides every coefficient at once; every field
+    # must be that of the reader that masked the band on every spectrum,
+    # for j and for a random v
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(3):
+        for M, kind in reader_matrices(rng, range(1, 33)):
+            v = np.array([rng.uniform(-1, 1) for _ in range(len(M))])
+            for vec in (None, v):
+                k = linalg.shifted_trusted(M, v=vec)
+                assert_same_float_shifted(
+                    k, reference.shifted_trusted(M, v=vec))
+                seen.add((k.rank == len(M), k.quadform is None))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_inertia_count_matches_the_array_count():
+    cut = 1e-9
+    edges = np.array([2 * cut, cut, 0.0, -0.0, -cut, -2 * cut, math.nan,
+                      math.inf, -math.inf, np.nextafter(cut, 1),
+                      np.nextafter(-cut, -1)])
+    rng = random.Random(61)
+    for values in [edges, edges[:0]] + [
+            np.array(sorted(rng.choice(edges) for _ in range(m)))
+            for m in range(1, 12)]:
+        got = linalg._count_inertia(values, cut)
+        assert got == reference.count_inertia(values, cut)
+        assert all(type(x) is int for x in got)
+
+
+def test_stack_matches_shifted_trusted_up_to_order_32():
+    # the stacked coefficients V^T j of every slice are those of the
+    # slice's own product, so each slice is shifted_trusted of that slice
+    rng = random.Random(67)
+    seen = set()
+    for size in (1, 2, 5):
+        for M, kind in reader_matrices(rng, range(1, 33)):
+            S = np.array([M] + [stack_slices(rng, kind, len(M))
+                                for _ in range(size - 1)])
+            for k, slice_ in zip(linalg.shifted_stack(S), S):
+                ref = linalg.shifted_trusted(slice_)
+                assert_same_float_shifted(k, ref)
+                assert_same_float_shifted(
+                    k, reference.shifted_trusted(slice_))
+                seen.add((k.rank == len(M), k.quadform is None))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_band_compares_exact_budgets_without_fraction_arithmetic(
+        monkeypatch):
+    # on floats the three reads are the expressions the decisions wrote
+    # out; with the exact cut 0 they are the direct comparisons, and no
+    # Fraction is added, subtracted or made absolute
+    rng = random.Random(71)
+    for _ in range(2000):
+        p = rng.choice((1.0, 0.5, 2 / 3, GOLDEN))
+        cut = rng.choice((1e-9, 0.0, 3e-9))
+        q = p + rng.choice((0.0, 1.0, 2.0, 0.5, -0.5, -1.0)) * cut * (
+            rng.choice((1, 1 + 2 ** -52, 1 - 2 ** -53)))
+        assert linalg.band(q, p, cut) == (
+            q > p + cut, abs(q - p) <= cut, q < p - cut)
+    from twodist.certificates import (CodeParameters, certify_alpha,
+                                      certify_beta, shifted_graph)
+    from twodist.graphs import complete_graph, cycle_graph, empty_graph
+    from twodist.search import _leaf_rejection
+
+    P = CodeParameters.make(Fraction(1, 3), Fraction(-1, 3))
+    graphs = (cycle_graph(5), complete_graph(4), empty_graph(3))
+    facts = [shifted_graph(G, P.exact.mu, +1) for G in graphs]
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__abs__"):
+        monkeypatch.setattr(Fraction, name, None)
+    for q, p in ((Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), 1),
+                 (Fraction(4, 3), Fraction(1)), (Fraction(-1), -1)):
+        assert linalg.band(q, p, 0) == (q > p, q == p, q < p)
+    for G, k in zip(graphs, facts):
+        assert certify_alpha(G, P).exact and certify_beta(G, P).exact
+        for mode in ("strict", "equal"):
+            _leaf_rejection(k, G.n, P.exact.p, mode)
