@@ -8,7 +8,14 @@ shifted adjacency matrices.  certify_alpha handles the alpha-graph side
 (needs beta < 0), certify_beta the beta-graph side (needs alpha > 0), and
 certify_beta_zero the {0, beta} specialization.  Each certificate carries
 the rank of the realizing code, and realize_from_* rebuilds unit vectors
-from the certified Gram matrix.
+from the certified Gram matrix.  Realizations have one body,
+realize_stack, over a stack of graphs of one order: one Graph.matrix
+call writes each Gram matrix, one eigh call factors the whole stack, the
+slices are signed, checked and normalized a rank group at a time
+(_factor_stack), and each code is then read back into its graph.  A
+slice that fails gets its own exception, and the others are untouched;
+realize_from_* is the stack of one, and the oracle cross-check realizes
+a whole order at once.
 
 Parameters given as Fractions run the entire decision path in exact
 arithmetic; floats use the tolerance policy from the linalg module.  The
@@ -329,16 +336,23 @@ def _bordered(G: Graph, diag: int, edge: int, other: int) -> tuple[list, int]:
     return R, w
 
 
-def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
-    """shift*I + sign*A as a float matrix written from the bitmasks.
+def _shift_entries(shift, sign: int) -> tuple:
+    """The diagonal, edge and non-edge entries of shift*I + sign*A, each
+    computed as numpy computes shift * np.eye(n) + sign * A.
 
-    Each entry is computed as numpy computes shift * np.eye(n) + sign * A,
-    so a non-edge is shift*0.0 + sign*0.0: +0.0 for a positive shift
+    A non-edge is shift*0.0 + sign*0.0: +0.0 for a positive shift
     whatever the sign, never the -0.0 of -A, which would change LAPACK's
     last bits.
     """
     off = shift * 0.0
-    return G.matrix(shift + sign * 0.0, off + sign, off + sign * 0.0)
+    return shift + sign * 0.0, off + sign, off + sign * 0.0
+
+
+def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
+    """shift*I + sign*A as a float matrix written from the bitmasks, each
+    entry as numpy computes shift * np.eye(n) + sign * A (_shift_entries).
+    """
+    return G.matrix(*_shift_entries(shift, sign))
 
 
 def shifted_graph(G: Graph, shift, sign: int,
@@ -514,56 +528,137 @@ def certify_beta(G: Graph, params: CodeParameters,
 # realizations
 # ---------------------------------------------------------------------------
 
-def _factor_gram(Gram: np.ndarray, rank_r: int, tol: float) -> np.ndarray:
-    """Unit rows U with U U^T = Gram, dimension rank_r, deterministic signs.
+def _gram(G: Graph, params: CodeParameters, route: str) -> np.ndarray:
+    """The Gram matrix of G's code on the route, in one Graph.matrix call.
 
-    Gram is symmetric by construction and goes straight to the float
-    core.  Each eigenvector column is signed so that its first entry
-    above 1e-12 in absolute value is positive.
+    alpha: (a-b) (A + mu I) + b J; beta: (a-b) (lam I - A) + a J.  Each of
+    the three entries is the Python float (a-b) * e + base for an entry e
+    of _shift_entries, the operations numpy runs on the whole matrix for
+    (a - b) * _shift_matrix(...) + base, so the bits are the same.
     """
-    spec, cut = linalg.eigh_trusted(Gram, tol)
-    keep = spec.values > cut
-    rank = int(np.count_nonzero(keep))
-    if rank != rank_r:
-        raise ReconstructionResidual(
-            "Gram matrix has %d positive eigenvalues, certificate says %d"
-            % (rank, rank_r))
-    V = spec.vectors[:, keep]
-    big = np.abs(V) > 1e-12
-    lead = V[big.argmax(axis=0), np.arange(V.shape[1])]
-    flip = big.any(axis=0) & (lead < 0)
-    U = V * np.where(flip, -1.0, 1.0) * np.sqrt(spec.values[keep])
-    resid = float(np.max(np.abs(U @ U.T - Gram))) if U.size else float(
-        np.max(np.abs(Gram)))
-    if resid > 10 * cut:
-        raise ReconstructionResidual("reconstruction residual %g" % resid)
-    norms = np.linalg.norm(U, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > cut:
-        raise ReconstructionResidual("realized vectors drift off the sphere")
-    return U / norms[:, None]
+    a, b = params.alpha, params.beta
+    if route == "alpha":
+        (diag, edge, other), base = _shift_entries(params.mu, +1), b
+    else:
+        (diag, edge, other), base = _shift_entries(params.lam, -1), a
+    s = a - b
+    return G.matrix(s * diag + base, s * edge + base, s * other + base)
 
 
-def _realize(G: Graph, params: CodeParameters, Gram: np.ndarray,
-             rank_r: int, tol: float, dim: int | None,
-             route: str) -> SphericalCode:
-    """The tail shared by realize_from_alpha and realize_from_beta.
+def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
+    """Unit rows U with U U^T = grams[i] in dimension ranks[i], per slice.
 
-    Factors the Gram matrix, pads the vectors with zero coordinates up to
-    dim (ParameterDomain below rank_r), and checks that the code's
-    alpha-graph or beta-graph (route) is G again.
+    grams is a (k, n, n) stack of Gram matrices, each symmetric by
+    construction (Graph.matrix), and goes straight to one numpy eigh call,
+    which gives each slice the bits of its own.  The cuts tol' and the
+    ranks are read for every slice at once, as linalg.shifted_stack reads
+    them.  A slice whose rank is not ranks[i] gets its
+    ReconstructionResidual; the others are grouped by rank, and in a group
+    the sign fix, the scaling, the residual check, the norm check and the
+    normalization are stacked numpy operations.  Each eigenvector kept is
+    signed so that its first entry above 1e-12 in absolute value is
+    positive.  Returns, per slice, U or the exception it raises.
+
+    A group is laid out as (m, r, n), so each U is the transpose of a
+    C-ordered slice, a column-major (n, r) array, and its row norms add
+    the squares one column at a time.  A C-ordered U would add them
+    pairwise from rank 8 on and change their last bits.  So every U has
+    the bits and the layout of a factorization of its matrix alone.
     """
-    U = _factor_gram(Gram, rank_r, tol)
-    d = rank_r if dim is None else dim
-    if d < rank_r:
-        raise ParameterDomain("requested dimension %d below certified rank %d"
-                              % (d, rank_r))
-    if d > rank_r:
-        U = np.hstack([U, np.zeros((U.shape[0], d - rank_r))])
-    code = SphericalCode(alpha=params.alpha, beta=params.beta, dim=d,
-                         vectors=U)
+    values, vectors = np.linalg.eigh(grams)
+    values, rows = values[:, ::-1], vectors.transpose(0, 2, 1)[:, ::-1]
+    cuts = tol * np.maximum(1.0, np.abs(grams).sum(axis=2).max(axis=1))
+    # the values are descending, so those above the cut lead each slice
+    found = np.add.reduce(values > cuts[:, None], 1).tolist()
+    cuts = cuts.tolist()
+    out = [None] * len(found)
+    groups = {}
+    for i, (rank, want) in enumerate(zip(found, ranks)):
+        if rank != want:
+            out[i] = ReconstructionResidual(
+                "Gram matrix has %d positive eigenvalues, certificate says %d"
+                % (rank, want))
+        else:
+            groups.setdefault(rank, []).append(i)
+    for r, idx in groups.items():
+        pick = slice(None) if len(idx) == len(out) else idx
+        W = rows[pick, :r]
+        big = np.abs(W) > 1e-12
+        lead = W[np.arange(len(idx))[:, None], np.arange(r),
+                 big.argmax(axis=2)]
+        # an eigenvector has unit norm, so it has a big entry and lead is
+        # nonzero; (v * -1.0) * s and v * -s are the same float
+        root = np.copysign(np.sqrt(values[pick, :r]), lead)
+        U = np.multiply(W, root[:, :, None], order="C")
+        resid = np.abs(U.transpose(0, 2, 1) @ U - grams[pick]).max(
+            axis=(1, 2))
+        norms = np.sqrt(np.add.reduce(U * U, axis=1))
+        drift = np.abs(norms - 1.0).max(axis=1)
+        unit = U / norms[:, None, :]
+        for j, (i, res, off) in enumerate(zip(idx, resid.tolist(),
+                                              drift.tolist())):
+            cut = cuts[i]
+            if res > 10 * cut:
+                out[i] = ReconstructionResidual(
+                    "reconstruction residual %g" % res)
+            elif off > cut:
+                out[i] = ReconstructionResidual(
+                    "realized vectors drift off the sphere")
+            else:
+                out[i] = unit[j].T
+    return out
+
+
+def realize_stack(items, route: str, tol: float = DEFAULT_TOL,
+                  dim: int | None = None) -> list:
+    """Realize each (G, params, rank_r) of items as a code, in one stack.
+
+    The graphs must share one order n (np.stack raises ValueError
+    otherwise).  Route "alpha" writes the Gram matrix with alpha on the
+    edges and beta elsewhere, "beta" the mirror image; rank_r is the rank
+    the graph's certificate gives.  All Gram matrices are factored by one
+    _factor_stack call; each code is then padded with zero coordinates up
+    to dim (ParameterDomain below rank_r), and its alpha-graph or
+    beta-graph must be G again.  Returns, per item, the SphericalCode or
+    the exception that item raises (ReconstructionResidual,
+    ParameterDomain, CertificateInvalid or AmbiguousPair), with the
+    vectors and messages of realize_from_alpha / realize_from_beta.
+    """
+    grams = [_gram(G, P, route) for G, P, _ in items]
+    # a stack of one is a view of its matrix, not a copy
+    grams = grams[0][None] if len(grams) == 1 else np.stack(grams)
+    factors = _factor_stack(grams, [r for _, _, r in items], tol)
     graph_of = alpha_graph if route == "alpha" else beta_graph
-    if graph_of(code, tol) != G:
-        raise ReconstructionResidual("%s-graph round trip failed" % route)
+    out = []
+    for (G, P, rank_r), U in zip(items, factors):
+        if isinstance(U, Exception):
+            out.append(U)
+            continue
+        d = rank_r if dim is None else dim
+        if d < rank_r:
+            out.append(ParameterDomain(
+                "requested dimension %d below certified rank %d"
+                % (d, rank_r)))
+            continue
+        if d > rank_r:
+            U = np.hstack([U, np.zeros((U.shape[0], d - rank_r))])
+        code = SphericalCode(alpha=P.alpha, beta=P.beta, dim=d, vectors=U)
+        try:
+            same = graph_of(code, tol) == G
+        except (CertificateInvalid, AmbiguousPair) as exc:
+            out.append(exc)
+            continue
+        out.append(code if same else ReconstructionResidual(
+            "%s-graph round trip failed" % route))
+    return out
+
+
+def _realize_one(G: Graph, params: CodeParameters, rank_r: int, tol: float,
+                 dim: int | None, route: str) -> SphericalCode:
+    """realize_stack on a stack of one: the code, or its exception raised."""
+    code = realize_stack([(G, params, rank_r)], route, tol, dim)[0]
+    if isinstance(code, Exception):
+        raise code
     return code
 
 
@@ -582,9 +677,7 @@ def realize_from_alpha(G: Graph, params: CodeParameters,
     if not cert.valid:
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)
-    a, b = params.alpha, params.beta
-    Gram = (a - b) * _shift_matrix(G, params.mu, +1) + b
-    return _realize(G, params, Gram, cert.rank_r, tol, dim, "alpha")
+    return _realize_one(G, params, cert.rank_r, tol, dim, "alpha")
 
 
 def realize_from_beta(G: Graph, params: CodeParameters,
@@ -600,9 +693,7 @@ def realize_from_beta(G: Graph, params: CodeParameters,
     if not cert.valid:
         raise CertificateInvalid("graph does not certify: %s"
                                  % cert.failure_reason)
-    a, b = params.alpha, params.beta
-    Gram = (a - b) * _shift_matrix(G, params.lam, -1) + a
-    return _realize(G, params, Gram, cert.rank_r, tol, dim, "beta")
+    return _realize_one(G, params, cert.rank_r, tol, dim, "beta")
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,10 @@ symmetric within tol', and symmetrize it before the core sees it.  The trusted w
 matrix straight from a graph's bitmasks (Graph.matrix):
 certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
-(the neighborhoods of bounds.check_neighborhood), the Gram matrices of
-the realizations, the search's hereditary filter and the eigenvalue
-floor.
+(the neighborhoods of bounds.check_neighborhood), certificates._gram for
+the Gram matrices of the realizations, which certificates._factor_stack
+factors a stack of one order at a time with one eigh call, the search's
+hereditary filter and the eigenvalue floor.
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free

@@ -33,7 +33,9 @@ exhaustive.
 oracle_cross_check validates certificates against an independent ground
 truth: the Gram candidate with unit diagonal, alpha on edges and beta on
 non-edges, tested for positive semidefiniteness and rank by the exact
-integer kernel, then realized and re-extracted.
+integer kernel, then realized and re-extracted.  The certified pairs of
+one order are realized together, up to _REALIZE_BLOCK of them per
+stacked call (certificates.realize_stack).
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ import numpy as np
 from . import linalg
 from .bounds import dgs_bound, power_bound, recursion_map, turan_bound
 from .certificates import (CodeParameters, certify_alpha, certify_beta,
-                           realize_from_alpha, shifted_graph, verify_code,
-                           _bordered, _fmt, _is_exact, _shift_matrix)
-from .errors import InvariantViolation, ParameterDomain, SizeGuardError
+                           realize_from_alpha, realize_stack, shifted_graph,
+                           verify_code, _bordered, _fmt, _is_exact,
+                           _shift_matrix)
+from .errors import (AmbiguousPair, CertificateInvalid, InvariantViolation,
+                     ParameterDomain, ReconstructionResidual, SizeGuardError)
 from .graphs import (complete_graph, emit_graph6, empty_graph,
                      enumerate_graphs, parse_graph6, _canonical_children)
 from .linalg import DEFAULT_TOL
@@ -379,6 +383,16 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
                         stats=dict(tree, leaf=leaf))
 
 
+# the most (graph, point) pairs the oracle realizes in one stacked call,
+# which keeps its memory bounded on the largest orders it is guarded for;
+# larger blocks bought no speed at --max-n 6 and held more memory
+_REALIZE_BLOCK = 1 << 7
+
+# the errors that mean a certified graph does not realize back to itself
+_ROUND_TRIP_FAILURES = (ReconstructionResidual, CertificateInvalid,
+                        AmbiguousPair)
+
+
 @dataclass
 class OracleCrossCheck:
     checked: int
@@ -397,7 +411,12 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
     certificate verdict must match positive semidefiniteness of the Gram
     candidate (unit diagonal, alpha on edges, beta elsewhere), the
     certified rank must match its exact rank, and valid graphs must
-    survive a realize/extract round trip.
+    survive a realize/extract round trip.  The valid pairs of an order
+    are realized in stacked calls of at most _REALIZE_BLOCK pairs; a
+    pair whose realization raises ReconstructionResidual,
+    CertificateInvalid or AmbiguousPair is a round-trip mismatch, and any
+    other error propagates.  Mismatches come in the order of graph, then
+    grid point.
     """
     if n_max > 7:
         raise SizeGuardError("oracle cross-check is guarded to n_max <= 7")
@@ -412,30 +431,45 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
         if ex is None:
             raise ValueError("the oracle needs exact rational parameters")
         D = math.lcm(ex.alpha.denominator, ex.beta.denominator)
-        scaled.append((D, (ex.alpha * D).numerator, (ex.beta * D).numerator))
+        scaled.append((P, D, (ex.alpha * D).numerator,
+                       (ex.beta * D).numerator, float(ex.alpha),
+                       float(ex.beta)))
     checked = 0
-    mismatches = []
+    # mismatches keyed by check number, so they sort into the order of
+    # graph, then grid point, whenever their stacked realization ran
+    found = []
+    pending = []  # (check number, where, G, P, rank) awaiting realization
+
+    def realize_pending():
+        # one stacked realization; a graph that does not come back is a
+        # round-trip mismatch, any other error is the program's own
+        items = [(G, P, rank) for _, _, G, P, rank in pending]
+        for (at, where, *_), out in zip(pending,
+                                        realize_stack(items, "alpha", tol)):
+            if isinstance(out, _ROUND_TRIP_FAILURES):
+                found.append((at, where + ("round_trip",)))
+            elif isinstance(out, Exception):
+                raise out
+        pending.clear()
+
     for n in range(1, n_max + 1):
         for G in enumerate_graphs(n):
             g6 = emit_graph6(G)
-            for P, (D, a, b) in zip(grid, scaled):
-                ex = P.exact
+            for P, D, a, b, fa, fb in scaled:
+                where = (g6, fa, fb)
                 checked += 1
                 c = certify_alpha(G, P, tol)
                 fact = linalg.bareiss_bordered(*_bordered(G, D, a, b), D, 1)
                 if c.valid != (fact.inertia.neg == 0):
-                    mismatches.append((g6, float(ex.alpha), float(ex.beta),
-                                       "validity"))
-                    continue
-                if not c.valid:
-                    continue
-                if fact.rank != c.rank_r:
-                    mismatches.append((g6, float(ex.alpha), float(ex.beta),
-                                       "rank"))
-                    continue
-                try:
-                    realize_from_alpha(G, P, tol, cert=c)
-                except Exception:
-                    mismatches.append((g6, float(ex.alpha), float(ex.beta),
-                                       "round_trip"))
+                    found.append((checked, where + ("validity",)))
+                elif c.valid and fact.rank != c.rank_r:
+                    found.append((checked, where + ("rank",)))
+                elif c.valid:
+                    pending.append((checked, where, G, P, c.rank_r))
+                    if len(pending) == _REALIZE_BLOCK:
+                        realize_pending()
+        if pending:
+            realize_pending()
+    found.sort(key=itemgetter(0))
+    mismatches = [m for _, m in found]
     return OracleCrossCheck(checked=checked, mismatches=mismatches)

@@ -25,6 +25,11 @@ and shifted_trusted the float kernel over both.  verify_code and
 split_graph are the per-pair loops that checked a code and extracted its
 alpha- or beta-graph before the pair products were taken a block of
 rows at a time.
+
+factor_gram is the single-matrix Gram factorization that the stacked
+certificates._factor_stack replaced, with its body unchanged, and
+gram_matrix writes its Gram matrix as the realizations did, from the
+float shifted adjacency in two whole-matrix passes.
 """
 
 import math
@@ -36,8 +41,9 @@ from twodist.bounds import (MAX_SUBSET_SWEEP_N, BoundReport, _le,
                             _not_applicable, _resolve_cert, _shift_rank)
 from twodist.certificates import (AlphaCertificate, CodeParameters,
                                   SphericalCode, VerifyReport, shifted_graph,
-                                  shifted_principal)
-from twodist.errors import AmbiguousPair, CertificateInvalid, SizeGuardError
+                                  shifted_principal, _shift_matrix)
+from twodist.errors import (AmbiguousPair, CertificateInvalid,
+                            ReconstructionResidual, SizeGuardError)
 from twodist.graphs import Graph, _bits, _check_vertex, independence_number
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
                             eigh_trusted)
@@ -396,3 +402,42 @@ def split_graph(code: SphericalCode, tol: float, which: str) -> Graph:
             if (da < db) == (which == "alpha"):
                 edges.append((i, j))
     return Graph(n, edges)
+
+
+def factor_gram(Gram: np.ndarray, rank_r: int, tol: float) -> np.ndarray:
+    """Unit rows U with U U^T = Gram, dimension rank_r, deterministic signs.
+
+    Gram is symmetric by construction and goes straight to the float
+    core.  Each eigenvector column is signed so that its first entry
+    above 1e-12 in absolute value is positive.
+    """
+    spec, cut = eigh_trusted(Gram, tol)
+    keep = spec.values > cut
+    rank = int(np.count_nonzero(keep))
+    if rank != rank_r:
+        raise ReconstructionResidual(
+            "Gram matrix has %d positive eigenvalues, certificate says %d"
+            % (rank, rank_r))
+    V = spec.vectors[:, keep]
+    big = np.abs(V) > 1e-12
+    lead = V[big.argmax(axis=0), np.arange(V.shape[1])]
+    flip = big.any(axis=0) & (lead < 0)
+    U = V * np.where(flip, -1.0, 1.0) * np.sqrt(spec.values[keep])
+    resid = float(np.max(np.abs(U @ U.T - Gram))) if U.size else float(
+        np.max(np.abs(Gram)))
+    if resid > 10 * cut:
+        raise ReconstructionResidual("reconstruction residual %g" % resid)
+    norms = np.linalg.norm(U, axis=1)
+    if float(np.max(np.abs(norms - 1.0))) > cut:
+        raise ReconstructionResidual("realized vectors drift off the sphere")
+    return U / norms[:, None]
+
+
+def gram_matrix(G: Graph, params: CodeParameters, route: str) -> np.ndarray:
+    """The Gram matrix of G's code on the route (alpha or beta), written
+    as (a-b) (A + mu I) + b J or (a-b) (lam I - A) + a J over the float
+    shifted adjacency."""
+    a, b = params.alpha, params.beta
+    if route == "alpha":
+        return (a - b) * _shift_matrix(G, params.mu, +1) + b
+    return (a - b) * _shift_matrix(G, params.lam, -1) + a

@@ -699,6 +699,176 @@ def test_realized_vectors_match_the_column_by_column_factor():
     assert checked > 600
 
 
+def reference_realization(G, P, route, rank_r):
+    # the single factorization of the Gram matrix written in two passes
+    return reference.factor_gram(reference.gram_matrix(G, P, route), rank_r,
+                                 linalg.DEFAULT_TOL)
+
+
+def assert_same_factor(U, ref, what):
+    # byte for byte, and in the layout of the single factorization, so
+    # every later pair product sees the same strides
+    assert U.tobytes() == ref.tobytes(), what
+    assert U.shape == ref.shape, what
+    assert U.flags.f_contiguous == ref.flags.f_contiguous, what
+
+
+def valid_items(graphs, P, route):
+    certify = cert.certify_alpha if route == "alpha" else cert.certify_beta
+    items = []
+    for G in graphs:
+        c = certify(G, P)
+        if c.valid:
+            items.append((G, P, c.rank_r))
+    return items
+
+
+def test_stacked_realization_matches_the_single_factorization():
+    # one stack per (route, point, order) over every valid graph with
+    # n <= 6, at the rational grids, their float values and the pentagon
+    # point: the Gram matrix written in one Graph.matrix call, each slice
+    # and the stack of one that realize_from_* runs give the vectors of
+    # the single factorization (reference.factor_gram), bit for bit
+    from twodist.graphs import enumerate_graphs
+    from twodist.search import BETA_GRID, RATIONAL_GRID
+
+    by_order = [list(enumerate_graphs(n)) for n in range(1, 7)]
+    floats = lambda grid: [cert.CodeParameters.make(P.alpha, P.beta)
+                           for P in grid]
+    checked = 0
+    for route, grid in (("alpha", RATIONAL_GRID), ("beta", BETA_GRID)):
+        single = (cert.realize_from_alpha if route == "alpha"
+                  else cert.realize_from_beta)
+        for P in list(grid) + floats(grid) + [pentagon_parameters()]:
+            for graphs in by_order:
+                items = valid_items(graphs, P, route)
+                if not items:
+                    continue
+                codes = cert.realize_stack(items, route)
+                for (G, _, r), code in zip(items, codes):
+                    what = (route, P.alpha, P.beta, G)
+                    assert (cert._gram(G, P, route).tobytes()
+                            == reference.gram_matrix(G, P, route).tobytes())
+                    ref = reference_realization(G, P, route, r)
+                    assert_same_factor(code.vectors, ref, what)
+                    assert_same_factor(single(G, P).vectors, ref, what)
+                    checked += 1
+    assert checked > 2000
+
+
+def test_stacked_realization_matches_at_high_rank():
+    # random graphs up to n = 12: from rank 8 on, the row norms of a
+    # C-ordered factor would sum their squares pairwise, not one column
+    # at a time, and change the last bits
+    rng = random.Random(41)
+    from twodist.search import RATIONAL_GRID
+
+    points = list(RATIONAL_GRID) + [pentagon_parameters()]
+    high = full = 0
+    for n in range(7, 13):
+        for P in points:
+            graphs = [rand_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+                      for _ in range(12)]
+            items = valid_items(graphs, P, "alpha")
+            if not items:
+                continue
+            for (G, _, r), code in zip(items,
+                                       cert.realize_stack(items, "alpha")):
+                ref = reference_realization(G, P, "alpha", r)
+                assert_same_factor(code.vectors, ref, (P.alpha, P.beta, G))
+                high += r >= 8
+                full += n >= 8 and r == n
+    assert high >= 20 and full >= 20
+
+
+def test_stacks_of_one_two_and_many_slices_agree():
+    # every slice's factor is its own, whatever the stack it rides in and
+    # the ranks of its neighbours
+    from twodist.graphs import enumerate_graphs
+    from twodist.search import RATIONAL_GRID
+
+    graphs = list(enumerate_graphs(5))
+    items = [it for P in RATIONAL_GRID for it in valid_items(graphs, P,
+                                                             "alpha")]
+    assert len({r for _, _, r in items}) >= 3
+    refs = [reference_realization(G, P, "alpha", r) for G, P, r in items]
+    grams = np.stack([cert._gram(G, P, "alpha") for G, P, _ in items])
+    ranks = [r for _, _, r in items]
+    for k in (1, 2, len(items)):
+        for lo in range(0, len(items), k):
+            hi = min(lo + k, len(items))
+            factors = cert._factor_stack(grams[lo:hi], ranks[lo:hi],
+                                         linalg.DEFAULT_TOL)
+            codes = cert.realize_stack(items[lo:hi], "alpha")
+            for U, code, ref in zip(factors, codes, refs[lo:hi]):
+                assert_same_factor(U, ref, k)
+                assert_same_factor(code.vectors, ref, k)
+
+
+def test_failing_slices_raise_the_single_factorization_errors():
+    # each slice is judged at its own cut: a matrix of norm 1e10 drifts
+    # off the sphere, an indefinite one leaves a residual at its rank,
+    # and a Gram matrix beside them still factors bit for bit
+    P = cert.CodeParameters.make(Fraction(0), Fraction(-1))
+    G = path_graph(2)
+    c = cert.certify_alpha(G, P)
+    grams = [1e10 * np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
+             cert._gram(G, P, "alpha")]
+    ranks = [2, 1, c.rank_r]
+    out = cert._factor_stack(np.stack(grams), ranks, linalg.DEFAULT_TOL)
+    for U, M, r in zip(out, grams, ranks):
+        try:
+            ref = reference.factor_gram(M, r, linalg.DEFAULT_TOL)
+        except ReconstructionResidual as exc:
+            assert isinstance(U, ReconstructionResidual)
+            assert str(U) == str(exc)
+        else:
+            assert_same_factor(U, ref, r)
+    assert [str(U) for U in out[:2]] == [
+        "realized vectors drift off the sphere",
+        "reconstruction residual 0.5"]
+
+
+def test_realize_stack_raises_program_errors(monkeypatch):
+    # only the errors of a failed round trip are returned per slice
+    P = cert.CodeParameters.make(Fraction(0), Fraction(-1))
+
+    def broken(code, tol):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(cert, "alpha_graph", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        cert.realize_stack([(cycle_graph(4), P, 2)], "alpha")
+
+
+def test_a_failing_slice_leaves_the_others_alone():
+    # a slice whose certificate claims one rank too many raises the
+    # single factorization's message; its neighbours keep their bits
+    from twodist.graphs import enumerate_graphs
+
+    P = cert.CodeParameters.make(Fraction(1, 4), Fraction(-1, 2))
+    items = valid_items(enumerate_graphs(4), P, "alpha")
+    assert len(items) >= 4 and len({r for _, _, r in items}) >= 2
+    G, Q, r = items[1]
+    bad = list(items)
+    bad[1] = (G, Q, r + 1)
+    with pytest.raises(ReconstructionResidual) as single:
+        reference_realization(G, Q, "alpha", r + 1)
+    out = cert.realize_stack(bad, "alpha")
+    assert isinstance(out[1], ReconstructionResidual)
+    assert str(out[1]) == str(single.value)
+    assert "certificate says %d" % (r + 1) in str(out[1])
+    for i in [0] + list(range(2, len(items))):
+        H, _, s = items[i]
+        assert_same_factor(out[i].vectors,
+                           reference_realization(H, P, "alpha", s), i)
+    wrong = dataclasses.replace(cert.certify_alpha(G, P), rank_r=r + 1)
+    with pytest.raises(ReconstructionResidual, match=str(single.value)):
+        cert.realize_from_alpha(G, P, cert=wrong)
+    with pytest.raises(ValueError):
+        cert.realize_stack(items[:1] + [(complete_graph(5), P, 5)], "alpha")
+
+
 def test_code_json_round_trip_is_byte_stable():
     P = pentagon_parameters()
     code = cert.realize_from_alpha(cycle_graph(5), P)

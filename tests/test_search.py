@@ -542,8 +542,9 @@ def test_oracle_flags_each_kind_of_mismatch(monkeypatch, kind):
         c = certify(G, P, tol)
         return dataclasses.replace(c, rank_r=c.rank_r + 1) if c.valid else c
 
-    def fail_round_trip(G, P, tol, cert=None):
-        raise ReconstructionResidual("alpha-graph round trip failed")
+    def fail_round_trip(items, route, tol):
+        return [ReconstructionResidual("alpha-graph round trip failed")
+                for _ in items]
 
     if kind == "validity":
         monkeypatch.setattr(search, "certify_alpha", flip_validity)
@@ -552,8 +553,70 @@ def test_oracle_flags_each_kind_of_mismatch(monkeypatch, kind):
         monkeypatch.setattr(search, "certify_alpha", raise_rank)
         flagged = valid
     else:
-        monkeypatch.setattr(search, "realize_from_alpha", fail_round_trip)
+        monkeypatch.setattr(search, "realize_stack", fail_round_trip)
         flagged = valid
     rep = search.oracle_cross_check(4, parameter_grid=[P])
     assert rep.checked == 18
     assert rep.mismatches == [(g6, 0.0, -1.0, kind) for g6 in flagged]
+
+
+def test_oracle_lets_program_errors_through(monkeypatch):
+    # only a graph that does not realize back to itself is a round-trip
+    # mismatch; any other error inside the realization propagates
+    from twodist import certificates
+
+    def broken(code, tol):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(certificates, "alpha_graph", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        search.oracle_cross_check(3)
+    monkeypatch.undo()
+
+    def domain_errors(items, route, tol):
+        return [ParameterDomain("not a round-trip failure") for _ in items]
+
+    monkeypatch.setattr(search, "realize_stack", domain_errors)
+    with pytest.raises(ParameterDomain, match="not a round-trip failure"):
+        search.oracle_cross_check(3)
+
+
+def test_oracle_mismatches_come_by_graph_then_point(monkeypatch):
+    # forced validity mismatches and round-trip failures, realized three
+    # pairs to a stacked call, still come out in the order of graph, then
+    # grid point
+    P = CodeParameters.make(Fraction(0), Fraction(-1))
+    Q = CodeParameters.make(Fraction(1, 4), Fraction(-1, 2))
+    graphs = [G for n in range(1, 6) for G in enumerate_graphs(n)]
+    flipped = {emit_graph6(G) for G in graphs[::4]}
+    certify, realize, calls = search.certify_alpha, search.realize_stack, []
+
+    def flip_some(G, P, tol):
+        c = certify(G, P, tol)
+        if emit_graph6(G) in flipped:
+            return dataclasses.replace(c, valid=not c.valid)
+        return c
+
+    def fail_odd(items, route, tol):
+        calls.append(len(items))
+        return [ReconstructionResidual("alpha-graph round trip failed")
+                if len(G.edges()) % 2 else code
+                for (G, _, _), code in zip(items, realize(items, route, tol))]
+
+    monkeypatch.setattr(search, "certify_alpha", flip_some)
+    monkeypatch.setattr(search, "realize_stack", fail_odd)
+    monkeypatch.setattr(search, "_REALIZE_BLOCK", 3)
+    rep = search.oracle_cross_check(5, parameter_grid=[P, Q])
+    expected = []
+    for G in graphs:
+        for R in (P, Q):
+            where = (emit_graph6(G), R.alpha, R.beta)
+            if emit_graph6(G) in flipped:
+                expected.append(where + ("validity",))
+            elif certify(G, R, linalg.DEFAULT_TOL).valid and len(G.edges()) % 2:
+                expected.append(where + ("round_trip",))
+    kinds = {m[3] for m in expected}
+    assert kinds == {"validity", "round_trip"}
+    assert rep.checked == 2 * len(graphs)
+    assert rep.mismatches == expected
+    assert max(calls) == 3 and len(calls) > 10
