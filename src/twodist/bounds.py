@@ -3,8 +3,23 @@
 The check_* functions test consequences that every valid alpha-graph must
 satisfy: a quadratic-form inequality for each vertex subset, an
 independence-number cap, forbidden cliques above the realization rank,
-and budget/rank conditions for neighborhood subgraphs.  Violations would
-falsify a certificate, so exhaustive runs double as consistency tests.
+and budget/rank conditions for neighborhood subgraphs.  A check's cert,
+when given, must be certify_alpha(G, params, tol) already computed, as
+for certificates.realize_from_alpha; an invalid one makes the report
+not applicable.
+
+Three of the checks are theorems about a valid certificate, so they
+hold by proof and enumerate nothing.  q = j^T (A + mu I)^# j is the
+supremum of 2 j.x - x^T (A + mu I) x over x, and x = c 1_S gives
+t^2 <= (2e + t mu) q for every vertex set S of t vertices and e edges
+(check_subgraph_inequality); at e = 0 that is alpha(G) <= mu q
+(check_independence).  Their right-hand sides, p (2e + t mu) and
+mu p = (1-beta)/(-beta), follow from q <= p, the certificate's budget
+test.  An (r+1)-clique in a code of rank r is a regular
+simplex centred at the origin, which no further unit vector joins
+(check_clique_free).  Their reports still carry q, the cap and its
+floor, the independence number and r + 1.  check_neighborhood decides
+each neighborhood's own q and rank.
 
 The *_bound functions produce upper bounds on code sizes: the classical
 two-distance dimension bound, a Turan-type count, a tensor-power count,
@@ -22,13 +37,10 @@ from fractions import Fraction
 
 from .certificates import (AlphaCertificate, CodeParameters, certify_alpha,
                            shifted_graph, shifted_principal)
-from .errors import EmptyFamilyError, InvariantViolation, SizeGuardError
-from .graphs import (Graph, contains_clique, independence_number,
-                     is_complete, is_connected, _check_vertex)
+from .errors import EmptyFamilyError, InvariantViolation
+from .graphs import (Graph, independence_number, is_complete, is_connected,
+                     _check_vertex)
 from .linalg import DEFAULT_TOL
-
-# check_subgraph_inequality sweeps all 2^n subsets when none is given
-MAX_SUBSET_SWEEP_N = 20
 
 
 @dataclass
@@ -86,17 +98,14 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
                               ) -> BoundReport:
     """t^2 <= (2 e(H) + t mu) q(G) <= p (2 e(H) + t mu) for induced H.
 
-    With subset given, checks that one subgraph (its vertices must lie in
-    range(G.n), and there must be at least one; the witness is
-    sorted(set(subset))); with subset None, sweeps every nonempty vertex
-    subset and reports the first violation, in the order of the subset
-    bitmasks, as witness.  The right inequality reduces to q <= p, which
-    holds for any valid certificate, so the sweep only multiplies out the
-    left one.  The sweep costs 2^n integer steps, each mask's e(H) taken
-    from the mask without its top vertex, plus one comparison per
-    distinct (t, e) pair: the verdict depends on nothing else.  A
-    rational q and mu compare in integers, multiplied out by their
-    denominators; a float one compares with relative slack tol.
+    Holds on every valid certificate, for every vertex set S of t
+    vertices spanning e edges.  q is the supremum of 2 j.x - x^T M x
+    over x, M = A + mu I, and x = c 1_S gives 2 c t - c^2 (2e + t mu);
+    at c = t / (2e + t mu) that is t^2 / (2e + t mu) <= q.  The right
+    inequality is q <= p, the certificate's own budget test.  So no
+    subset is enumerated: value is q, and with subset given (its
+    vertices must lie in range(G.n), and there must be at least one)
+    the witness is sorted(set(subset)).
     """
     if subset is not None:
         for v in subset:
@@ -109,52 +118,8 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("subgraph", cert)
-    q = cert.quadform
-    P = params.exact or params
-    mu = P.mu
-    if isinstance(q, float) or isinstance(mu, float):
-        def left_ok(t: int, e: int) -> bool:
-            return _le(t * t, (2 * e + t * mu) * q, tol)
-    else:
-        # times the positive denominators of mu and q: t^2 qd md <=
-        # (2 e md + t mn) qn, in integers
-        scale = q.denominator * mu.denominator
-        per_edge = 2 * mu.denominator * q.numerator
-        per_vertex = mu.numerator * q.numerator
-
-        def left_ok(t: int, e: int) -> bool:
-            return t * t * scale <= e * per_edge + t * per_vertex
-
-    right_ok = _le(q, P.p, tol)
-    if subset is not None:
-        mask = sum(1 << v for v in subset)
-        e = sum((G.rows[v] & mask).bit_count() for v in subset) // 2
-        holds = left_ok(len(subset), e) and right_ok
-        return BoundReport(name="subgraph", applicable=True, holds=holds,
-                           value=float(q), witness=subset)
-    if G.n > MAX_SUBSET_SWEEP_N:
-        raise SizeGuardError("the subset sweep is guarded to n <= %d; "
-                             "pass a subset" % MAX_SUBSET_SWEEP_N)
-    # edges[mask] is e(H) on mask, at most 190 under the guard; verdict
-    # is 0 (undecided), 1 (holds) or 2 (fails) per (t, e), at t << 8 | e
-    edges = bytearray(1 << G.n)
-    verdict = bytearray((G.n + 1) << 8)
-    for v, row in enumerate(G.rows):
-        top = 1 << v
-        for rest in range(top):
-            e = edges[rest] + (row & rest).bit_count()
-            mask = top | rest
-            edges[mask] = e
-            t = mask.bit_count()
-            ok = verdict[t << 8 | e]
-            if not ok:
-                ok = verdict[t << 8 | e] = 1 if left_ok(t, e) else 2
-            if ok == 2:
-                bad = [u for u in range(v + 1) if mask >> u & 1]
-                return BoundReport(name="subgraph", applicable=True,
-                                   holds=False, value=float(q), witness=bad)
-    return BoundReport(name="subgraph", applicable=True, holds=right_ok,
-                       value=float(q))
+    return BoundReport(name="subgraph", applicable=True, holds=True,
+                       value=float(cert.quadform), witness=subset)
 
 
 def check_independence(G: Graph, params: CodeParameters,
@@ -162,36 +127,48 @@ def check_independence(G: Graph, params: CodeParameters,
                        cert: AlphaCertificate | None = None) -> BoundReport:
     """Independent sets have at most mu q(G) <= (1-beta)/(-beta) vertices.
 
-    floored is the floor of the cap mu q(G): exact for a rational cap, and
-    math.floor(cap + tol) for a float one.
+    Holds on every valid certificate: an independent set of t vertices is
+    the case e = 0 of the subgraph inequality, t^2 <= t mu q, and
+    mu q <= mu p = (1-beta)/(-beta) is the budget test q <= p.  value is
+    the cap mu q(G), floored its floor (exact for a rational cap,
+    math.floor(cap + tol) for a float one), and witness the independence
+    number, computed for the report (SizeGuardError above
+    graphs.MAX_INDEPENDENCE_N vertices).
     """
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("independence", cert)
-    t = independence_number(G)
     P = params.exact or params
     cap = P.mu * cert.quadform
-    holds = _le(t, cap, tol) and _le(cap, P.indep_roof, tol)
     floored = (math.floor(cap) if isinstance(cap, Fraction)
                else math.floor(float(cap) + tol))
-    return BoundReport(name="independence", applicable=True, holds=holds,
-                       value=float(cap), floored=floored, witness=t)
+    return BoundReport(name="independence", applicable=True, holds=True,
+                       value=float(cap), floored=floored,
+                       witness=independence_number(G))
 
 
 def check_clique_free(G: Graph, params: CodeParameters,
                       tol: float = DEFAULT_TOL,
                       cert: AlphaCertificate | None = None) -> BoundReport:
-    """A graph realizable in rank r, other than K_{r+1} itself, has no K_{r+1}."""
+    """A graph realizable in rank r, other than K_{r+1} itself, has no K_{r+1}.
+
+    Holds on every valid certificate.  r + 1 unit vectors with pairwise
+    inner product alpha span at most r dimensions only when their Gram
+    matrix (1 - alpha) I + alpha J is singular, that is alpha = -1/r:
+    a regular simplex centred at the origin.  Its vectors sum to 0, so a
+    further unit vector x would have inner products with them summing to
+    0, while each is alpha or beta, both negative.  So the clique is the
+    whole code, the exceptional complete graph, noted as such.  value
+    is r + 1.
+    """
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("clique_free", cert)
     r = cert.rank_r
-    if is_complete(G) and G.n == r + 1:
-        return BoundReport(name="clique_free", applicable=True, holds=True,
-                           value=float(r + 1), note="exceptional complete graph")
-    holds = not contains_clique(G, r + 1)
-    return BoundReport(name="clique_free", applicable=True, holds=holds,
-                       value=float(r + 1))
+    note = ("exceptional complete graph" if is_complete(G) and G.n == r + 1
+            else None)
+    return BoundReport(name="clique_free", applicable=True, holds=True,
+                       value=float(r + 1), note=note)
 
 
 def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,

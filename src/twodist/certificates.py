@@ -55,7 +55,6 @@ class ExactParameters:
     p: Fraction | None
     budget_nbr: Fraction | None
     budget_del: Fraction | None
-    indep_roof: Fraction | None
     beta_budget: Fraction | None
 
 
@@ -68,14 +67,14 @@ class CodeParameters:
     is the quadratic-form budget and exists only for beta < 0.  The
     neighborhood budget budget_nbr = (alpha-beta)/(alpha^2-beta), which is
     also the budget p of the recursion map's parameters, exists whenever
-    alpha^2 != beta.  The other constants of the derived checks exist
-    only for beta < 0: the deleted-neighborhood budget budget_del =
-    (alpha-beta)/(-beta (1-beta)) and the independence roof indep_roof =
-    (1-beta)/(-beta).  beta_budget = (alpha-beta)/(-alpha) is the
-    quadratic-form budget of certify_beta and exists only for alpha > 0.  ``exact`` is populated when both inputs are rational, and
-    switches every certificate decision to exact arithmetic.  It has the
-    same field names, so ``P = params.exact or params`` gives every
-    scalar in the arithmetic of the backend that decides.
+    alpha^2 != beta.  The deleted-neighborhood budget budget_del =
+    (alpha-beta)/(-beta (1-beta)) exists only for beta < 0.  beta_budget =
+    (alpha-beta)/(-alpha) is the quadratic-form budget of certify_beta and
+    exists only for alpha > 0.  ``exact`` is populated when both inputs
+    are rational, and switches every certificate decision to exact
+    arithmetic.  It has the same field names, so ``P = params.exact or
+    params`` gives every scalar in the arithmetic of the backend that
+    decides.
     """
 
     alpha: float
@@ -85,7 +84,6 @@ class CodeParameters:
     p: float | None
     budget_nbr: float | None
     budget_del: float | None
-    indep_roof: float | None
     beta_budget: float | None
     exact: ExactParameters | None
 
@@ -115,13 +113,12 @@ class CodeParameters:
 
 
 def _budgets(a, b) -> dict:
-    """The budgets and the roof of CodeParameters, in the arithmetic of a
-    and b, None where their condition fails."""
+    """The budgets of CodeParameters, in the arithmetic of a and b, None
+    where their condition fails."""
     neg = b < 0
     return dict(p=(a - b) / (-b) if neg else None,
                 budget_nbr=(a - b) / (a * a - b) if a * a != b else None,
                 budget_del=(a - b) / (-b * (1 - b)) if neg else None,
-                indep_roof=(1 - b) / (-b) if neg else None,
                 beta_budget=(a - b) / (-a) if a > 0 else None)
 
 
@@ -366,9 +363,8 @@ def shifted_graph(G: Graph, shift, sign: int,
     rows of L (A + shift I) or L (shift I - A), L the denominator of
     shift, bordered by j (_bordered); a
     float runs the spectral core linalg.shifted_trusted at tol' (values
-    set) on the float matrix, bit for bit the matrix and the facts of
-    linalg.shifted(shift * np.eye(n) + sign * A).  The decisions read the
-    same fields.
+    set) on the float matrix, bit for bit the matrix
+    shift * np.eye(n) + sign * A.  The decisions read the same fields.
     """
     if isinstance(shift, Fraction):
         den = shift.denominator

@@ -2,8 +2,8 @@
 
 Vertices are 0..n-1 and each row of a Graph is an int bitmask of neighbors.
 Everything here targets exhaustive work at small order: graph6 round trips,
-isomorphism-free enumeration, and independence and clique search by branch
-and bound.  The bound checks build no subgraphs: a neighborhood is a vertex
+isomorphism-free enumeration, and the independence number by branch and
+bound.  The bound checks build no subgraphs: a neighborhood is a vertex
 mask, read off the parent's rows (certificates.shifted_principal).
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
@@ -283,40 +283,6 @@ def independence_number(G: Graph) -> int:
 
     bb((1 << G.n) - 1, 0)
     return best
-
-
-def contains_clique(G: Graph, t: int) -> bool:
-    """Whether G contains a clique on t vertices, by branch and bound.
-
-    The search is guarded like independence_number: SizeGuardError above
-    MAX_INDEPENDENCE_N vertices.  The trivial cases t <= 1 and t > n are
-    answered at any size.
-    """
-    if t <= 0:
-        return True
-    if t == 1:
-        return G.n >= 1
-    if t > G.n:
-        return False
-    if G.n > MAX_INDEPENDENCE_N:
-        raise SizeGuardError("clique search guarded to n <= %d"
-                             % MAX_INDEPENDENCE_N)
-    rows = G.rows
-
-    def ext(allowed: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while allowed:
-            if allowed.bit_count() < need:
-                return False
-            low = allowed & -allowed
-            v = low.bit_length() - 1
-            allowed ^= low
-            if ext(allowed & rows[v], need - 1):
-                return True
-        return False
-
-    return ext((1 << G.n) - 1, t)
 
 
 def is_complete(G: Graph) -> bool:

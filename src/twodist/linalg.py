@@ -28,10 +28,10 @@ the band, v has no part off the range (its norm is sqrt(0), never above
 the cut), so it divides every coefficient at once, the entries the
 masked division gives, and multiplies on the column-major copy of the
 vectors that the masked columns are, so the bits are the same; the
-general read masks the band.  The validating front ends (shifted,
-eigen_decompose, inertia, rank_sym, and rank_one_update_inertia on
-float input) take a caller's matrix, check that it is square and
-symmetric within tol', and symmetrize it before the core sees it.  The trusted writers build their
+general read masks the band.  The validating front ends (inertia,
+rank_sym, and rank_one_update_inertia on float input) take a caller's
+matrix, check that it is square and symmetric within tol', and
+symmetrize it before the core sees it.  The trusted writers build their
 matrix straight from a graph's bitmasks (Graph.matrix):
 certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
@@ -135,16 +135,6 @@ def eigh_trusted(M: np.ndarray,
     return Spectrum(values[::-1], vectors[:, ::-1]), scaled_tol(M, tol)
 
 
-def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by LAPACK (numpy's eigh).
-
-    Returns eigenvalues in descending order with matching orthonormal
-    eigenvector columns.  Only the symmetrized matrix reaches LAPACK, so
-    both triangles count.
-    """
-    return eigh_trusted(_as_symmetric(M, tol), tol)[0]
-
-
 def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
     # the comparisons of values > cut and values < -cut, on Python floats
     vals, low = values.tolist(), -cut
@@ -189,29 +179,17 @@ def band(q, p, cut) -> tuple[bool, bool, bool]:
     return q > p + cut, abs(q - p) <= cut, q < p - cut
 
 
-def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
-    """The certificate facts about a shifted adjacency matrix, one spectrum.
-
-    For symmetric M (A + mu I or lam I - A) and the all-ones vector j:
-    the spectrum, the inertia and rank at the cut tol', and the quadratic
-    form j^T M^# j, read from the same decomposition, with tol' as the
-    cut.  M is positive semidefinite iff inertia.neg == 0.  This is the
-    validating front end of shifted_trusted: M must be square and
-    symmetric within tol' (ValueError otherwise) and is symmetrized.
-    """
-    return shifted_trusted(_as_symmetric(M, tol), tol)
-
-
 def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
                     v=None) -> Shifted:
-    """shifted on a float matrix symmetric by construction, unchecked.
+    """The certificate facts about a float matrix symmetric by construction.
 
-    Reads the same fields off the core eigh_trusted, in the same order of
-    operations, so for such a matrix it agrees with shifted bit for bit.
-    v defaults to the all-ones vector j.  The quadratic form comes from
-    the minimum-norm solution of M x = v; v leaves the column space when
-    its component on the eigenvectors with |value| <= tol' has norm
-    above tol'.
+    For M (A + mu I or lam I - A) and v, defaulting to the all-ones
+    vector j: the spectrum, the inertia and rank at the cut tol', and the
+    quadratic form v^T M^# v, read off one eigh_trusted call with tol'
+    as the cut.  M is not checked.  M is positive semidefinite iff
+    inertia.neg == 0.  The quadratic form comes from the minimum-norm
+    solution of M x = v; v leaves the column space when its component on
+    the eigenvectors with |value| <= tol' has norm above tol'.
     """
     spec, cut = eigh_trusted(M, tol)
     return _read_shifted(spec, cut, _count_inertia(spec.values, cut), v)

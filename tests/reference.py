@@ -11,12 +11,23 @@ neighborhood check used before it read every neighborhood off the
 parent's matrix, and check_neighborhood_by_subgraphs is that check's
 per-subgraph body, one subgraph and one kernel call per neighborhood.
 
-check_subgraph_inequality_in_fractions, check_independence_in_fractions
-and check_neighborhood_in_fractions are the bodies of the three derived
-checks before they compared in integers and read their budgets and roof
-from CodeParameters: every exact comparison is one of Fractions built
-per call, through bounds._le, and every budget is recomputed per call.
-On floats they run the same float operations as the package.
+check_subgraph_inequality_by_sweep, check_independence_by_roof and
+check_clique_free_by_search are the brute-force bodies of three derived
+checks, which the package now decides by their theorems (see the bounds
+module): the sweep of every vertex subset that compares
+t^2 <= (2e + t mu) q in integers and q <= p with bounds._le, the
+independence number and the cap mu q against the roof (1-beta)/(-beta),
+which CodeParameters once carried as a field, and the search for a
+K_{r+1} by contains_clique, which graphs no longer has.  Each is the
+body the package ran, with the same guards.  The suite runs them on
+forged certificates, where the theorems do not apply, and on every
+valid one, where the package's reports must equal theirs.
+check_subgraph_inequality_in_fractions and
+check_neighborhood_in_fractions are the sweep and check_neighborhood
+before they compared in integers and read their budgets from
+CodeParameters: every exact comparison is one of Fractions built per
+call, through bounds._le, and every budget is recomputed per call.  On
+floats they run the same float operations as the package.
 
 read_shifted is the float reader before it took precomputed
 coefficients and read a full-rank spectrum without the off-range mask,
@@ -30,6 +41,10 @@ factor_gram is the single-matrix Gram factorization that the stacked
 certificates._factor_stack replaced, with its body unchanged, and
 gram_matrix writes its Gram matrix as the realizations did, from the
 float shifted adjacency in two whole-matrix passes.
+
+shifted and eigen_decompose are the validating float front ends that
+linalg had without a caller in the package: each checks and
+symmetrizes a caller's matrix and runs the float core on it.
 """
 
 import math
@@ -37,17 +52,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from twodist.bounds import (MAX_SUBSET_SWEEP_N, BoundReport, _le,
-                            _not_applicable, _resolve_cert, _shift_rank)
+from twodist import linalg
+from twodist.bounds import (BoundReport, _le, _not_applicable, _resolve_cert,
+                            _shift_rank)
 from twodist.certificates import (AlphaCertificate, CodeParameters,
                                   SphericalCode, VerifyReport, shifted_graph,
                                   shifted_principal, _shift_matrix)
 from twodist.errors import (AmbiguousPair, CertificateInvalid,
                             ReconstructionResidual, SizeGuardError)
-from twodist.graphs import Graph, _bits, _check_vertex, independence_number
+from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits, _check_vertex,
+                            independence_number, is_complete)
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
-                            eigh_trusted)
+                            _as_symmetric, eigh_trusted)
 from twodist.search import _leaf_rejection
+
+# check_subgraph_inequality_by_sweep sweeps all 2^n subsets when none is
+# given
+MAX_SUBSET_SWEEP_N = 20
 
 
 def shifted_exact(M, v=None) -> Shifted:
@@ -217,7 +238,7 @@ def check_subgraph_inequality_in_fractions(
         G: Graph, params: CodeParameters, subset=None,
         tol: float = DEFAULT_TOL,
         cert: AlphaCertificate | None = None) -> BoundReport:
-    """bounds.check_subgraph_inequality, each (t, e) pair compared by
+    """check_subgraph_inequality_by_sweep, each (t, e) pair compared by
     _le on t^2 and the Fraction (2 e + t mu) q."""
     if subset is not None:
         for v in subset:
@@ -268,11 +289,91 @@ def check_subgraph_inequality_in_fractions(
                        value=float(q))
 
 
-def check_independence_in_fractions(
+def check_subgraph_inequality_by_sweep(
+        G: Graph, params: CodeParameters, subset=None,
+        tol: float = DEFAULT_TOL,
+        cert: AlphaCertificate | None = None) -> BoundReport:
+    """t^2 <= (2 e(H) + t mu) q(G) <= p (2 e(H) + t mu) for induced H.
+
+    With subset given, checks that one subgraph (its vertices must lie in
+    range(G.n), and there must be at least one; the witness is
+    sorted(set(subset))); with subset None, sweeps every nonempty vertex
+    subset and reports the first violation, in the order of the subset
+    bitmasks, as witness.  The right inequality reduces to q <= p, which
+    holds for any valid certificate, so the sweep only multiplies out the
+    left one.  The sweep costs 2^n integer steps, each mask's e(H) taken
+    from the mask without its top vertex, plus one comparison per
+    distinct (t, e) pair: the verdict depends on nothing else.  A
+    rational q and mu compare in integers, multiplied out by their
+    denominators; a float one compares with relative slack tol.
+    """
+    if subset is not None:
+        for v in subset:
+            if v not in range(G.n):
+                raise ValueError("subset vertex %r is not in range(%d)"
+                                 % (v, G.n))
+        subset = sorted(set(subset))
+        if not subset:
+            raise ValueError("the subset must name at least one vertex")
+    cert = _resolve_cert(G, params, tol, cert)
+    if not cert.valid:
+        return _not_applicable("subgraph", cert)
+    q = cert.quadform
+    P = params.exact or params
+    mu = P.mu
+    if isinstance(q, float) or isinstance(mu, float):
+        def left_ok(t: int, e: int) -> bool:
+            return _le(t * t, (2 * e + t * mu) * q, tol)
+    else:
+        # times the positive denominators of mu and q: t^2 qd md <=
+        # (2 e md + t mn) qn, in integers
+        scale = q.denominator * mu.denominator
+        per_edge = 2 * mu.denominator * q.numerator
+        per_vertex = mu.numerator * q.numerator
+
+        def left_ok(t: int, e: int) -> bool:
+            return t * t * scale <= e * per_edge + t * per_vertex
+
+    right_ok = _le(q, P.p, tol)
+    if subset is not None:
+        mask = sum(1 << v for v in subset)
+        e = sum((G.rows[v] & mask).bit_count() for v in subset) // 2
+        holds = left_ok(len(subset), e) and right_ok
+        return BoundReport(name="subgraph", applicable=True, holds=holds,
+                           value=float(q), witness=subset)
+    if G.n > MAX_SUBSET_SWEEP_N:
+        raise SizeGuardError("the subset sweep is guarded to n <= %d; "
+                             "pass a subset" % MAX_SUBSET_SWEEP_N)
+    # edges[mask] is e(H) on mask, at most 190 under the guard; verdict
+    # is 0 (undecided), 1 (holds) or 2 (fails) per (t, e), at t << 8 | e
+    edges = bytearray(1 << G.n)
+    verdict = bytearray((G.n + 1) << 8)
+    for v, row in enumerate(G.rows):
+        top = 1 << v
+        for rest in range(top):
+            e = edges[rest] + (row & rest).bit_count()
+            mask = top | rest
+            edges[mask] = e
+            t = mask.bit_count()
+            ok = verdict[t << 8 | e]
+            if not ok:
+                ok = verdict[t << 8 | e] = 1 if left_ok(t, e) else 2
+            if ok == 2:
+                bad = [u for u in range(v + 1) if mask >> u & 1]
+                return BoundReport(name="subgraph", applicable=True,
+                                   holds=False, value=float(q), witness=bad)
+    return BoundReport(name="subgraph", applicable=True, holds=right_ok,
+                       value=float(q))
+
+
+def check_independence_by_roof(
         G: Graph, params: CodeParameters, tol: float = DEFAULT_TOL,
         cert: AlphaCertificate | None = None) -> BoundReport:
-    """bounds.check_independence with the roof (1-beta)/(-beta)
-    recomputed per call."""
+    """Independent sets have at most mu q(G) <= (1-beta)/(-beta) vertices.
+
+    floored is the floor of the cap mu q(G): exact for a rational cap, and
+    math.floor(cap + tol) for a float one.
+    """
     cert = _resolve_cert(G, params, tol, cert)
     if not cert.valid:
         return _not_applicable("independence", cert)
@@ -284,6 +385,22 @@ def check_independence_in_fractions(
                else math.floor(float(cap) + tol))
     return BoundReport(name="independence", applicable=True, holds=holds,
                        value=float(cap), floored=floored, witness=t)
+
+
+def check_clique_free_by_search(
+        G: Graph, params: CodeParameters, tol: float = DEFAULT_TOL,
+        cert: AlphaCertificate | None = None) -> BoundReport:
+    """A graph realizable in rank r, other than K_{r+1} itself, has no K_{r+1}."""
+    cert = _resolve_cert(G, params, tol, cert)
+    if not cert.valid:
+        return _not_applicable("clique_free", cert)
+    r = cert.rank_r
+    if is_complete(G) and G.n == r + 1:
+        return BoundReport(name="clique_free", applicable=True, holds=True,
+                           value=float(r + 1), note="exceptional complete graph")
+    holds = not contains_clique(G, r + 1)
+    return BoundReport(name="clique_free", applicable=True, holds=holds,
+                       value=float(r + 1))
 
 
 def check_neighborhood_in_fractions(
@@ -441,3 +558,60 @@ def gram_matrix(G: Graph, params: CodeParameters, route: str) -> np.ndarray:
     if route == "alpha":
         return (a - b) * _shift_matrix(G, params.mu, +1) + b
     return (a - b) * _shift_matrix(G, params.lam, -1) + a
+
+
+def contains_clique(G: Graph, t: int) -> bool:
+    """Whether G contains a clique on t vertices, by branch and bound.
+
+    The search is guarded like independence_number: SizeGuardError above
+    MAX_INDEPENDENCE_N vertices.  The trivial cases t <= 1 and t > n are
+    answered at any size.
+    """
+    if t <= 0:
+        return True
+    if t == 1:
+        return G.n >= 1
+    if t > G.n:
+        return False
+    if G.n > MAX_INDEPENDENCE_N:
+        raise SizeGuardError("clique search guarded to n <= %d"
+                             % MAX_INDEPENDENCE_N)
+    rows = G.rows
+
+    def ext(allowed: int, need: int) -> bool:
+        if need == 0:
+            return True
+        while allowed:
+            if allowed.bit_count() < need:
+                return False
+            low = allowed & -allowed
+            v = low.bit_length() - 1
+            allowed ^= low
+            if ext(allowed & rows[v], need - 1):
+                return True
+        return False
+
+    return ext((1 << G.n) - 1, t)
+
+
+def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK (numpy's eigh).
+
+    Returns eigenvalues in descending order with matching orthonormal
+    eigenvector columns.  Only the symmetrized matrix reaches LAPACK, so
+    both triangles count.
+    """
+    return eigh_trusted(_as_symmetric(M, tol), tol)[0]
+
+
+def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
+    """The certificate facts about a shifted adjacency matrix, one spectrum.
+
+    For symmetric M (A + mu I or lam I - A) and the all-ones vector j:
+    the spectrum, the inertia and rank at the cut tol', and the quadratic
+    form j^T M^# j, read from the same decomposition, with tol' as the
+    cut.  M is positive semidefinite iff inertia.neg == 0.  This is the
+    validating front end of shifted_trusted: M must be square and
+    symmetric within tol' (ValueError otherwise) and is symmetrized.
+    """
+    return linalg.shifted_trusted(_as_symmetric(M, tol), tol)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import reference
 from twodist import bounds, linalg, search
 from twodist.certificates import (CodeParameters, alpha_graph, certify_alpha,
                                   certify_beta, code_rank, realize_from_alpha)
@@ -51,7 +52,10 @@ def test_criterion_1_rank_one_update_inertia():
 
 def _grid_sweep():
     """Certify every canonical graph with n <= 7 at every grid point and
-    run the derived checks plus realization round trips on the valid ones.
+    run the derived checks, the brute-force bodies of the three that hold
+    by proof (tests/reference.py: the subset sweep, the independence
+    number against the roof and the clique search) and realization round
+    trips on the valid ones.
 
     Cached because two criteria read the same sweep.
     """
@@ -74,6 +78,10 @@ def _grid_sweep():
                     bounds.check_independence(G, P, cert=cert),
                     bounds.check_clique_free(G, P, cert=cert),
                     bounds.check_neighborhood(G, P, cert=cert),
+                    reference.check_subgraph_inequality_by_sweep(
+                        G, P, cert=cert),
+                    reference.check_independence_by_roof(G, P, cert=cert),
+                    reference.check_clique_free_by_search(G, P, cert=cert),
                 ]
                 for rep in checks:
                     if not rep.applicable or rep.holds is not True:

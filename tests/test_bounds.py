@@ -20,9 +20,8 @@ from twodist.certificates import (AlphaCertificate, CodeParameters,
                                   certify_alpha)
 from twodist.errors import EmptyFamilyError, ParameterDomain, SizeGuardError
 from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, canonical_form,
-                            complete_bipartite, complete_graph,
-                            contains_clique, cycle_graph, disjoint_union,
-                            empty_graph, enumerate_graphs)
+                            complete_bipartite, complete_graph, cycle_graph,
+                            disjoint_union, empty_graph, enumerate_graphs)
 from twodist.search import RATIONAL_GRID
 
 from reference import check_neighborhood_by_subgraphs
@@ -132,7 +131,8 @@ def test_subgraph_sweep_matches_naive_loop():
                     orders.add(n)
                     shrink = Fraction(3, 4) if P.exact else 0.75
                     while True:
-                        rep = bounds.check_subgraph_inequality(G, P, cert=c)
+                        rep = reference.check_subgraph_inequality_by_sweep(
+                            G, P, cert=c)
                         holds, witness = naive_sweep(G, P, c)
                         assert (rep.holds, rep.witness) == (holds, witness)
                         if not holds:
@@ -206,7 +206,9 @@ def test_clique_free_exceptional_complete_graph():
 
 def test_clique_free_is_guarded():
     # the line graph of K_9 (36 vertices) at (2/5, -1/5) is valid with
-    # rank 9, so the check searches for a K_10: above the guard
+    # rank 9: a K_10 would be a centred simplex, so the check holds by
+    # proof, while the clique search of its brute-force body is above
+    # the guard
     P = CodeParameters.make(Fraction(2, 5), Fraction(-1, 5))
     pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
     G = Graph(len(pairs), [(x, y) for x in range(len(pairs))
@@ -214,8 +216,11 @@ def test_clique_free_is_guarded():
                            if set(pairs[x]) & set(pairs[y])])
     cert = certify_alpha(G, P)
     assert cert.valid and cert.rank_r == 9
+    rep = bounds.check_clique_free(G, P, cert=cert)
+    assert rep.applicable and rep.holds and rep.value == 10.0
+    assert rep.note is None
     with pytest.raises(SizeGuardError):
-        bounds.check_clique_free(G, P, cert=cert)
+        reference.check_clique_free_by_search(G, P, cert=cert)
     # K_33 at (1/2, -1/2) has rank 33: a K_34 on 33 vertices needs no
     # search, so the check answers above the guard
     P = CodeParameters.make(Fraction(1, 2), Fraction(-1, 2))
@@ -224,12 +229,13 @@ def test_clique_free_is_guarded():
     assert cert.valid and cert.rank_r == G.n
     assert bounds.check_clique_free(G, P, cert=cert).holds
     n = MAX_INDEPENDENCE_N
-    assert contains_clique(complete_graph(n), n)
+    assert reference.contains_clique(complete_graph(n), n)
     big = complete_graph(n + 1)
-    assert contains_clique(big, 0) and contains_clique(big, 1)
-    assert not contains_clique(big, n + 2)
+    assert reference.contains_clique(big, 0)
+    assert reference.contains_clique(big, 1)
+    assert not reference.contains_clique(big, n + 2)
     with pytest.raises(SizeGuardError):
-        contains_clique(big, 2)
+        reference.contains_clique(big, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +340,63 @@ def test_neighborhood_matches_the_subgraph_reference_on_random_graphs():
 
 
 # ---------------------------------------------------------------------------
-# the derived checks against their Fraction bodies
+# the derived checks against their brute-force and Fraction bodies
 # ---------------------------------------------------------------------------
+
+def assert_checks_equal_brute_force(G, P, c, subsets):
+    """On c = certify_alpha(G, P), the three checks decided by theorem
+    give the reports of their brute-force bodies in tests/reference.py,
+    every field equal and value bit for bit: over all subsets, on each
+    given subset, the independence cap and the clique search."""
+    pairs = [(bounds.check_subgraph_inequality(G, P, cert=c),
+              reference.check_subgraph_inequality_by_sweep(G, P, cert=c))]
+    pairs += [(bounds.check_subgraph_inequality(G, P, subset=S, cert=c),
+               reference.check_subgraph_inequality_by_sweep(
+                   G, P, subset=S, cert=c)) for S in subsets]
+    pairs += [(bounds.check_independence(G, P, cert=c),
+               reference.check_independence_by_roof(G, P, cert=c)),
+              (bounds.check_clique_free(G, P, cert=c),
+               reference.check_clique_free_by_search(G, P, cert=c))]
+    for rep, ref in pairs:
+        assert rep == ref, (G, P.alpha, P.beta, rep, ref)
+        assert rep.holds is True
+        assert rep.value.hex() == ref.value.hex()
+
+
+def test_derived_checks_equal_their_brute_force_bodies_up_to_order_7():
+    # every valid certificate of every graph with n <= 7 at the 15 exact
+    # grid points, their floats and the pentagon point
+    rng = random.Random(16)
+    valid = {True: 0, False: 0}
+    for n in range(1, 8):
+        for G in enumerate_graphs(n):
+            for P in neighborhood_points():
+                c = certify_alpha(G, P)
+                if not c.valid:
+                    continue
+                valid[c.exact] += 1
+                some = [v for v in range(n) if rng.random() < 0.5] or [0]
+                assert_checks_equal_brute_force(G, P, c, [range(n), some])
+    # 2,411 exact, the same 2,411 on floats and 12 at the pentagon point
+    assert valid == {True: 2411, False: 2423}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=n))))
+def test_derived_checks_equal_their_brute_force_bodies_on_random_graphs(
+        case):
+    n, bits, subset = case
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    G = Graph(n, [e for e, on in zip(pairs, bits) if on])
+    for P in neighborhood_points():
+        c = certify_alpha(G, P)
+        if c.valid:
+            assert_checks_equal_brute_force(G, P, c, [subset])
+
 
 def scaled(c: AlphaCertificate, factor) -> AlphaCertificate:
     """c with its quadratic form scaled by factor, in its own arithmetic."""
@@ -344,18 +405,23 @@ def scaled(c: AlphaCertificate, factor) -> AlphaCertificate:
 
 
 def assert_derived_checks_match_fractions(G, P, c, subsets, u=None):
-    """The three derived checks give the reports of their Fraction bodies
-    in tests/reference.py, every field equal and value bit for bit: the
-    subset sweep, each given subset, the independence cap and the
-    neighborhood budgets at u.  Returns the subgraph reports."""
-    sub = [(bounds.check_subgraph_inequality(G, P, cert=c),
+    """The integer subset sweep in tests/reference.py gives the reports
+    of its Fraction body, every field equal and value bit for bit, over
+    all subsets and on each given subset; check_independence gives the
+    report of its brute-force body in every field but holds, which it
+    takes from the theorem; check_neighborhood gives the report of its
+    Fraction body at u.  c may be forged, so the brute-force bodies meet
+    failing verdicts.  Returns the brute-force subgraph reports."""
+    sub = [(reference.check_subgraph_inequality_by_sweep(G, P, cert=c),
             reference.check_subgraph_inequality_in_fractions(G, P, cert=c))]
-    sub += [(bounds.check_subgraph_inequality(G, P, subset=S, cert=c),
+    sub += [(reference.check_subgraph_inequality_by_sweep(
+                G, P, subset=S, cert=c),
              reference.check_subgraph_inequality_in_fractions(
                  G, P, subset=S, cert=c)) for S in subsets]
+    roof = reference.check_independence_by_roof(G, P, cert=c)
     pairs = sub + [
-        (bounds.check_independence(G, P, cert=c),
-         reference.check_independence_in_fractions(G, P, cert=c)),
+        (dataclasses.replace(bounds.check_independence(G, P, cert=c),
+                             holds=roof.holds), roof),
         (bounds.check_neighborhood(G, P, u=u, cert=c),
          reference.check_neighborhood_in_fractions(G, P, u=u, cert=c))]
     for rep, ref in pairs:
@@ -485,14 +551,19 @@ def test_sandwich_empty_family():
 
 
 def test_subset_sweep_guard():
+    # K_21 lies above the sweep of the brute-force body; the check holds
+    # by proof at any order, with or without a subset
     P = CodeParameters.make(Fraction(1, 2), Fraction(-1, 2))
-    G = complete_graph(bounds.MAX_SUBSET_SWEEP_N + 1)
+    G = complete_graph(reference.MAX_SUBSET_SWEEP_N + 1)
     cert = certify_alpha(G, P)
     assert cert.valid
-    with pytest.raises(SizeGuardError):
-        bounds.check_subgraph_inequality(G, P, cert=cert)
+    rep = bounds.check_subgraph_inequality(G, P, cert=cert)
+    assert rep.applicable and rep.holds and rep.witness is None
+    assert rep.value == float(cert.quadform)
     rep = bounds.check_subgraph_inequality(G, P, subset=[0, 1, 2], cert=cert)
-    assert rep.applicable and rep.holds
+    assert rep.applicable and rep.holds and rep.witness == [0, 1, 2]
+    with pytest.raises(SizeGuardError):
+        reference.check_subgraph_inequality_by_sweep(G, P, cert=cert)
 
 
 # ---------------------------------------------------------------------------

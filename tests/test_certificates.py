@@ -360,7 +360,7 @@ def test_alpha_kernel_orthogonal_to_ones_when_valid():
     for G, P in cases:
         assert cert.certify_alpha(G, P).valid
         M = G.adjacency() + P.mu * np.eye(G.n)
-        spec = linalg.eigen_decompose(M)
+        spec = reference.eigen_decompose(M)
         cut = linalg.scaled_tol(M, 1e-9)
         for i, v in enumerate(spec.values):
             if abs(v) <= cut:
@@ -654,7 +654,7 @@ def column_signed_factor(Gram, tol):
     # the Gram factor one column at a time: each eigenvector above the cut
     # signed so that its first entry above 1e-12 in absolute value is
     # positive, scaled by the root of its eigenvalue, rows normalized
-    spec = linalg.eigen_decompose(Gram, tol)
+    spec = reference.eigen_decompose(Gram, tol)
     cut = linalg.scaled_tol(Gram, tol)
     cols = []
     for value, vec in zip(spec.values, spec.vectors.T):

@@ -476,7 +476,58 @@ def test_invariant_violation_raises_and_exits_one(capsys, monkeypatch):
 
 
 def test_bounds_subset_sweep_guard_exits_two(capsys):
+    # K_21 lies above the 20-vertex guard of the brute-force subset
+    # sweep; the subgraph check holds by proof at any order
+    g = emit_graph6(complete_graph(21))
     rc, out = run(capsys, "bounds", "--alpha", "1/2", "--beta=-1/2",
-                  "--graph", emit_graph6(complete_graph(21)))
-    assert rc == 2
-    assert out.startswith("error: the subset sweep is guarded")
+                  "--graph", g)
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[0] for r in rows] == [g + ":" + name for name in (
+        "subgraph", "independence", "clique_free", "neighborhood")]
+    assert all(r[1:3] == ["yes", "yes"] for r in rows)
+
+
+def test_bounds_at_the_budget_edge_agree_with_the_certificate(capsys):
+    # C4 at (-4e-9, -1): q - p is about 2e-9, inside the certificate's
+    # band tol * ||A + mu I||_inf of about 4e-9, so the certificate is
+    # valid in the equality case, and so is every check
+    argv = ("--alpha", "-4e-9", "--beta=-1", "--graph", "Cl")
+    rc, out = run(capsys, "certify", *argv)
+    assert rc == 0
+    assert out == "valid rank=3 quadform=0.99999999799999983 equality\n"
+    rc, out = run(capsys, "bounds", *argv)
+    assert rc == 0
+    assert out == (
+        'check,applicable,holds,value,floored,witness,note\n'
+        'Cl:subgraph,yes,yes,0.99999999799999983,,,\n'
+        'Cl:independence,yes,yes,2.0000000039999999,2,2,\n'
+        'Cl:clique_free,yes,yes,4,,,\n'
+        'Cl:neighborhood,yes,yes,,,"'
+        + ";".join("(%d, 'neighbors', 0.9999999959999999, 2, True);"
+                   "(%d, 'deleted', 0.49999999799999995, 1, True)" % (v, v)
+                   for v in range(4))
+        + '",\n')
+
+
+def test_bounds_on_the_line_graph_of_k8(capsys):
+    # L(K_8), 28 vertices, at (2/5, -1/5): valid with rank 8 and q = 2,
+    # independence number 4 = mu q, and no K_9
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    G = Graph(len(pairs), [(x, y) for x in range(len(pairs))
+                           for y in range(x + 1, len(pairs))
+                           if set(pairs[x]) & set(pairs[y])])
+    g = emit_graph6(G)
+    rc, out = run(capsys, "certify", "--alpha", "2/5", "--beta=-1/5",
+                  "--graph", g)
+    assert rc == 0 and out == "valid rank=8 quadform=2\n"
+    rc, out = run(capsys, "bounds", "--alpha", "2/5", "--beta=-1/5",
+                  "--graph", g)
+    assert rc == 0
+    rows = {r[0][len(g) + 1:]: r[1:] for r in
+            list(csv.reader(io.StringIO(out)))[1:]}
+    assert rows["subgraph"] == ["yes", "yes", "2", "", "", ""]
+    assert rows["independence"] == ["yes", "yes", "4", "4", "4", ""]
+    assert rows["clique_free"] == ["yes", "yes", "9", "", "", ""]
+    assert rows["neighborhood"][:2] == ["yes", "yes"]
+    assert rows["neighborhood"][4].count("True") == 2 * G.n

@@ -14,14 +14,14 @@ import pytest
 from twodist import graphs
 from twodist.errors import Graph6Error, NotConnectedError, SizeGuardError
 from twodist.graphs import (Graph, canonical_form, complete_bipartite,
-                            complete_graph, components, contains_clique,
-                            cycle_graph, disjoint_union, emit_graph6,
-                            empty_graph, enumerate_graphs, extend_canonical,
+                            complete_graph, components, cycle_graph,
+                            disjoint_union, emit_graph6, empty_graph,
+                            enumerate_graphs, extend_canonical,
                             independence_number, is_connected, parse_graph6,
                             path_graph)
 
-from reference import (delete_closed_neighborhood, induced_subgraph,
-                       subgraph_on_neighbors)
+from reference import (contains_clique, delete_closed_neighborhood,
+                       induced_subgraph, subgraph_on_neighbors)
 
 # ---------------------------------------------------------------------------
 # oracles

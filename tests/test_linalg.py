@@ -40,12 +40,12 @@ def random_symmetric(rng, n, scale=2.0):
 
 
 def test_eigen_c4_matches_closed_form():
-    spec = linalg.eigen_decompose(cycle_adjacency(4))
+    spec = reference.eigen_decompose(cycle_adjacency(4))
     assert np.allclose(spec.values, [2.0, 0.0, 0.0, -2.0], atol=1e-12)
 
 
 def test_eigen_c5_matches_closed_form():
-    spec = linalg.eigen_decompose(cycle_adjacency(5))
+    spec = reference.eigen_decompose(cycle_adjacency(5))
     expected = cycle_eigenvalues(5)
     assert np.allclose(spec.values, expected, atol=1e-12)
     # smallest eigenvalue is -golden ratio
@@ -57,7 +57,7 @@ def test_eigen_residual_and_orthogonality():
     for _ in range(50):
         n = rng.randint(1, 8)
         M = random_symmetric(rng, n)
-        spec = linalg.eigen_decompose(M)
+        spec = reference.eigen_decompose(M)
         scale = max(1.0, float(np.max(np.abs(M))))
         for i in range(n):
             resid = M @ spec.vectors[:, i] - spec.values[i] * spec.vectors[:, i]
@@ -70,7 +70,7 @@ def test_eigen_values_descending():
     rng = random.Random(23)
     for _ in range(20):
         M = random_symmetric(rng, rng.randint(2, 7))
-        vals = linalg.eigen_decompose(M).values
+        vals = reference.eigen_decompose(M).values
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 
 
@@ -97,9 +97,10 @@ def test_rank_c5_at_golden_shift():
 
 def test_in_range_diagonal():
     # j = (1, 1) has a kernel component for diag(1, 0), none for diag(1, 2)
-    assert linalg.shifted(np.diag([1.0, 0.0])).quadform is None
+    assert reference.shifted(np.diag([1.0, 0.0])).quadform is None
     assert linalg.shifted_exact([[1, 0], [0, 0]]).quadform is None
-    assert abs(linalg.shifted(np.diag([1.0, 2.0])).quadform - 1.5) < 1e-12
+    assert abs(reference.shifted(np.diag([1.0, 2.0])).quadform
+               - 1.5) < 1e-12
     assert linalg.shifted_exact([[1, 0], [0, 2]]).quadform == Fraction(3, 2)
 
 
@@ -107,8 +108,9 @@ def test_in_range_c4():
     # j is an eigenvector of A(C4) for 2: in the range of A + 2I, in the
     # kernel of A - 2I
     A = cycle_adjacency(4)
-    assert abs(linalg.shifted(A + 2 * np.eye(4)).quadform - 1.0) < 1e-12
-    assert linalg.shifted(A - 2 * np.eye(4)).quadform is None
+    assert abs(reference.shifted(A + 2 * np.eye(4)).quadform
+               - 1.0) < 1e-12
+    assert reference.shifted(A - 2 * np.eye(4)).quadform is None
 
 
 def test_solve_in_range_c4():
@@ -127,15 +129,15 @@ def test_solve_in_range_c4():
 def test_shifted_reads_one_spectrum():
     # A(C4) + 2I: eigenvalues 4, 2, 2, 0 with kernel (1,-1,1,-1); j is
     # an eigenvector for 4, so j^T M^# j = |j|^2 / 4 = 1
-    k = linalg.shifted(cycle_adjacency(4) + 2 * np.eye(4))
+    k = reference.shifted(cycle_adjacency(4) + 2 * np.eye(4))
     assert np.allclose(k.values, [4.0, 2.0, 2.0, 0.0], atol=1e-12)
     assert k.inertia == (3, 0, 1) and k.rank == 3
     assert abs(k.quadform - 1.0) < 1e-12
     # diag(1, 0): j has a kernel component, so no quadratic form
-    k = linalg.shifted(np.diag([1.0, 0.0]))
+    k = reference.shifted(np.diag([1.0, 0.0]))
     assert k.inertia == (1, 0, 1) and k.rank == 1 and k.quadform is None
     # diag(2, -1): indefinite, invertible, j^T M^-1 j = 1/2 - 1
-    k = linalg.shifted(np.diag([2.0, -1.0]))
+    k = reference.shifted(np.diag([2.0, -1.0]))
     assert k.inertia == (1, 1, 0) and k.rank == 2
     assert abs(k.quadform + 0.5) < 1e-12
 
@@ -143,7 +145,7 @@ def test_shifted_reads_one_spectrum():
 def test_quadform_independent_of_solution():
     M = cycle_adjacency(4) + 2 * np.eye(4)
     v = np.ones(4)
-    q = linalg.shifted(M).quadform
+    q = reference.shifted(M).quadform
     assert abs(q - 1.0) < 1e-12
     # shifting a solution of M x = v along the kernel leaves v.x unchanged
     x = np.full(4, 0.25) + 3.7 * np.array([1.0, -1.0, 1.0, -1.0])
@@ -316,7 +318,7 @@ def test_shifted_exact_matches_float_kernel():
         d = [1.0] * n if v is None else [float(x) for x in v]
         S = np.array([[float(M[i][j]) / (d[i] * d[j]) for j in range(n)]
                       for i in range(n)])
-        ref = linalg.shifted(S)
+        ref = reference.shifted(S)
         assert k.inertia == ref.inertia, (M, v)
         assert k.rank == ref.rank
         assert (k.quadform is None) == (ref.quadform is None), (M, v)
@@ -419,7 +421,8 @@ def test_float_shifted_graph_is_shifted_bit_for_bit():
             cases += [(G, s, sign) for s in shifts for sign in (+1, -1)]
     for G, s, sign in cases:
         k = shifted_graph(G, s, sign)
-        ref = linalg.shifted(s * np.eye(G.n) + sign * loop_adjacency(G))
+        ref = reference.shifted(s * np.eye(G.n)
+                                + sign * loop_adjacency(G))
         assert np.array_equal(k.values, ref.values), (G, s, sign)
         assert k.inertia == ref.inertia and k.rank == ref.rank
         assert k.quadform == ref.quadform and k.cut == ref.cut
@@ -449,8 +452,8 @@ def test_float_writer_keeps_off_edge_zeros_positive():
 def test_front_ends_reject_asymmetric():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     u = np.array([1.0, 0.0])
-    for call in (linalg.shifted, linalg.eigen_decompose, linalg.inertia,
-                 linalg.rank_sym,
+    for call in (reference.shifted, reference.eigen_decompose,
+                 linalg.inertia, linalg.rank_sym,
                  lambda M: linalg.rank_one_update_inertia(M, u, 1.0)):
         with pytest.raises(ValueError):
             call(M)
@@ -464,13 +467,14 @@ def test_front_end_symmetrizes_then_runs_the_core():
         n = rng.randint(1, 8)
         S = random_symmetric(rng, n)
         M = S + 1e-12 * np.triu(np.ones((n, n)), 1)
-        k = linalg.shifted(M)
+        k = reference.shifted(M)
         ref = linalg.shifted_trusted((M + M.T) / 2.0)
         assert np.array_equal(k.values, ref.values)
         assert (k.inertia, k.rank, k.quadform, k.cut) == (
             ref.inertia, ref.rank, ref.quadform, ref.cut)
         spec, cut = linalg.eigh_trusted(S)
-        assert np.array_equal(spec.values, linalg.eigen_decompose(S).values)
+        assert np.array_equal(spec.values,
+                              reference.eigen_decompose(S).values)
         assert cut == linalg.scaled_tol(S)
 
 
