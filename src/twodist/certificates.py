@@ -54,7 +54,6 @@ class ExactParameters:
     lam: Fraction
     p: Fraction | None
     budget_nbr: Fraction | None
-    budget_del: Fraction | None
     beta_budget: Fraction | None
 
 
@@ -67,14 +66,12 @@ class CodeParameters:
     is the quadratic-form budget and exists only for beta < 0.  The
     neighborhood budget budget_nbr = (alpha-beta)/(alpha^2-beta), which is
     also the budget p of the recursion map's parameters, exists whenever
-    alpha^2 != beta.  The deleted-neighborhood budget budget_del =
-    (alpha-beta)/(-beta (1-beta)) exists only for beta < 0.  beta_budget =
-    (alpha-beta)/(-alpha) is the quadratic-form budget of certify_beta and
-    exists only for alpha > 0.  ``exact`` is populated when both inputs
-    are rational, and switches every certificate decision to exact
-    arithmetic.  It has the same field names, so ``P = params.exact or
-    params`` gives every scalar in the arithmetic of the backend that
-    decides.
+    alpha^2 != beta.  beta_budget = (alpha-beta)/(-alpha) is the
+    quadratic-form budget of certify_beta and exists only for alpha > 0.
+    ``exact`` is populated when both inputs are rational, and switches
+    every certificate decision to exact arithmetic.  It has the same
+    field names, so ``P = params.exact or params`` gives every scalar in
+    the arithmetic of the backend that decides.
     """
 
     alpha: float
@@ -83,7 +80,6 @@ class CodeParameters:
     lam: float
     p: float | None
     budget_nbr: float | None
-    budget_del: float | None
     beta_budget: float | None
     exact: ExactParameters | None
 
@@ -115,10 +111,8 @@ class CodeParameters:
 def _budgets(a, b) -> dict:
     """The budgets of CodeParameters, in the arithmetic of a and b, None
     where their condition fails."""
-    neg = b < 0
-    return dict(p=(a - b) / (-b) if neg else None,
+    return dict(p=(a - b) / (-b) if b < 0 else None,
                 budget_nbr=(a - b) / (a * a - b) if a * a != b else None,
-                budget_del=(a - b) / (-b * (1 - b)) if neg else None,
                 beta_budget=(a - b) / (-a) if a > 0 else None)
 
 
@@ -254,7 +248,8 @@ def beta_graph(code: SphericalCode, tol: float = DEFAULT_TOL) -> Graph:
 
 def code_rank(code: SphericalCode, tol: float = DEFAULT_TOL) -> int:
     """Rank of the Gram matrix, the true ambient dimension of the code."""
-    return linalg.rank_sym(code.gram(), tol)
+    pos, neg, _ = linalg.inertia(code.gram(), tol)
+    return pos + neg
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ the band, v has no part off the range (its norm is sqrt(0), never above
 the cut), so it divides every coefficient at once, the entries the
 masked division gives, and multiplies on the column-major copy of the
 vectors that the masked columns are, so the bits are the same; the
-general read masks the band.  The validating front ends (inertia,
-rank_sym, and rank_one_update_inertia on float input) take a caller's
-matrix, check that it is square and symmetric within tol', and
-symmetrize it before the core sees it.  The trusted writers build their
-matrix straight from a graph's bitmasks (Graph.matrix):
+general read masks the band.  The validating front ends (inertia, and
+rank_one_update_inertia on float input) take a caller's matrix, check
+that it is square and symmetric within tol', and symmetrize it before
+the core sees it.  The trusted writers build their matrix straight
+from a graph's bitmasks (Graph.matrix):
 certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
 (the neighborhoods of bounds.check_neighborhood), certificates._gram for
@@ -147,12 +147,6 @@ def inertia(M, tol: float = DEFAULT_TOL) -> Inertia:
     """Counts of eigenvalues above, below and within tol' of zero."""
     spec, cut = eigh_trusted(_as_symmetric(M, tol), tol)
     return _count_inertia(spec.values, cut)
-
-
-def rank_sym(M, tol: float = DEFAULT_TOL) -> int:
-    """Rank of a symmetric matrix, counted from its spectrum."""
-    pos, neg, _ = inertia(M, tol)
-    return pos + neg
 
 
 class Shifted(NamedTuple):

@@ -50,7 +50,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import linalg
-from .bounds import dgs_bound, power_bound, recursion_map, turan_bound
+from .bounds import dgs_bound, power_bound, turan_bound
 from .certificates import (CodeParameters, certify_alpha, certify_beta,
                            realize_from_alpha, realize_stack, shifted_graph,
                            verify_code, _bordered, _fmt, _is_exact,
@@ -350,10 +350,15 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
     """Capacity of codes derived on the neighbors of a vertex.
 
     The strict and the equality query, both with budget
-    (alpha-beta)/(alpha^2-beta) at rank cap d, read one tree at (mu, d).
-    When the parameter recursion stays in the admissible domain, the
-    result is checked against the searched maximum at the mapped
-    parameters, which it can never exceed.
+    p' = (alpha-beta)/(alpha^2-beta) at rank cap d, read one tree at
+    (mu, d), and nothing else is grown.  On rationals, where the
+    recursion map is admissible, the result never exceeds max_code_size
+    at the mapped parameters in dimension d: those keep mu, have the
+    budget p' and a negative beta, (beta-alpha^2)/(1-alpha^2), so
+    max_code_size asks (d, p', strict) and (d + 1, p', equal) of the
+    tree at (mu, d + 1), whose rank <= d part is this tree.  Every
+    strict hit here is one of its strict hits, and every equal hit one
+    of its equal hits.
     """
     params = CodeParameters.make(alpha, beta)
     if params.beta >= 0:
@@ -365,17 +370,6 @@ def neighborhood_capacity_f(alpha, beta, d: int, n_max: int,
     leaves, tree = _grow(mu, d, n_max, tol, workers)
     value, extremal, leaf = _ask(leaves,
                                  [(d, p2, "strict"), (d, p2, "equal")])
-    try:
-        mapped = recursion_map(params)
-    except ParameterDomain:
-        mapped = None
-    if mapped is not None:
-        Q = mapped.exact or mapped
-        roof = max_code_size(Q.alpha, Q.beta, d, n_max, tol, workers)
-        if value > roof.value:
-            raise InvariantViolation(
-                "derived capacity %d exceeds the searched maximum %d at the "
-                "mapped parameters" % (value, roof.value))
     query = "f(alpha=%s, beta=%s, d=%d), n_max=%d" % (
         _fmt(P.alpha), _fmt(P.beta), d, n_max)
     return SearchResult(query=query, value=value, extremal_graphs=extremal,

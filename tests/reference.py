@@ -11,23 +11,27 @@ neighborhood check used before it read every neighborhood off the
 parent's matrix, and check_neighborhood_by_subgraphs is that check's
 per-subgraph body, one subgraph and one kernel call per neighborhood.
 
-check_subgraph_inequality_by_sweep, check_independence_by_roof and
-check_clique_free_by_search are the brute-force bodies of three derived
-checks, which the package now decides by their theorems (see the bounds
-module): the sweep of every vertex subset that compares
-t^2 <= (2e + t mu) q in integers and q <= p with bounds._le, the
-independence number and the cap mu q against the roof (1-beta)/(-beta),
-which CodeParameters once carried as a field, and the search for a
-K_{r+1} by contains_clique, which graphs no longer has.  Each is the
-body the package ran, with the same guards.  The suite runs them on
-forged certificates, where the theorems do not apply, and on every
-valid one, where the package's reports must equal theirs.
+check_subgraph_inequality_by_sweep, check_independence_by_roof,
+check_clique_free_by_search and check_neighborhood_by_subgraphs are the
+brute-force bodies of the four derived checks, which the package now
+decides by their theorems (see the bounds module): the sweep of every
+vertex subset that compares t^2 <= (2e + t mu) q in integers and q <= p
+with _le, the independence number and the cap mu q against the roof
+(1-beta)/(-beta), which CodeParameters once carried as a field, the
+search for a K_{r+1} by contains_clique, which graphs no longer has,
+and each neighborhood's q against its budget with _le and its rank
+against rank(A + mu I) - 1 (_shift_rank).  Each is the body the package
+ran, with the same guards.  Their helpers _le (a <= b, with relative
+slack tol on floats) and _shift_rank (the rank of A + mu I read off a
+certificate) moved here from bounds.  The suite runs them on forged
+certificates, where the theorems do not apply, and on every valid one,
+where the package's reports must equal theirs.
 check_subgraph_inequality_in_fractions and
-check_neighborhood_in_fractions are the sweep and check_neighborhood
-before they compared in integers and read their budgets from
+check_neighborhood_in_fractions are the sweep and the neighborhood
+check before they compared in integers and read their budgets from
 CodeParameters: every exact comparison is one of Fractions built per
-call, through bounds._le, and every budget is recomputed per call.  On
-floats they run the same float operations as the package.
+call, through _le, and every budget is recomputed per call.  On floats
+they run the same float operations as the package ran.
 
 read_shifted is the float reader before it took precomputed
 coefficients and read a full-rank spectrum without the off-range mask,
@@ -44,7 +48,9 @@ float shifted adjacency in two whole-matrix passes.
 
 shifted and eigen_decompose are the validating float front ends that
 linalg had without a caller in the package: each checks and
-symmetrizes a caller's matrix and runs the float core on it.
+symmetrizes a caller's matrix and runs the float core on it.  rank_sym
+is the one whose only caller, certificates.code_rank, now adds up
+linalg.inertia itself.
 """
 
 import math
@@ -53,8 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from twodist import linalg
-from twodist.bounds import (BoundReport, _le, _not_applicable, _resolve_cert,
-                            _shift_rank)
+from twodist.bounds import BoundReport, _not_applicable, _resolve_cert
 from twodist.certificates import (AlphaCertificate, CodeParameters,
                                   SphericalCode, VerifyReport, shifted_graph,
                                   shifted_principal, _shift_matrix)
@@ -63,12 +68,26 @@ from twodist.errors import (AmbiguousPair, CertificateInvalid,
 from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits, _check_vertex,
                             independence_number, is_complete)
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
-                            _as_symmetric, eigh_trusted)
+                            _as_symmetric, eigh_trusted, inertia)
 from twodist.search import _leaf_rejection
 
 # check_subgraph_inequality_by_sweep sweeps all 2^n subsets when none is
 # given
 MAX_SUBSET_SWEEP_N = 20
+
+
+def _le(a, b, tol: float) -> bool:
+    """a <= b, exactly for rationals, with relative slack for floats."""
+    if not (isinstance(a, float) or isinstance(b, float)):
+        return a <= b
+    a, b = float(a), float(b)
+    return a <= b + tol * max(1.0, abs(a), abs(b))
+
+
+def _shift_rank(cert: AlphaCertificate) -> int:
+    # rank of A + mu I; the certificate lowered rank_r by one in the
+    # equality case
+    return cert.rank_r + (1 if cert.equality_case else 0)
 
 
 def shifted_exact(M, v=None) -> Shifted:
@@ -407,7 +426,8 @@ def check_neighborhood_in_fractions(
         G: Graph, params: CodeParameters, u: int | None = None,
         tol: float = DEFAULT_TOL,
         cert: AlphaCertificate | None = None) -> BoundReport:
-    """bounds.check_neighborhood with both budgets recomputed per call."""
+    """check_neighborhood_by_subgraphs over shifted_principal's masks,
+    with both budgets recomputed per call."""
     if u is not None:
         _check_vertex(G, u)
     cert = _resolve_cert(G, params, tol, cert)
@@ -602,6 +622,12 @@ def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
     both triangles count.
     """
     return eigh_trusted(_as_symmetric(M, tol), tol)[0]
+
+
+def rank_sym(M, tol: float = DEFAULT_TOL) -> int:
+    """Rank of a symmetric matrix, counted from its spectrum."""
+    pos, neg, _ = inertia(M, tol)
+    return pos + neg
 
 
 def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:

@@ -52,10 +52,10 @@ def test_criterion_1_rank_one_update_inertia():
 
 def _grid_sweep():
     """Certify every canonical graph with n <= 7 at every grid point and
-    run the derived checks, the brute-force bodies of the three that hold
-    by proof (tests/reference.py: the subset sweep, the independence
-    number against the roof and the clique search) and realization round
-    trips on the valid ones.
+    run the derived checks, their brute-force bodies (tests/reference.py:
+    the subset sweep, the independence number against the roof, the
+    clique search and the per-subgraph neighborhood budgets and ranks)
+    and realization round trips on the valid ones.
 
     Cached because two criteria read the same sweep.
     """
@@ -82,6 +82,8 @@ def _grid_sweep():
                         G, P, cert=cert),
                     reference.check_independence_by_roof(G, P, cert=cert),
                     reference.check_clique_free_by_search(G, P, cert=cert),
+                    reference.check_neighborhood_by_subgraphs(
+                        G, P, cert=cert),
                 ]
                 for rep in checks:
                     if not rep.applicable or rep.holds is not True:

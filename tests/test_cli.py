@@ -510,6 +510,53 @@ def test_bounds_at_the_budget_edge_agree_with_the_certificate(capsys):
         + '",\n')
 
 
+# Graphs at a float budget edge whose certificate is valid: DBW at
+# (0.25 - 4e-9, -0.5), where the part off the closed neighborhood of
+# vertex 0 reads a q 2.7e-9 above its budget, and D]{ at (2e-9, -1),
+# where the neighbors of vertex 4 read rank 4 against
+# rank(A + mu I) = 4.  The neighborhood check holds by
+# proof on a valid certificate, so both exit 0 and print each read.
+BOUNDS_AT_THE_EDGE = [
+    (('--alpha', '0.249999996', '--beta=-0.5', '--graph', 'DBW'),
+     'valid rank=4 quadform=1.4999999946666656 equality\n',
+     'check,applicable,holds,value,floored,witness,note\n'
+     'DBW:subgraph,yes,yes,1.4999999946666656,,,\n'
+     'DBW:independence,yes,yes,3.0000000053333311,3,3,\n'
+     'DBW:clique_free,yes,yes,5,,,\n'
+     'DBW:neighborhood,yes,yes,,,"'
+     "(0, 'neighbors', 'skipped empty');"
+     "(0, 'deleted', 0.9999999973333322, 4, True);"
+     + "".join("(%d, 'neighbors', 0.9999999946666667, 2, True);"
+               "(%d, 'deleted', 0.9999999946666667, 2, True)%s"
+               % (v, v, ";" if v < 4 else "") for v in range(1, 5))
+     + '",1 empty subgraphs skipped\n'),
+    (('--alpha', '2e-9', '--beta=-1', '--graph', 'D]{'),
+     'valid rank=3 quadform=1.0000000009999999 equality\n',
+     'check,applicable,holds,value,floored,witness,note\n'
+     'D]{:subgraph,yes,yes,1.0000000009999999,,,\n'
+     'D]{:independence,yes,yes,1.9999999979999998,1,2,\n'
+     'D]{:clique_free,yes,yes,4,,,\n'
+     'D]{:neighborhood,yes,yes,,,"'
+     + "".join("(%d, 'neighbors', 1.0000000019999997, 3, True);"
+               "(%d, 'deleted', 0.500000001, 1, True);" % (v, v)
+               for v in range(4))
+     + "(4, 'neighbors', 1.000000001, 4, True);"
+     "(4, 'deleted', 'skipped empty')"
+     '",1 empty subgraphs skipped\n'),
+]
+
+
+@pytest.mark.parametrize("argv, certified, expected", BOUNDS_AT_THE_EDGE,
+                         ids=("budget", "rank"))
+def test_bounds_at_the_neighborhood_edge_agree_with_the_certificate(
+        capsys, argv, certified, expected):
+    rc, out = run(capsys, "certify", *argv)
+    assert rc == 0 and out == certified
+    rc, out = run(capsys, "bounds", *argv)
+    assert rc == 0
+    assert out == expected
+
+
 def test_bounds_on_the_line_graph_of_k8(capsys):
     # L(K_8), 28 vertices, at (2/5, -1/5): valid with rank 8 and q = 2,
     # independence number 4 = mu q, and no K_9

@@ -82,17 +82,17 @@ def test_inertia_c4_shifted():
     # eigenvalues of A(C4) + 2I are 4, 2, 2, 0
     M = cycle_adjacency(4) + 2 * np.eye(4)
     assert linalg.inertia(M) == (3, 0, 1)
-    assert linalg.rank_sym(M) == 3
+    assert reference.rank_sym(M) == 3
 
 
 def test_rank_all_ones():
-    assert linalg.rank_sym(np.ones((3, 3))) == 1
+    assert reference.rank_sym(np.ones((3, 3))) == 1
 
 
 def test_rank_c5_at_golden_shift():
     # -golden is an eigenvalue of C5 with multiplicity 2
     M = cycle_adjacency(5) + GOLDEN * np.eye(5)
-    assert linalg.rank_sym(M) == 3
+    assert reference.rank_sym(M) == 3
 
 
 def test_in_range_diagonal():
@@ -453,7 +453,7 @@ def test_front_ends_reject_asymmetric():
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     u = np.array([1.0, 0.0])
     for call in (reference.shifted, reference.eigen_decompose,
-                 linalg.inertia, linalg.rank_sym,
+                 linalg.inertia, reference.rank_sym,
                  lambda M: linalg.rank_one_update_inertia(M, u, 1.0)):
         with pytest.raises(ValueError):
             call(M)

@@ -263,16 +263,16 @@ def test_max_code_size_grows_one_tree(monkeypatch):
 
 
 def test_neighborhood_capacity_grows_one_tree_at_its_own_mu(monkeypatch):
+    # its own tree at rank 2 and nothing else, whether or not the
+    # recursion map is admissible at the point
     P = CodeParameters.make(Fraction(1, 3), Fraction(-1, 3))
-    Q = bounds.recursion_map(P).exact
+    assert bounds.recursion_map(P).exact is not None
     grown = count_trees(monkeypatch)
     res = search.neighborhood_capacity_f(P.exact.alpha, P.exact.beta, d=2,
                                          n_max=5)
-    # its own tree at rank 2, then the roof's at the mapped parameters
-    assert grown == [(P.exact.mu, 2), (Q.mu, 3)]
+    assert grown == [(P.exact.mu, 2)]
     assert res.stats["r_max"] == 2 and set(res.stats["leaf"]) == {
         "strict", "equal"}
-    # no admissible mapped parameters, no roof
     del grown[:]
     P = CodeParameters.make(Fraction(1, 4), Fraction(-1))
     with pytest.raises(ParameterDomain):
@@ -415,11 +415,38 @@ def test_neighborhood_capacity_pentagon():
 
 
 def test_neighborhood_capacity_exact_with_roof():
-    # p' = 3/2 at mu = 2; the internal roof check compares against the
-    # searched maximum at the mapped parameters (1/4, -1/2)
-    res = search.neighborhood_capacity_f(Fraction(1, 3), Fraction(-1, 3),
+    # p' = 3/2 at mu = 2; the searched maximum at the mapped parameters
+    # (1/4, -1/2) is 3 (test_mapped_maximum_is_triangle), and f is below
+    P = CodeParameters.make(Fraction(1, 3), Fraction(-1, 3))
+    Q = bounds.recursion_map(P).exact
+    assert (Q.alpha, Q.beta) == (Fraction(1, 4), Fraction(-1, 2))
+    res = search.neighborhood_capacity_f(P.exact.alpha, P.exact.beta,
                                          d=2, n_max=5)
-    assert res.value == 2
+    roof = search.max_code_size(Q.alpha, Q.beta, d=2, n_max=5)
+    assert res.value == 2 and roof.value == 3
+
+
+def test_neighborhood_capacity_stays_below_the_mapped_maximum():
+    # f never exceeds max_code_size at the recursion map's parameters, at
+    # every admissible point of test_search_golden_digest's set: exactly
+    # by the proof in its docstring, and on floats, where the two trees'
+    # mu may differ in the last bits, as measured
+    points = [(P.exact.alpha, P.exact.beta) for P in search.RATIONAL_GRID]
+    points += [(float(a), float(b)) for a, b in points]
+    points.append(pentagon_parameters())
+    rows = {"equal": 0, "below": 0}
+    for a, b in points:
+        try:
+            mapped = bounds.recursion_map(CodeParameters.make(a, b))
+        except ParameterDomain:
+            continue
+        Q = mapped.exact or mapped
+        for d in (2, 3):
+            f = search.neighborhood_capacity_f(a, b, d, 6)
+            roof = search.max_code_size(Q.alpha, Q.beta, d, 6)
+            assert f.value <= roof.value, (a, b, d, f.value, roof.value)
+            rows["equal" if f.value == roof.value else "below"] += 1
+    assert sum(rows.values()) == 46 and rows["below"] > 0, rows
 
 
 def test_mapped_maximum_is_triangle():
