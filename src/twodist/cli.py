@@ -9,8 +9,8 @@ Scalars are accepted as decimals or as exact fractions "a/b"; fractions
 switch the whole pipeline to exact rational arithmetic, and --exact
 promotes decimal inputs to the rationals they spell.  Exit codes: 0 the
 computation succeeded and every checked condition holds, 1 a certificate
-is invalid, a bound is violated or an internal consistency check failed
-(a reason is printed), 2 usage error or an instance above a size guard.
+is invalid, a realization fails or a bound is violated (a reason is
+printed), 2 usage error or an instance above a size guard.
 """
 
 import argparse
@@ -30,8 +30,8 @@ from .certificates import (CodeParameters, alpha_graph, certify_alpha,
                            realize_from_alpha, realize_from_beta, verify_code,
                            _fmt)
 from .errors import (AmbiguousPair, CertificateInvalid, EmptyFamilyError,
-                     Graph6Error, InvariantViolation, ParameterDomain,
-                     ReconstructionResidual, SizeGuardError)
+                     Graph6Error, ParameterDomain, ReconstructionResidual,
+                     SizeGuardError)
 from .graphs import (MAX_CANONICAL_N, emit_graph6, enumerate_graphs,
                      parse_graph6)
 from .linalg import DEFAULT_TOL
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CertificateInvalid, ReconstructionResidual, AmbiguousPair,
-            EmptyFamilyError, InvariantViolation) as exc:
+            EmptyFamilyError) as exc:
         print("error: %s" % exc)
         return 1
     except (ParameterDomain, SizeGuardError, Graph6Error, ValueError,

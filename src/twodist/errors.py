@@ -25,10 +25,6 @@ class ReconstructionResidual(TwoDistError):
     """Realized vectors fail to reproduce the target Gram matrix."""
 
 
-class InvariantViolation(TwoDistError):
-    """A computed result contradicts an identity the theory guarantees."""
-
-
 class SizeGuardError(TwoDistError):
     """Instance exceeds the size this exhaustive routine is guarded for."""
 

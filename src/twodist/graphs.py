@@ -307,6 +307,8 @@ def check_eigenvalue_floor(G: Graph,
                                     ) -> EigenFloorReport:
     """Check that a connected graph's smallest adjacency eigenvalue is at
     least -sqrt(floor(n/2) * ceil(n/2))."""
+    if G.n == 0:
+        raise ValueError("the eigenvalue floor needs at least one vertex")
     if not is_connected(G):
         raise NotConnectedError("the eigenvalue floor applies to connected graphs")
     spec, cut = linalg.eigh_trusted(G.adjacency(), tol)

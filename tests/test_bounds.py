@@ -567,6 +567,12 @@ def test_sandwich_excludes_complete_simplex_from_lower():
     assert abs(rep.upper - 4.0) <= 1e-12
 
 
+def test_sandwich_rejects_a_graph_on_no_vertices():
+    # as certify_alpha does; the rank ratio would divide by rank 0
+    with pytest.raises(ValueError, match="at least one vertex"):
+        bounds.sandwich_bounds([empty_graph(0)], mu=2, d=2)
+
+
 def test_sandwich_empty_family():
     bad = [disjoint_union([complete_graph(2), complete_graph(2)]),
            complete_bipartite(1, 5)]
@@ -608,8 +614,9 @@ def test_recursion_map_exact_values():
 
 
 def test_recursion_map_float_identities():
+    # the two identities of the docstring, up to rounding
     P = pentagon_parameters()
-    Q = bounds.recursion_map(P)  # identity checks run inside
+    Q = bounds.recursion_map(P)
     assert abs(Q.mu - P.mu) <= 1e-9
     target = (P.alpha - P.beta) / (P.alpha ** 2 - P.beta)
     assert abs(Q.p - target) <= 1e-9
@@ -637,6 +644,66 @@ def test_recursion_map_from_nonnegative_beta(a, b, alpha, beta):
 def test_recursion_map_leaving_domain():
     with pytest.raises(ParameterDomain):
         bounds.recursion_map(CodeParameters.make(0.9, -0.9))
+
+
+# grid points whose mapped beta, (beta-alpha^2)/(1-alpha^2), is below -1
+MAPPED_OFF_DOMAIN = {(Fraction(-1, 4), Fraction(-1)),
+                     (Fraction(1, 4), Fraction(-1)),
+                     (Fraction(1, 2), Fraction(-1)),
+                     (Fraction(1, 2), Fraction(-3, 4))}
+
+
+def test_recursion_map_identities_on_the_grid():
+    # the map keeps mu and sends p to budget_nbr: exactly on rationals,
+    # within 1e-9 relative on floats; every mapped beta on the grid is
+    # negative, so every mapped point has a budget
+    def close(x, y):
+        return abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+    mapped = 0
+    for X in RATIONAL_GRID:
+        point = (X.exact.alpha, X.exact.beta)
+        F = CodeParameters.make(float(X.alpha), float(X.beta))
+        if point in MAPPED_OFF_DOMAIN:
+            for P in (X, F):
+                with pytest.raises(ParameterDomain):
+                    bounds.recursion_map(P)
+            continue
+        Q = bounds.recursion_map(X).exact
+        assert Q.mu == X.exact.mu
+        assert Q.beta < 0 and Q.p == X.exact.budget_nbr
+        Q = bounds.recursion_map(F)
+        assert Q.exact is None
+        assert close(Q.mu, F.mu)
+        assert Q.beta < 0 and close(Q.p, F.budget_nbr)
+        mapped += 1
+    assert mapped == 11
+
+
+_unit_fractions = st.fractions(min_value=-1, max_value=1, max_denominator=60)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(_unit_fractions, _unit_fractions).filter(
+    lambda t: t[0] != t[1] and max(t) < 1))
+def test_recursion_map_identities_on_random_rationals(pair):
+    # beta <- min, alpha <- max: -1 <= beta < alpha < 1.  The map raises
+    # exactly where its raw image leaves the domain; elsewhere it keeps mu,
+    # and while the mapped beta is negative its p is budget_nbr
+    b, a = sorted(pair)
+    P = CodeParameters.make(a, b)
+    a0, b0 = a / (1 + a), (b - a * a) / (1 - a * a)
+    if not (-1 < a0 < 1 and -1 <= b0 < a0):
+        with pytest.raises(ParameterDomain):
+            bounds.recursion_map(P)
+        return
+    Q = bounds.recursion_map(P).exact
+    assert (Q.alpha, Q.beta) == (a0, b0)
+    assert Q.mu == P.exact.mu
+    if Q.beta < 0:
+        assert Q.p == P.exact.budget_nbr
+    else:
+        assert Q.p is None
 
 
 def test_recursion_bound_values():

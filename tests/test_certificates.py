@@ -549,6 +549,29 @@ def test_beta_failures():
                           cert.CodeParameters.make(0.0, -1.0))
 
 
+def test_complement_beta_certificate_agrees_with_every_alpha_certificate():
+    # a graph is the alpha-graph of a code exactly when its complement is
+    # the beta-graph of the same code, with the same Gram matrix and rank;
+    # exactly, the two certificates agree on every graph with n <= 7 at
+    # the grid points with alpha > 0
+    from twodist.graphs import emit_graph6, enumerate_graphs
+    from twodist.search import RATIONAL_GRID
+
+    points = [P for P in RATIONAL_GRID if P.alpha > 0]
+    assert len(points) == 8
+    valid = 0
+    for n in range(1, 8):
+        for G in enumerate_graphs(n):
+            H = G.complement()
+            for P in points:
+                a, b = cert.certify_alpha(G, P), cert.certify_beta(H, P)
+                assert a.exact and b.exact
+                assert (a.valid, a.rank_r) == (b.valid, b.rank_r), (
+                    emit_graph6(G), P.exact.alpha, P.exact.beta)
+                valid += a.valid
+    assert valid == 1192
+
+
 # ---------------------------------------------------------------------------
 # realizations
 # ---------------------------------------------------------------------------

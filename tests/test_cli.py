@@ -12,10 +12,8 @@ import json
 
 import pytest
 
-from twodist import cli, search
-from twodist.certificates import VerifyReport
+from twodist import cli
 from twodist.cli import main
-from twodist.errors import InvariantViolation
 from twodist.graphs import (Graph, canonical_form, complete_graph,
                             cycle_graph, disjoint_union, emit_graph6)
 
@@ -461,20 +459,6 @@ def test_workers_must_be_positive(capsys, workers):
     assert "--workers" in captured.err
 
 
-def test_invariant_violation_raises_and_exits_one(capsys, monkeypatch):
-    def invalid(vectors, alpha, beta, tol):
-        return VerifyReport(valid=False, norm_violations=[(0, 2.0)],
-                            pair_violations=[], values_present=set())
-
-    monkeypatch.setattr(search, "verify_code", invalid)
-    with pytest.raises(InvariantViolation):
-        search.max_code_size(0, -1, d=2, n_max=5)
-    rc, out = run(capsys, "search", "--alpha", "0", "--beta", "-1",
-                  "--d", "2", "--max-n", "5")
-    assert rc == 1
-    assert out.startswith("error: extremal graph")
-
-
 def test_bounds_subset_sweep_guard_exits_two(capsys):
     # K_21 lies above the 20-vertex guard of the brute-force subset
     # sweep; the subgraph check holds by proof at any order
@@ -486,6 +470,33 @@ def test_bounds_subset_sweep_guard_exits_two(capsys):
     assert [r[0] for r in rows] == [g + ":" + name for name in (
         "subgraph", "independence", "clique_free", "neighborhood")]
     assert all(r[1:3] == ["yes", "yes"] for r in rows)
+
+
+# Extremal graphs at a float equality edge: CK at (0.5 - 2e-9, -0.75) and
+# DK{ at (0.25 + 4e-9, -0.5) certify valid in the equality case, and the
+# search realizes each of them once in dimension d, so it exits 0 and
+# lists them.  The beta certificate of the complement is read at its own
+# cut and is not consulted.
+SEARCH_AT_THE_EDGE = [
+    (('--alpha', '0.499999998', '--beta=-0.75'), '3', 'CK',
+     '"N[alpha=0.499999998, beta=-0.75](d=3), n_max=7",4,no,CK\n',
+     'valid rank=3 quadform=1.6666666651111111 equality\n'),
+    (('--alpha', '0.250000004', '--beta=-0.5'), '4', 'DK{',
+     '"N[alpha=0.250000004, beta=-0.5](d=4), n_max=7",5,no,'
+     'DB[;DBg;DBk;DK{\n',
+     'valid rank=4 quadform=1.500000013333334 equality\n'),
+]
+
+
+@pytest.mark.parametrize("point, d, graph, searched, certified",
+                         SEARCH_AT_THE_EDGE, ids=("CK", "DK{"))
+def test_search_at_the_equality_edge_agrees_with_certify(
+        capsys, point, d, graph, searched, certified):
+    rc, out = run(capsys, "search", *point, "--d", d, "--max-n", "7")
+    assert rc == 0
+    assert out == "query,value,exhaustive,witnesses\n" + searched
+    rc, out = run(capsys, "certify", "--graph", graph, *point)
+    assert rc == 0 and out == certified
 
 
 def test_bounds_at_the_budget_edge_agree_with_the_certificate(capsys):

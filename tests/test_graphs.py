@@ -234,6 +234,12 @@ def test_eigen_floor_requires_connected():
         graphs.check_eigenvalue_floor(empty_graph(2))
 
 
+def test_eigen_floor_needs_a_vertex():
+    # as certify_alpha does; the empty spectrum has no smallest value
+    with pytest.raises(ValueError, match="at least one vertex"):
+        graphs.check_eigenvalue_floor(empty_graph(0))
+
+
 def test_eigen_floor_c5():
     rep = graphs.check_eigenvalue_floor(cycle_graph(5))
     assert rep.holds

@@ -15,8 +15,9 @@ import pytest
 
 from twodist import bounds, cli, graphs, linalg, search
 from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
-                                  certify_beta, code_rank, realize_from_beta,
-                                  shifted_graph)
+                                  certify_beta, code_rank, realize_from_alpha,
+                                  realize_from_beta, shifted_graph,
+                                  verify_code)
 from twodist.errors import (ParameterDomain, ReconstructionResidual,
                             SizeGuardError)
 from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
@@ -354,12 +355,22 @@ def test_max_code_size_pentagon():
 
 
 def test_max_code_size_complement_consistency():
-    # at (1/3,-1/3) both two-vertex graphs win; the cross-validation
-    # inside exercises beta-certificate cases one and two on complements
-    res = search.max_code_size(Fraction(1, 3), Fraction(-1, 3), d=2, n_max=4)
+    # at (1/3,-1/3) both two-vertex graphs win; the complement of each is
+    # the beta-graph of the same code, certified with the same rank in
+    # beta-certificate case two (K2, lam I - A singular) and case one
+    # (2K1, lam I - A = I)
+    P = CodeParameters.make(Fraction(1, 3), Fraction(-1, 3))
+    res = search.max_code_size(P.exact.alpha, P.exact.beta, d=2, n_max=4)
     assert res.value == 2
     assert res.extremal_graphs == [canonical_form(empty_graph(2)),
                                    canonical_form(complete_graph(2))]
+    cases = []
+    for g6 in res.extremal_graphs:
+        G = parse_graph6(g6)
+        a, b = certify_alpha(G, P), certify_beta(G.complement(), P)
+        assert a.valid and b.valid and b.rank_r == a.rank_r == 2
+        cases.append(b.case)
+    assert cases == ["two", "one"]
 
 
 def test_max_code_size_domain():
@@ -395,6 +406,28 @@ def test_search_golden_digest():
     assert digest == (
         "361d2af346bc4aea56e71a8aac6b59ac"
         "d2084ac01721a3b2daa00852a721e30d")
+
+
+def test_search_golden_extremal_graphs_realize_verified_codes():
+    # every extremal graph of test_search_golden_digest's max_code_size
+    # rows, realized in dimension d, passes verify_code at
+    # max(tol, 1e-8): its round trip already put every pair within tol
+    # of alpha or beta
+    points = [(P.exact.alpha, P.exact.beta) for P in search.RATIONAL_GRID]
+    points += [(float(a), float(b)) for a, b in points]
+    points.append(pentagon_parameters())
+    realized = 0
+    for a, b in points:
+        P = CodeParameters.make(a, b)
+        for d in (2, 3):
+            for g6 in search.max_code_size(a, b, d, 6).extremal_graphs:
+                code = realize_from_alpha(parse_graph6(g6), P, dim=d)
+                assert code.vectors.shape[1] == d
+                rep = verify_code(code.vectors, P.alpha, P.beta,
+                                  max(linalg.DEFAULT_TOL, 1e-8))
+                assert rep.valid, (a, b, d, g6)
+                realized += 1
+    assert realized == 118
 
 
 # ---------------------------------------------------------------------------
