@@ -541,9 +541,9 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
 
     grams is a (k, n, n) stack of Gram matrices, each symmetric by
     construction (Graph.matrix), and goes straight to one numpy eigh call,
-    which gives each slice the bits of its own.  The cuts tol' and the
-    ranks are read for every slice at once, as linalg.shifted_stack reads
-    them.  A slice whose rank is not ranks[i] gets its
+    which gives each slice the bits of its own.  The cuts tol' are taken
+    for every slice at once, as linalg.shifted_stack takes them, and so
+    are the ranks.  A slice whose rank is not ranks[i] gets its
     ReconstructionResidual; the others are grouped by rank, and in a group
     the sign fix, the scaling, the residual check, the norm check and the
     normalization are stacked numpy operations.  Each eigenvector kept is
@@ -709,16 +709,25 @@ def dumps_code(code: SphericalCode) -> str:
 
 
 def loads_code(text: str) -> SphericalCode:
-    """Parse a code file; unknown fields are ignored."""
+    """Parse a code file; unknown fields are ignored.  A top level that
+    is not an object, or a field missing or of the wrong type, raises
+    ValueError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("code file is not a JSON object")
     for key in ("alpha", "beta", "dim", "vectors"):
         if key not in obj:
             raise ValueError("code file is missing %r" % key)
-    vectors = np.array(obj["vectors"], dtype=float)
+    try:
+        alpha, beta, dim = (float(obj["alpha"]), float(obj["beta"]),
+                            int(obj["dim"]))
+        vectors = np.array(obj["vectors"], dtype=float)
+    except TypeError as exc:
+        raise ValueError("code file has a field of the wrong type: %s"
+                         % exc) from None
     if vectors.ndim == 1 and vectors.size == 0:
-        vectors = vectors.reshape(0, int(obj["dim"]))
-    return SphericalCode(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
-                         dim=int(obj["dim"]), vectors=vectors)
+        vectors = vectors.reshape(0, dim)
+    return SphericalCode(alpha=alpha, beta=beta, dim=dim, vectors=vectors)
 
 
 def save_code(code: SphericalCode, path):

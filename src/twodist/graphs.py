@@ -41,6 +41,8 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise ValueError("a graph needs n >= 0, got %r" % (n,))
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -151,6 +153,8 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if a < 0 or b < 0:
+        raise ValueError("parts need sizes >= 0, got %r and %r" % (a, b))
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 def disjoint_union(graphs) -> Graph:
@@ -444,6 +448,8 @@ def enumerate_graphs(n: int, connected_only: bool = False):
     with extend_canonical, each class emitted once by its canonical
     parent, and cached per order.
     """
+    if n < 0:
+        raise ValueError("enumeration needs n >= 0, got %r" % (n,))
     if n > MAX_CANONICAL_N:
         raise SizeGuardError("canonical enumeration guarded to n <= %d"
                              % MAX_CANONICAL_N)

@@ -17,18 +17,18 @@ same shape as the exact backend below.  The core, eigh_trusted, runs
 one eigh on a float matrix that is symmetric by construction and
 computes tol' once; it neither copies nor checks nor symmetrizes the
 matrix, and shifted_trusted reads the certificate facts off it.
-shifted_stack is the same core over a stack: one eigh for every slice,
-the cuts, inertias and ranks counted for the whole stack at once, the
-coefficients V^T j of every slice taken in one stacked product (each
-slice's are the bits of its own V^T j), and each slice's quadratic form
-read by the body shifted_trusted uses (_read_shifted), so each slice's
-facts are those shifted_trusted gives it, bit for bit.  That one reader
-has a full-rank read: when the inertia puts every eigenvalue outside
-the band, v has no part off the range (its norm is sqrt(0), never above
-the cut), so it divides every coefficient at once, the entries the
-masked division gives, and multiplies on the column-major copy of the
-vectors that the masked columns are, so the bits are the same; the
-general read masks the band.  The validating front ends (inertia, and
+shifted_stack is the same core over a stack: one eigh for every slice
+and the cuts for the whole stack at once, then each slice read by the
+two readers of shifted_trusted, _count_inertia (inertia and rank) and
+_read_shifted (range and quadratic form), so each slice's facts are
+those shifted_trusted gives it, bit for bit.  They are the only float
+readers of those facts; the search's hereditary filter counts with
+_count_inertia too.  _read_shifted has a full-rank read: when the
+inertia puts every eigenvalue outside the band, v has no part off the
+range (its norm is sqrt(0), never above the cut), so it divides every
+coefficient at once, the entries the masked division gives, and
+multiplies on the column-major copy of the vectors that the masked
+columns are, so the bits are the same; the general read masks the band.  The validating front ends (inertia, and
 rank_one_update_inertia on float input) take a caller's matrix, check
 that it is square and symmetric within tol', and symmetrize it before
 the core sees it.  The trusted writers build their matrix straight
@@ -98,17 +98,10 @@ class Spectrum(NamedTuple):
     vectors: np.ndarray   # column i is the eigenvector for values[i]
 
 
-def norm_inf(M) -> float:
-    """Max absolute row sum of a matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0.0
-    return float(np.abs(M).sum(axis=1).max())
-
-
-def scaled_tol(M, tol: float = DEFAULT_TOL) -> float:
-    """The working tolerance tol' = tol * max(1, ||M||_inf)."""
-    return tol * max(1.0, norm_inf(M))
+def scaled_tol(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """The working tolerance tol' = tol * max(1, ||M||_inf), the norm the
+    largest absolute row sum of the float matrix M (0 with no rows)."""
+    return tol * max(1.0, float(np.abs(M).sum(axis=1).max(initial=0.0)))
 
 
 def _as_symmetric(M, tol: float) -> np.ndarray:
@@ -192,35 +185,25 @@ def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
 def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     """shifted_trusted(S[i], tol) for every slice of a (k, m, m) stack.
 
-    One eigh call runs LAPACK slice by slice over the stack; every slice
-    must be symmetric by construction, as for shifted_trusted.  The cuts,
-    the inertias and the ranks are counted for the whole stack at once,
-    with the same float operations per slice, and so are the coefficients
-    V^T j, one stacked matmul whose slices have the bits of each slice's
-    own product.  Each slice's quadratic form is read from them by the
-    body shifted_trusted uses, so slice i gives shifted_trusted(S[i], tol)
-    bit for bit, in every field.
+    One eigh call runs LAPACK slice by slice over the stack, and gives
+    each slice the bits of its own call; every slice must be symmetric
+    by construction, as for shifted_trusted.  The cuts are taken for the
+    whole stack at once, with the float operations scaled_tol runs on
+    one slice.  Each slice is then read as shifted_trusted reads its
+    matrix, by _count_inertia and _read_shifted, so slice i gives
+    shifted_trusted(S[i], tol) bit for bit, in every field.
     """
     values, vectors = np.linalg.eigh(S)
-    values, vectors = values[:, ::-1], vectors[:, :, ::-1]
     cuts = tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))
-    col = cuts[:, None]
-    pos = np.add.reduce(values > col, 1).tolist()
-    neg = np.add.reduce(values < -col, 1).tolist()
-    m = S.shape[1]
-    j = np.ones(m)
-    coeffs = vectors.transpose(0, 2, 1) @ j
-    return [_read_shifted(Spectrum(val, vec), cut,
-                          Inertia(up, down, m - up - down), j, vj)
-            for val, vec, cut, up, down, vj in zip(values, vectors,
-                                                   cuts.tolist(), pos, neg,
-                                                   coeffs)]
+    return [_read_shifted(Spectrum(val, vec), cut, _count_inertia(val, cut),
+                          None)
+            for val, vec, cut in zip(values[:, ::-1], vectors[:, :, ::-1],
+                                     cuts.tolist())]
 
 
-def _read_shifted(spec: Spectrum, cut: float, inert: Inertia,
-                  v, coeffs=None) -> Shifted:
+def _read_shifted(spec: Spectrum, cut: float, inert: Inertia, v) -> Shifted:
     """The Shifted fields of one spectrum: v^T M^# v read at the cut, v
-    None meaning j, and coeffs V^T v when the caller has them.
+    None meaning j, from the coefficients V^T v.
 
     At full rank every eigenvalue lies outside the band, so the part of
     v off the range is empty and its norm sqrt(0) is never above the
@@ -230,8 +213,7 @@ def _read_shifted(spec: Spectrum, cut: float, inert: Inertia,
     takes, so both branches give the same bits.
     """
     v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
-    if coeffs is None:
-        coeffs = spec.vectors.T @ v
+    coeffs = spec.vectors.T @ v
     rank = inert.pos + inert.neg
     if rank == len(spec.values):
         x = np.asfortranarray(spec.vectors) @ (coeffs / spec.values)

@@ -136,8 +136,9 @@ class _Hereditary:
     them; a float child that passes gives True.  Floats compare at one
     fixed cut, which must be _cut_max: at that cut both interlacing
     inequalities still hold, while a child's own smaller cut could drop a
-    graph that a descendant's leaf test accepts.  A failing child gives
-    None.  Counts the rejections by test.
+    graph that a descendant's leaf test accepts; the eigenvalues are
+    counted there by linalg._count_inertia, the certificates' own count.
+    A failing child gives None.  Counts the rejections by test.
     """
 
     def __init__(self, r: int, mu, cut):
@@ -149,10 +150,9 @@ class _Hereditary:
             k = shifted_graph(G, self.mu, +1)
             psd, rank = not k.inertia.neg, k.rank
         else:
-            values = np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1))
-            psd = values[0] >= -self.cut
-            rank = int(np.sum(values > self.cut))
-            k = True
+            pos, neg, _ = linalg._count_inertia(
+                np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1)), self.cut)
+            psd, rank, k = not neg, pos, True
         failed = "psd" if not psd else "rank" if rank > self.r else None
         if failed:
             self.rejected[failed] += 1

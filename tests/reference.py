@@ -46,6 +46,10 @@ certificates._factor_stack replaced, with its body unchanged, and
 gram_matrix writes its Gram matrix as the realizations did, from the
 float shifted adjacency in two whole-matrix passes.
 
+Hereditary is search._Hereditary with the call it had before its float
+branch counted the eigenvalues with linalg._count_inertia: psd read off
+the least eigenvalue and the rank summed by numpy, the body unchanged.
+
 shifted and eigen_decompose are the validating float front ends that
 linalg had without a caller in the package: each checks and
 symmetrizes a caller's matrix and runs the float core on it.  rank_sym
@@ -69,7 +73,7 @@ from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits, _check_vertex,
                             independence_number, is_complete)
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
                             _as_symmetric, eigh_trusted, inertia)
-from twodist.search import _leaf_rejection
+from twodist.search import _Hereditary, _leaf_rejection
 
 # check_subgraph_inequality_by_sweep sweeps all 2^n subsets when none is
 # given
@@ -641,3 +645,22 @@ def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
     symmetric within tol' (ValueError otherwise) and is symmetrized.
     """
     return linalg.shifted_trusted(_as_symmetric(M, tol), tol)
+
+
+class Hereditary(_Hereditary):
+    """search._Hereditary before its float branch used _count_inertia."""
+
+    def __call__(self, G):
+        if self.cut is None:
+            k = shifted_graph(G, self.mu, +1)
+            psd, rank = not k.inertia.neg, k.rank
+        else:
+            values = np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1))
+            psd = values[0] >= -self.cut
+            rank = int(np.sum(values > self.cut))
+            k = True
+        failed = "psd" if not psd else "rank" if rank > self.r else None
+        if failed:
+            self.rejected[failed] += 1
+            return None
+        return k

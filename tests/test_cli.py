@@ -142,6 +142,22 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert out.startswith("invalid norm_violations=")
 
 
+@pytest.mark.parametrize("command", ["extract", "verify"])
+@pytest.mark.parametrize("text", [
+    '{"alpha": null, "beta": -1, "dim": 2, "vectors": [[1, 0]]}',
+    '5',
+    '{"alpha": 0, "beta": -1, "dim": 2, "vectors": {"x": 1}}',
+    '{"alpha": 0, "beta": -1, "dim": [2], "vectors": [[1, 0]]}',
+], ids=["null_alpha", "number", "vectors_object", "dim_list"])
+def test_malformed_code_file_exits_two(tmp_path, capsys, command, text):
+    # a usage error, reported on one line without a traceback
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    rc, out = run(capsys, command, "--in", str(path))
+    assert rc == 2
+    assert out.startswith("error:")
+
+
 def test_bounds_parameter_table(capsys):
     rc, out = run(capsys, "bounds", "--alpha", "0.05", "--beta", "-1",
                   "--d", "3")

@@ -126,6 +126,18 @@ def test_basic_structure():
     assert not is_connected(H)
 
 
+def test_graph_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="n >= 0"):
+        Graph(-2)
+
+
+def test_complete_bipartite_rejects_a_negative_part():
+    for a, b in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="sizes >= 0"):
+            complete_bipartite(a, b)
+    assert complete_bipartite(0, 2).n == 2
+
+
 def test_induced_and_neighborhoods():
     G = cycle_graph(4)
     assert induced_subgraph(G, [0, 2]).num_edges == 0
@@ -363,6 +375,14 @@ def test_non_canonical_parent_yields_no_child():
 def test_enumeration_guards():
     with pytest.raises(SizeGuardError):
         enumerate_graphs(9)
+
+
+def test_enumeration_rejects_a_negative_order():
+    # refused before the per-order cache is read or filled
+    before = graphs._canonical_g6.cache_info()
+    with pytest.raises(ValueError, match="n >= 0"):
+        enumerate_graphs(-1)
+    assert graphs._canonical_g6.cache_info() == before
 
 
 def test_extend_canonical_with_hereditary_filter():

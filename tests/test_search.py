@@ -24,7 +24,7 @@ from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
                             disjoint_union, emit_graph6, empty_graph,
                             enumerate_graphs, parse_graph6)
 
-from reference import _rejection, rational_shift
+from reference import Hereditary, _rejection, rational_shift
 
 
 def pentagon_parameters():
@@ -201,6 +201,40 @@ def test_float_pruning_keeps_what_a_larger_leaf_accepts():
     assert (res.value, res.extremal_graphs) == full_scan(1, 2.0, mu, 4,
                                                          "strict")
     assert res.extremal_graphs == [canonical_form(complete_graph(4))]
+
+
+def test_float_filter_matches_its_former_body():
+    # the float hereditary filter counts with linalg._count_inertia; its
+    # verdicts and rejection counts must be those of the body that read
+    # the least eigenvalue and summed the rank by numpy.  Every graph is
+    # filtered at every r at the pruning cut, and at one r (by its index)
+    # at a cut equal to the absolute value of one of its eigenvalues,
+    # where the comparisons meet a value at exactly +cut or -cut
+    mus = [P.mu for P in search.RATIONAL_GRID]
+    mus.append(CodeParameters.make(*pentagon_parameters()).mu)
+    tol = linalg.DEFAULT_TOL
+    family = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+    ties, pruned = set(), {"psd": 0, "rank": 0}
+    for mu in mus:
+        values = [np.linalg.eigvalsh(search._shift_matrix(G, mu, +1))
+                  for G in family]
+        for r in range(1, 7):
+            for at_value in (False, True):
+                new = search._Hereditary(r, mu, search._cut_max(mu, 6, tol))
+                old = Hereditary(r, mu, new.cut)
+                for i, (G, vals) in enumerate(zip(family, values)):
+                    if at_value:
+                        if i % 6 != r - 1:
+                            continue
+                        x = float(vals[i // 6 % G.n])
+                        new.cut = old.cut = abs(x)
+                        ties.add(x > 0)
+                    assert new(G) == old(G)
+                assert new.rejected == old.rejected
+                for test, count in new.rejected.items():
+                    pruned[test] += count
+    assert ties == {False, True}
+    assert pruned["psd"] and pruned["rank"]
 
 
 def test_search_stats_at_mu_two_rank_three():
