@@ -248,7 +248,7 @@ def sandwich_bounds(graphs, mu, d: int,
                              "one vertex")
         if not is_connected(G):
             continue
-        k = shifted_graph(G, mu, +1, tol)
+        k = shifted_graph(G, mu, +1, tol, cap=0)
         if k.inertia.neg or k.quadform is None:
             continue
         rank = k.rank

@@ -347,8 +347,8 @@ def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
     return G.matrix(*_shift_entries(shift, sign))
 
 
-def shifted_graph(G: Graph, shift, sign: int,
-                  tol: float = DEFAULT_TOL) -> linalg.Shifted:
+def shifted_graph(G: Graph, shift, sign: int, tol: float = DEFAULT_TOL,
+                  cap: int | None = None) -> linalg.Shifted | linalg.Capped:
     """The kernel facts of A + shift*I (sign=+1) or shift*I - A (sign=-1).
 
     The arithmetic of shift picks the kernel, and either way the matrix
@@ -360,12 +360,16 @@ def shifted_graph(G: Graph, shift, sign: int,
     float runs the spectral core linalg.shifted_trusted at tol' (values
     set) on the float matrix, bit for bit the matrix
     shift * np.eye(n) + sign * A.  The decisions read the same fields.
+    cap goes to the kernel: past cap negative eigenvalues it stops and
+    returns a linalg.Capped, whose inertia.neg and values are all a
+    verdict that reads the negative count first may then read.
     """
     if isinstance(shift, Fraction):
         den = shift.denominator
         R, w = _bordered(G, shift.numerator, sign * den, 0)
-        return linalg.bareiss_bordered(R, w, den, 1)
-    return linalg.shifted_trusted(_shift_matrix(G, shift, sign), tol)
+        return linalg.bareiss_bordered(R, w, den, 1, None, cap)
+    return linalg.shifted_trusted(_shift_matrix(G, shift, sign), tol,
+                                  cap=cap)
 
 
 def shifted_principal(G: Graph, shift, sign: int, masks,
@@ -431,7 +435,8 @@ def certify_alpha(G: Graph, params: CodeParameters,
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
     P = params.exact or params
-    k = shifted_graph(G, P.mu, +1, tol)
+    # one negative eigenvalue decides, so the kernel stops there
+    k = shifted_graph(G, P.mu, +1, tol, cap=0)
     exact = k.values is None
     smallest = None if exact else float(k.values[-1] - P.mu)
 
@@ -466,7 +471,7 @@ def certify_beta_zero(G: Graph, beta,
         raise ValueError("certificates need at least one vertex")
     # the pair (0, beta) has lam = 1/(-beta), in the arithmetic of beta
     params = CodeParameters.make(0, beta)
-    k = shifted_graph(G, (params.exact or params).lam, -1, tol)
+    k = shifted_graph(G, (params.exact or params).lam, -1, tol, cap=0)
     exact = k.values is None
     if k.inertia.neg:
         return BetaCertificate(valid=False, failure_reason="eigenvalue_above",
@@ -490,7 +495,8 @@ def certify_beta(G: Graph, params: CodeParameters,
     if G.n == 0:
         raise ValueError("certificates need at least one vertex")
     P = params.exact or params
-    k = shifted_graph(G, P.lam, -1, tol)
+    # case three reads one negative eigenvalue; a second one decides
+    k = shifted_graph(G, P.lam, -1, tol, cap=1)
     exact = k.values is None
     if k.inertia.neg == 0:
         if k.inertia.zero == 0:
@@ -711,16 +717,27 @@ def dumps_code(code: SphericalCode) -> str:
 def loads_code(text: str) -> SphericalCode:
     """Parse a code file; unknown fields are ignored.  A top level that
     is not an object, or a field missing or of the wrong type, raises
-    ValueError."""
+    ValueError: alpha, beta and dim must not be booleans, and dim must
+    be a nonnegative integer (an integral float such as 2.0 is read as
+    one)."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("code file is not a JSON object")
     for key in ("alpha", "beta", "dim", "vectors"):
         if key not in obj:
             raise ValueError("code file is missing %r" % key)
+    for key in ("alpha", "beta", "dim"):
+        if isinstance(obj[key], bool):
+            raise ValueError("code file field %r is a boolean, not a number"
+                             % key)
+    dim = obj["dim"]
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if not isinstance(dim, int) or dim < 0:
+        raise ValueError("code file field 'dim' must be a nonnegative "
+                         "integer, got %r" % (obj["dim"],))
     try:
-        alpha, beta, dim = (float(obj["alpha"]), float(obj["beta"]),
-                            int(obj["dim"]))
+        alpha, beta = float(obj["alpha"]), float(obj["beta"])
         vectors = np.array(obj["vectors"], dtype=float)
     except TypeError as exc:
         raise ValueError("code file has a field of the wrong type: %s"

@@ -28,7 +28,8 @@ inertia puts every eigenvalue outside the band, v has no part off the
 range (its norm is sqrt(0), never above the cut), so it divides every
 coefficient at once, the entries the masked division gives, and
 multiplies on the column-major copy of the vectors that the masked
-columns are, so the bits are the same; the general read masks the band.  The validating front ends (inertia, and
+columns are, so the bits are the same; the general read masks the
+band.  The validating front ends (inertia, and
 rank_one_update_inertia on float input) take a caller's matrix, check
 that it is square and symmetric within tol', and symmetrize it before
 the core sees it.  The trusted writers build their matrix straight
@@ -61,6 +62,22 @@ writes the packed rows of a shifted adjacency straight from the graph's
 bitmasks, and certificates.shifted_principal writes them restricted to
 a vertex set S, which the core then eliminates on the fields of S
 alone, at the width of the whole matrix.
+
+A verdict that reads the negative count first can often stop there:
+a certificate fails at its first negative eigenvalue (certify_beta at
+its second), and so do bounds.sandwich_bounds' membership test, the
+search's exact hereditary test and the oracle's Gram check.  So each
+backend's one kernel takes a cap, the largest negative count its
+caller's verdict can use, None for no cap.  Past the cap,
+bareiss_bordered returns at that pivot, with no further row update and
+no quadratic form, and shifted_trusted skips _read_shifted but keeps
+the spectrum, which certify_alpha's smallest eigenvalue reads.  Both
+then return a Capped, the spectrum (None when exact) and
+Inertia(None, neg, None) with neg > cap, which has no rank or
+quadform: quadform None already means that v leaves the range, so a
+stopped kernel must not look like a complete Shifted.  Stopping keeps
+the verdict because the negative count only grows, pivot by pivot
+(bareiss_bordered proves it); the float count is the whole count.
 
 Both kernels take the vector: shifted_trusted(M, tol, v) and
 shifted_exact(M, v) return the same Shifted fields, v defaulting to j,
@@ -153,6 +170,20 @@ class Shifted(NamedTuple):
                             # the exact q > p and q == p on rationals
 
 
+class Capped(NamedTuple):
+    """What a kernel returns when it stops at its cap.
+
+    A caller that passes cap (the largest negative-eigenvalue count its
+    verdict can use) gets this instead of a Shifted once the count goes
+    past the cap: inertia is Inertia(None, neg, None) with neg > cap, and
+    values is the spectrum on floats, None when exact.  It has no rank,
+    quadform or cut, so it cannot be read as a complete Shifted.
+    """
+
+    values: np.ndarray | None
+    inertia: Inertia
+
+
 def band(q, p, cut) -> tuple[bool, bool, bool]:
     """Whether q lies above, inside or below the zero band cut around p.
 
@@ -167,7 +198,7 @@ def band(q, p, cut) -> tuple[bool, bool, bool]:
 
 
 def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
-                    v=None) -> Shifted:
+                    v=None, cap: int | None = None) -> Shifted | Capped:
     """The certificate facts about a float matrix symmetric by construction.
 
     For M (A + mu I or lam I - A) and v, defaulting to the all-ones
@@ -177,9 +208,18 @@ def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
     inertia.neg == 0.  The quadratic form comes from the minimum-norm
     solution of M x = v; v leaves the column space when its component on
     the eigenvectors with |value| <= tol' has norm above tol'.
+
+    cap, when given, is the largest negative count the caller's verdict
+    can use: with more negative eigenvalues than cap the range and the
+    quadratic form are not read (no _read_shifted), and the result is
+    Capped(values, Inertia(None, neg, None)), the spectrum and the count
+    bit for bit those of the uncapped call.
     """
     spec, cut = eigh_trusted(M, tol)
-    return _read_shifted(spec, cut, _count_inertia(spec.values, cut), v)
+    inert = _count_inertia(spec.values, cut)
+    if cap is not None and inert.neg > cap:
+        return Capped(spec.values, Inertia(None, inert.neg, None))
+    return _read_shifted(spec, cut, inert, v)
 
 
 def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
@@ -352,8 +392,8 @@ def _pack(row, w: int) -> int:
     return sum(x << w * i for i, x in enumerate(row))
 
 
-def bareiss_bordered(R: list, w: int, L: int, W: int,
-                     fields=None) -> Shifted:
+def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
+                     cap: int | None = None) -> Shifted | Capped:
     """The exact kernel facts from a bordered integer matrix, packed by rows.
 
     B is [[L M, W v], [W v^T, 0]] of order n + 1: a symmetric rational M
@@ -374,6 +414,17 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
     that holds for B holds here too, as every minor of the bordered
     principal submatrix is a minor of B; so does the argument below,
     with B read as that submatrix padded by zeros.
+
+    cap, when given, is the largest negative count the caller's verdict
+    can use.  The elimination stops at the pivot that takes the negative
+    count past it, with no further row update and no quadratic form, and
+    returns Capped(None, Inertia(None, cap + 1, None)).  That keeps the
+    verdict, because the negative count only grows, pivot by pivot: the
+    pivots taken so far count the inertia of the pivot block, the
+    inertia of M is that plus the inertia of its Schur complement
+    (Haynsworth), and the congruence keeps every inertia.  So the whole
+    elimination would count more than cap negative pivots too, and the
+    sign of a pivot is final once it is taken.
 
     A step with pivot row k, d = B[k][k], updates every live row i, the
     border row included, in one line: R[i] = (d R[i] - f R[k]) // prev,
@@ -418,6 +469,7 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
     bits each.
     """
     n = len(R) - 1  # the border is row and column n, never a pivot
+    cap = n if cap is None else cap  # neg never exceeds n
     prev, pos, neg = 1, 0, 0
     live = list(range(n) if fields is None else fields)
     mask, half = (1 << w) - 1, 1 << w - 1
@@ -452,6 +504,8 @@ def bareiss_bordered(R: list, w: int, L: int, W: int,
             pos += 1
         else:
             neg += 1
+            if neg > cap:
+                return Capped(None, Inertia(None, neg, None))
         live.remove(k)
         Rk = R[k]
         # the live part stays symmetric, so B[i][k] is field i of row k

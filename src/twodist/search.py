@@ -138,7 +138,10 @@ class _Hereditary:
     inequalities still hold, while a child's own smaller cut could drop a
     graph that a descendant's leaf test accepts; the eigenvalues are
     counted there by linalg._count_inertia, the certificates' own count.
-    A failing child gives None.  Counts the rejections by test.
+    The exact kernel stops at the first negative pivot (cap 0), which
+    decides "psd" before the rank is known; a passing child has no
+    negative pivot, so its facts are complete.  A failing child gives
+    None.  Counts the rejections by test.
     """
 
     def __init__(self, r: int, mu, cut):
@@ -147,13 +150,14 @@ class _Hereditary:
 
     def __call__(self, G):
         if self.cut is None:
-            k = shifted_graph(G, self.mu, +1)
-            psd, rank = not k.inertia.neg, k.rank
+            k = shifted_graph(G, self.mu, +1, cap=0)
+            neg = k.inertia.neg
+            rank = None if neg else k.rank
         else:
             pos, neg, _ = linalg._count_inertia(
                 np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1)), self.cut)
-            psd, rank, k = not neg, pos, True
-        failed = "psd" if not psd else "rank" if rank > self.r else None
+            rank, k = pos, True
+        failed = "psd" if neg else "rank" if rank > self.r else None
         if failed:
             self.rejected[failed] += 1
             return None
@@ -448,7 +452,9 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
                 where = (g6, fa, fb)
                 checked += 1
                 c = certify_alpha(G, P, tol)
-                fact = linalg.bareiss_bordered(*_bordered(G, D, a, b), D, 1)
+                # only a PSD Gram candidate has its rank read
+                fact = linalg.bareiss_bordered(*_bordered(G, D, a, b), D, 1,
+                                               cap=0)
                 if c.valid != (fact.inertia.neg == 0):
                     found.append((checked, where + ("validity",)))
                 elif c.valid and fact.rank != c.rank_r:

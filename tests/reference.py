@@ -49,6 +49,13 @@ float shifted adjacency in two whole-matrix passes.
 Hereditary is search._Hereditary with the call it had before its float
 branch counted the eigenvalues with linalg._count_inertia: psd read off
 the least eigenvalue and the rank summed by numpy, the body unchanged.
+Its exact branch runs the whole elimination, as it did before the
+kernels took a cap.
+
+certify_alpha, certify_beta_zero and certify_beta are the certificate
+bodies from before they passed a cap to their kernel, unchanged: each
+runs the whole elimination or the whole float read, quadratic form
+included, before it reads the negative count.
 
 shifted and eigen_decompose are the validating float front ends that
 linalg had without a caller in the package: each checks and
@@ -64,11 +71,13 @@ import numpy as np
 
 from twodist import linalg
 from twodist.bounds import BoundReport, _not_applicable, _resolve_cert
-from twodist.certificates import (AlphaCertificate, CodeParameters,
-                                  SphericalCode, VerifyReport, shifted_graph,
-                                  shifted_principal, _shift_matrix)
+from twodist.certificates import (AlphaCertificate, BetaCertificate,
+                                  CodeParameters, SphericalCode, VerifyReport,
+                                  shifted_graph, shifted_principal,
+                                  _shift_matrix)
 from twodist.errors import (AmbiguousPair, CertificateInvalid,
-                            ReconstructionResidual, SizeGuardError)
+                            ParameterDomain, ReconstructionResidual,
+                            SizeGuardError)
 from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits, _check_vertex,
                             independence_number, is_complete)
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
@@ -664,3 +673,82 @@ class Hereditary(_Hereditary):
             self.rejected[failed] += 1
             return None
         return k
+
+
+def certify_alpha(G: Graph, params: CodeParameters,
+                  tol: float = DEFAULT_TOL) -> AlphaCertificate:
+    """certificates.certify_alpha with no cap on its kernel."""
+    if params.beta >= 0:
+        raise ParameterDomain("alpha-graph certificates need beta < 0")
+    if G.n == 0:
+        raise ValueError("certificates need at least one vertex")
+    P = params.exact or params
+    k = shifted_graph(G, P.mu, +1, tol)
+    exact = k.values is None
+    smallest = None if exact else float(k.values[-1] - P.mu)
+
+    def verdict(**fields) -> AlphaCertificate:
+        return AlphaCertificate(smallest_eigenvalue=smallest, exact=exact,
+                                **fields)
+
+    if k.inertia.neg:
+        return verdict(valid=False, failure_reason="eigenvalue_below")
+    q = k.quadform
+    if q is None:
+        return verdict(valid=False, failure_reason="j_not_in_range")
+    above, equality, _ = linalg.band(q, P.p, k.cut)
+    if above:
+        return verdict(valid=False, failure_reason="quadform_exceeds",
+                       quadform=q)
+    return verdict(valid=True, rank_r=k.rank - 1 if equality else k.rank,
+                   quadform=q, equality_case=equality)
+
+
+def certify_beta_zero(G: Graph, beta,
+                      tol: float = DEFAULT_TOL) -> BetaCertificate:
+    """certificates.certify_beta_zero with no cap on its kernel."""
+    if not (-1.0 <= float(beta) < 0.0):
+        raise ParameterDomain("the {0, beta} route needs beta in [-1, 0)")
+    if G.n == 0:
+        raise ValueError("certificates need at least one vertex")
+    params = CodeParameters.make(0, beta)
+    k = shifted_graph(G, (params.exact or params).lam, -1, tol)
+    exact = k.values is None
+    if k.inertia.neg:
+        return BetaCertificate(valid=False, failure_reason="eigenvalue_above",
+                               exact=exact)
+    return BetaCertificate(valid=True, case="p1" if k.rank == G.n else "p2",
+                           rank_r=k.rank, exact=exact)
+
+
+def certify_beta(G: Graph, params: CodeParameters,
+                 tol: float = DEFAULT_TOL) -> BetaCertificate:
+    """certificates.certify_beta with no cap on its kernel."""
+    if params.alpha <= 0:
+        raise ParameterDomain("beta-graph certificates need alpha > 0")
+    if G.n == 0:
+        raise ValueError("certificates need at least one vertex")
+    P = params.exact or params
+    k = shifted_graph(G, P.lam, -1, tol)
+    exact = k.values is None
+    if k.inertia.neg == 0:
+        if k.inertia.zero == 0:
+            return BetaCertificate(valid=True, case="one", rank_r=G.n,
+                                   exact=exact)
+        return BetaCertificate(valid=True, case="two", rank_r=k.rank + 1,
+                               exact=exact)
+    if k.inertia.neg > 1:
+        return BetaCertificate(valid=False, failure_reason="negative_inertia",
+                               exact=exact)
+    bound = P.beta_budget
+    q = k.quadform
+    if q is None:
+        return BetaCertificate(valid=False, case="three",
+                               failure_reason="j_not_in_range", exact=exact)
+    above, equality, _ = linalg.band(q, bound, k.cut)
+    if above:
+        return BetaCertificate(valid=False, case="three", quadform=q,
+                               failure_reason="quadform_exceeds", exact=exact)
+    return BetaCertificate(valid=True, case="three",
+                           rank_r=k.rank - 1 if equality else k.rank,
+                           quadform=q, equality_case=equality, exact=exact)

@@ -1058,3 +1058,51 @@ def test_shifted_principal_is_shifted_graph_of_the_induced_subgraph():
 def test_shifted_principal_rejects_an_empty_or_foreign_mask(mask):
     with pytest.raises(ValueError, match="vertex mask"):
         cert.shifted_principal(cycle_graph(4), 2.0, +1, [1, mask])
+
+
+
+def capped_points(exact: bool) -> list:
+    """The parameter points of the capped-certificate comparison: the
+    RATIONAL_GRID and BETA_GRID points as Fractions, or else as floats,
+    the pentagon point and the grid floats with alpha moved by +-2e-9
+    and +-4e-9."""
+    from twodist.search import BETA_GRID, RATIONAL_GRID
+
+    grid = RATIONAL_GRID + BETA_GRID
+    if exact:
+        return list(grid)
+    return ([cert.CodeParameters.make(P.alpha + eps, P.beta)
+             for P in grid for eps in (0.0, -4e-9, -2e-9, 2e-9, 4e-9)]
+            + [pentagon_parameters()])
+
+
+@pytest.mark.parametrize("exact, n_max", [(True, 7), (False, 6)])
+def test_capped_certificates_match_the_uncapped_bodies(exact, n_max):
+    # each certificate stops its kernel once the negative count decides
+    # the verdict; every field, types and bits included (repr), must be
+    # that of the body that ran the whole kernel, valid or not, decided
+    # by the cap or not.  Floats stop at n = 6 to keep the suite quick;
+    # the same comparison passes on floats at n = 7 as well.
+    from twodist.graphs import enumerate_graphs
+
+    graphs = [G for n in range(1, n_max + 1) for G in enumerate_graphs(n)]
+    decided = dict.fromkeys(("alpha", "beta", "beta_zero"), 0)
+    for P in capped_points(exact):
+        routes = []
+        if P.beta < 0:
+            routes.append(("alpha", cert.certify_alpha,
+                           reference.certify_alpha, P))
+        if P.alpha > 0:
+            routes.append(("beta", cert.certify_beta, reference.certify_beta,
+                           P))
+        if P.alpha == 0:
+            routes.append(("beta_zero", cert.certify_beta_zero,
+                           reference.certify_beta_zero, (P.exact or P).beta))
+        for name, new, old, arg in routes:
+            for G in graphs:
+                got, want = new(G, arg), old(G, arg)
+                assert repr(got) == repr(want), (name, G, arg)
+                decided[name] += want.failure_reason in (
+                    "eigenvalue_below", "eigenvalue_above",
+                    "negative_inertia")
+    assert all(decided.values()), decided

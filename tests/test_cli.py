@@ -148,7 +148,13 @@ def test_verify_detects_corruption(tmp_path, capsys):
     '5',
     '{"alpha": 0, "beta": -1, "dim": 2, "vectors": {"x": 1}}',
     '{"alpha": 0, "beta": -1, "dim": [2], "vectors": [[1, 0]]}',
-], ids=["null_alpha", "number", "vectors_object", "dim_list"])
+    '{"alpha": 0, "beta": -1, "dim": 2.7, "vectors": [[1, 0]]}',
+    '{"alpha": 0, "beta": -1, "dim": -3, "vectors": []}',
+    '{"alpha": 0, "beta": -1, "dim": true, "vectors": [[1]]}',
+    '{"alpha": false, "beta": -1, "dim": 2, "vectors": [[1, 0]]}',
+    '{"alpha": 0, "beta": true, "dim": 2, "vectors": [[1, 0]]}',
+], ids=["null_alpha", "number", "vectors_object", "dim_list", "dim_fraction",
+        "dim_negative", "dim_bool", "alpha_bool", "beta_bool"])
 def test_malformed_code_file_exits_two(tmp_path, capsys, command, text):
     # a usage error, reported on one line without a traceback
     path = tmp_path / "code.json"
@@ -156,6 +162,7 @@ def test_malformed_code_file_exits_two(tmp_path, capsys, command, text):
     rc, out = run(capsys, command, "--in", str(path))
     assert rc == 2
     assert out.startswith("error:")
+    assert "reshape" not in out
 
 
 def test_bounds_parameter_table(capsys):

@@ -271,3 +271,99 @@ def test_masked_congruence_at_the_width_bound(fields):
         k = linalg.bareiss_bordered(masked_rows(B, fields, w), w, 1, 1,
                                     fields)
         assert k == reference.bareiss_bordered(principal(B, fields), 1, 1)
+
+
+@st.composite
+def capped_inputs(draw):
+    """A symmetric rational matrix with a zero-diagonal block, a vector,
+    a vertex subset (or None) and a cap.
+
+    The block sits anywhere on the diagonal, so the elimination meets
+    the congruence before its first negative pivot or after it.
+    """
+    n = draw(st.integers(1, 9))
+    den = draw(st.sampled_from((1, 2, 3, 12)))
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = Fraction(draw(st.integers(-9, 9)), den)
+    size = draw(st.integers(0, n))
+    start = draw(st.integers(0, n - size))
+    for i in range(start, start + size):
+        M[i][i] = Fraction(0)
+    vkind = draw(st.sampled_from(("ones", "zero", "random")))
+    v = ([Fraction(1)] * n if vkind == "ones" else [Fraction(0)] * n
+         if vkind == "zero" else [Fraction(draw(st.integers(-4, 4)), 3)
+                                  for _ in range(n)])
+    fields = draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1))))
+    return M, v, None if fields is None else sorted(fields), draw(
+        st.integers(0, 3))
+
+
+def bordered_rows(M, v, fields):
+    """The packed rows, width, L and W that shifted_exact would pass to
+    bareiss_bordered for M and v, masked to fields when given."""
+    n = len(M)
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    W = math.lcm(*(x.denominator for x in v))
+    B = [[int(x * L) for x in row] + [int(x * W)] for row, x in zip(M, v)]
+    B.append([row[n] for row in B] + [0])
+    w = linalg.packed_width(
+        math.prod(max(1, sum(x * x for x in row)) for row in B))
+    if fields is None:
+        return [linalg._pack(row, w) for row in B], w, L, W
+    return masked_rows(B, fields, w), w, L, W
+
+
+@settings(max_examples=400, **SETTINGS)
+@given(capped_inputs())
+def test_capped_kernel_stops_exactly_past_its_cap(case):
+    # the capped elimination gives the full facts whenever the negative
+    # count is at most the cap, and the Capped result exactly when it
+    # goes past it, with the count one above the cap
+    M, v, fields, cap = case
+    R, w, L, W = bordered_rows(M, v, fields)
+    full = linalg.bareiss_bordered(list(R), w, L, W, fields)
+    k = linalg.bareiss_bordered(list(R), w, L, W, fields, cap)
+    if full.inertia.neg <= cap:
+        assert k == full
+        assert type(k.quadform) is type(full.quadform)
+    else:
+        assert k == linalg.Capped(None, Inertia(None, cap + 1, None))
+        assert type(k) is linalg.Capped
+
+
+@pytest.mark.parametrize("M, congruences, capped", [
+    # pivot 0 is negative, so cap 0 stops before the zero-diagonal block
+    # that the full elimination meets with a congruence
+    ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], [True, False], True),
+    # a zero diagonal: the congruence comes first, then the negative pivot
+    ([[0, 1], [1, 0]], [True, True], True),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 3]], [True, True], True),
+    # positive semidefinite: cap 0 never trips, and every step runs
+    ([[0, 0], [0, 2]], [False, False], False),
+])
+def test_cap_trips_before_or_after_the_congruence(M, congruences, capped,
+                                                 monkeypatch):
+    # _pack repacks the live rows at each congruence, and nowhere else in
+    # the kernel, so its calls count the congruences of each run
+    v = [Fraction(1)] * len(M)
+    M = [[Fraction(x) for x in row] for row in M]
+    R, w, L, W = bordered_rows(M, v, None)
+    packs = []
+
+    def pack(row, w, _pack=linalg._pack):
+        packs.append(w)
+        return _pack(row, w)
+
+    monkeypatch.setattr(linalg, "_pack", pack)
+    runs, repacked = [], []
+    for cap in (None, 0):
+        del packs[:]
+        runs.append(linalg.bareiss_bordered(list(R), w, L, W, None, cap))
+        repacked.append(bool(packs))
+    assert repacked == congruences
+    full, k = runs
+    assert (type(k) is linalg.Capped) == capped
+    assert k == (linalg.Capped(None, Inertia(None, 1, None)) if capped
+                 else full)

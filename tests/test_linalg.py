@@ -622,3 +622,31 @@ def test_band_compares_exact_budgets_without_fraction_arithmetic(
         assert certify_alpha(G, P).exact and certify_beta(G, P).exact
         for mode in ("strict", "equal"):
             _leaf_rejection(k, G.n, P.exact.p, mode)
+
+
+def test_capped_float_kernel_reads_what_the_uncapped_one_reads():
+    # past the cap the read of range and quadform is skipped; the
+    # spectrum and the negative count must be those of the uncapped call
+    # bit for bit, and at or below the cap every field must be
+    from twodist.certificates import shifted_graph
+    from twodist.graphs import enumerate_graphs
+
+    graphs = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+    shifts = grid_shifts()
+    pairs = [(s, +1) for s in shifts[0:30:2]] + [(s, -1)
+                                                 for s in shifts[1:30:2]]
+    pairs += [(shifts[30], +1), (shifts[31], -1)]
+    capped = set()
+    for s, sign in pairs:
+        for G in graphs:
+            full = shifted_graph(G, s, sign)
+            for cap in (0, 1):
+                k = shifted_graph(G, s, sign, cap=cap)
+                if full.inertia.neg > cap:
+                    assert type(k) is linalg.Capped
+                    assert k.values.tobytes() == full.values.tobytes()
+                    assert k.inertia == (None, full.inertia.neg, None)
+                    capped.add(cap)
+                else:
+                    assert_same_float_shifted(k, full)
+    assert capped == {0, 1}
