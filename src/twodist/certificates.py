@@ -212,16 +212,14 @@ def verify_code(vectors, alpha: float, beta: float,
                         values_present=present)
 
 
-def _split_graph(code: SphericalCode, tol: float, which: str) -> Graph:
-    """The graph of the pairs whose inner product is nearer to alpha
-    (which="alpha") or to beta, its rows written from the products of
-    _pair_rows: under n^2 products and O(n d + _PAIR_BLOCK) memory.  The
-    first pair near neither value, in the order of i, then j, raises
-    CertificateInvalid."""
+def alpha_graph(code: SphericalCode, tol: float = DEFAULT_TOL) -> Graph:
+    """Graph with an edge where the inner product is nearer to alpha than
+    to beta, its rows written from the products of _pair_rows: under n^2
+    products and O(n d + _PAIR_BLOCK) memory.  The first pair near
+    neither value, in the order of i, then j, raises CertificateInvalid."""
     alpha, beta = code.alpha, code.beta
     if abs(alpha - beta) <= 2 * tol:
         raise AmbiguousPair("alpha and beta are closer than 2*tol")
-    want = which == "alpha"
     rows = [0] * code.vectors.shape[0]
     for i, row in _pair_rows(code.vectors):
         for j, val in enumerate(row, i + 1):
@@ -230,20 +228,16 @@ def _split_graph(code: SphericalCode, tol: float, which: str) -> Graph:
                 raise CertificateInvalid(
                     "pair (%d, %d) has inner product %r, near neither value"
                     % (i, j, val))
-            if (da < db) == want:
+            if da < db:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph._trusted(rows)
 
 
-def alpha_graph(code: SphericalCode, tol: float = DEFAULT_TOL) -> Graph:
-    """Graph with an edge where the inner product equals alpha."""
-    return _split_graph(code, tol, "alpha")
-
-
 def beta_graph(code: SphericalCode, tol: float = DEFAULT_TOL) -> Graph:
-    """Graph with an edge where the inner product equals beta."""
-    return _split_graph(code, tol, "beta")
+    """Graph with an edge where the inner product equals beta: the
+    complement of alpha_graph, which raises its errors."""
+    return alpha_graph(code, tol).complement()
 
 
 def code_rank(code: SphericalCode, tol: float = DEFAULT_TOL) -> int:
@@ -328,23 +322,12 @@ def _bordered(G: Graph, diag: int, edge: int, other: int) -> tuple[list, int]:
     return R, w
 
 
-def _shift_entries(shift, sign: int) -> tuple:
-    """The diagonal, edge and non-edge entries of shift*I + sign*A, each
-    computed as numpy computes shift * np.eye(n) + sign * A.
-
-    A non-edge is shift*0.0 + sign*0.0: +0.0 for a positive shift
-    whatever the sign, never the -0.0 of -A, which would change LAPACK's
-    last bits.
-    """
-    off = shift * 0.0
-    return shift + sign * 0.0, off + sign, off + sign * 0.0
-
-
 def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
-    """shift*I + sign*A as a float matrix written from the bitmasks, each
-    entry as numpy computes shift * np.eye(n) + sign * A (_shift_entries).
-    """
-    return G.matrix(*_shift_entries(shift, sign))
+    """shift*I + sign*A as a float matrix written from the bitmasks, for
+    a positive shift: bit for bit the matrix shift * np.eye(n) + sign * A,
+    whose entries are shift, sign and +0.0 there (shift*0.0 + sign*0.0
+    is never the -0.0 of -A, which would change LAPACK's last bits)."""
+    return G.matrix(shift, sign, 0.0)
 
 
 def shifted_graph(G: Graph, shift, sign: int, tol: float = DEFAULT_TOL,
@@ -530,16 +513,17 @@ def _gram(G: Graph, params: CodeParameters, route: str) -> np.ndarray:
 
     alpha: (a-b) (A + mu I) + b J; beta: (a-b) (lam I - A) + a J.  Each of
     the three entries is the Python float (a-b) * e + base for an entry e
-    of _shift_entries, the operations numpy runs on the whole matrix for
-    (a - b) * _shift_matrix(...) + base, so the bits are the same.
+    of _shift_matrix, as numpy computes (a - b) * _shift_matrix(...) + base,
+    so the bits are the same; off the edges that is base + 0.0, which is
+    +0.0 for a base of -0.0.
     """
     a, b = params.alpha, params.beta
     if route == "alpha":
-        (diag, edge, other), base = _shift_entries(params.mu, +1), b
+        shift, sign, base = params.mu, 1.0, b
     else:
-        (diag, edge, other), base = _shift_entries(params.lam, -1), a
+        shift, sign, base = params.lam, -1.0, a
     s = a - b
-    return G.matrix(s * diag + base, s * edge + base, s * other + base)
+    return G.matrix(s * shift + base, s * sign + base, base + 0.0)
 
 
 def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
@@ -717,9 +701,10 @@ def dumps_code(code: SphericalCode) -> str:
 def loads_code(text: str) -> SphericalCode:
     """Parse a code file; unknown fields are ignored.  A top level that
     is not an object, or a field missing or of the wrong type, raises
-    ValueError: alpha, beta and dim must not be booleans, and dim must
-    be a nonnegative integer (an integral float such as 2.0 is read as
-    one)."""
+    ValueError: alpha, beta and dim must not be booleans, alpha, beta
+    and every vector entry must be finite (JSON's NaN and Infinity are
+    refused), and dim must be a nonnegative integer (an integral float
+    such as 2.0 is read as one)."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("code file is not a JSON object")
@@ -742,6 +727,10 @@ def loads_code(text: str) -> SphericalCode:
     except TypeError as exc:
         raise ValueError("code file has a field of the wrong type: %s"
                          % exc) from None
+    for key, value in (("alpha", alpha), ("beta", beta),
+                       ("vectors", vectors)):
+        if not np.isfinite(value).all():
+            raise ValueError("code file field %r has a non-finite value" % key)
     if vectors.ndim == 1 and vectors.size == 0:
         vectors = vectors.reshape(0, dim)
     return SphericalCode(alpha=alpha, beta=beta, dim=dim, vectors=vectors)

@@ -16,8 +16,9 @@ vertex to each canonical parent by every neighbour mask and keeps the
 children whose own labeling is canonical, which the same search decides by
 stopping at the first smaller prefix.  Every class is emitted once, by its
 canonical parent, with no canonicalization or deduplication of children.
-An optional filter runs on each child first (the hereditary capacity
-search in search.py grows through the same step).
+The per-order cache holds the Graph levels themselves, so no level goes
+through graph6 again.  An optional filter runs on each child first (the
+hereditary capacity search in search.py grows through the same step).
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph.from_rows([full & ~row & ~(1 << v)
-                                for v, row in enumerate(self.rows)])
+        # symmetric and loop-free by construction: no from_rows checks
+        return Graph._trusted([full & ~row & ~(1 << v)
+                               for v, row in enumerate(self.rows)])
 
     def matrix(self, diag: float, edge: float, other: float) -> np.ndarray:
         """The float matrix with diag on the diagonal, edge on the edges and
@@ -433,11 +435,14 @@ def _canonical_children(parents, keep=None):
 
 
 @lru_cache(maxsize=None)
-def _canonical_g6(n: int) -> tuple[str, ...]:
+def _canonical_level(n: int) -> tuple[Graph, ...]:
+    """The canonical Graphs on n vertices that _canonical_children builds
+    from the level below, sorted by graph6 string."""
     if n == 0:
-        return (emit_graph6(empty_graph(0)),)
-    parents = map(parse_graph6, _canonical_g6(n - 1))
-    return tuple(sorted(extend_canonical(parents)))
+        return (empty_graph(0),)
+    children = sorted(_canonical_children(_canonical_level(n - 1)),
+                      key=lambda t: t[0])
+    return tuple(child for _, child, _ in children)
 
 
 def enumerate_graphs(n: int, connected_only: bool = False):
@@ -445,15 +450,15 @@ def enumerate_graphs(n: int, connected_only: bool = False):
 
     Returns a deterministic tuple of canonical representatives in graph6
     order (guarded to n <= 8), grown level by level from the empty graph
-    with extend_canonical, each class emitted once by its canonical
-    parent, and cached per order.
+    by the step of extend_canonical, each class emitted once by its
+    canonical parent, and cached per order as the Graphs themselves.
     """
     if n < 0:
         raise ValueError("enumeration needs n >= 0, got %r" % (n,))
     if n > MAX_CANONICAL_N:
         raise SizeGuardError("canonical enumeration guarded to n <= %d"
                              % MAX_CANONICAL_N)
-    graphs = tuple(parse_graph6(g6) for g6 in _canonical_g6(n))
+    graphs = _canonical_level(n)
     if connected_only:
         graphs = tuple(G for G in graphs if is_connected(G))
     return graphs

@@ -308,7 +308,7 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
     the answer.  Both are queries of one tree at (mu, d + 1), whose rank
     <= d part is the tree at rank d.  Every extremal graph is certified
     once and realized into dimension d, and the realization's round trip
-    is its verification: _split_graph reads the pair products of
+    is its verification: alpha_graph reads the pair products of
     _pair_rows, the products verify_code reads, and puts each within tol
     of alpha or beta; the rows are unit vectors (_factor_stack normalizes
     them, and zero padding adds nothing to a norm or a product), so

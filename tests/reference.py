@@ -534,7 +534,9 @@ def verify_code(vectors, alpha: float, beta: float,
 
 
 def split_graph(code: SphericalCode, tol: float, which: str) -> Graph:
-    """certificates._split_graph, one product per pair and an edge list."""
+    """alpha_graph (which="alpha") or beta_graph as one loop that split
+    the pairs either way, before beta_graph became the complement of
+    alpha_graph: one product per pair and an edge list."""
     alpha, beta = code.alpha, code.beta
     if abs(alpha - beta) <= 2 * tol:
         raise AmbiguousPair("alpha and beta are closer than 2*tol")

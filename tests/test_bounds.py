@@ -6,10 +6,12 @@ are pinned to 1e-9.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 import reference
 from twodist import bounds
 from twodist.certificates import (AlphaCertificate, CodeParameters,
-                                  certify_alpha)
+                                  SphericalCode, alpha_graph, certify_alpha,
+                                  realize_from_alpha, verify_code)
 from twodist.errors import EmptyFamilyError, ParameterDomain, SizeGuardError
 from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, canonical_form,
                             complete_bipartite, complete_graph, cycle_graph,
@@ -794,3 +797,89 @@ def test_all_checks_hold_on_small_exact_grid():
                         bounds.check_neighborhood(G, P, cert=c)):
                     assert rep.holds, (G, P.alpha, P.beta, rep)
     assert seen > 10
+
+
+# ---------------------------------------------------------------------------
+# known constructions
+# ---------------------------------------------------------------------------
+
+def rectified_simplex(d):
+    # the C(d+1, 2) midpoints e_i + e_j - (2/(d+1)) 1 of a regular simplex
+    # in the hyperplane of R^(d+1) with coordinate sum 0, normalized; two
+    # are at alpha when they share an index, so the alpha-graph is the
+    # triangular graph, and at beta when they are disjoint
+    pairs = list(itertools.combinations(range(d + 1), 2))
+    V = np.full((len(pairs), d + 1), -2.0 / (d + 1))
+    for row, (i, j) in enumerate(pairs):
+        V[row, [i, j]] += 1.0
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    G = Graph(len(pairs), [(u, v) for u, v in itertools.combinations(
+        range(len(pairs)), 2) if set(pairs[u]) & set(pairs[v])])
+    return G, (Fraction(d - 3, 2 * (d - 1)), Fraction(-2, d - 1)), d, V
+
+
+def halved_cube():
+    # the points of {1, -1}^5 with an even number of -1 entries over
+    # sqrt(5): products (5 - 2h)/5 at Hamming distance h = 2 or 4
+    V = np.array([x for x in itertools.product((1.0, -1.0), repeat=5)
+                  if x.count(-1.0) % 2 == 0]) / math.sqrt(5.0)
+    n = len(V)
+    G = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                  if np.count_nonzero(V[u] != V[v]) == 2])
+    return G, (Fraction(1, 5), Fraction(-3, 5)), 5, V
+
+
+def schlafli():
+    # the 27 lines a_i, b_i, c_ij of a double-six, adjacent when skew:
+    # a_i and a_j, b_i and b_j, a_i and b_i, a_i or b_i and c_jk with i
+    # outside {j, k}, and two c's that share exactly one index
+    lines = ([("a", {i}) for i in range(6)] + [("b", {i}) for i in range(6)]
+             + [("c", set(ij)) for ij in itertools.combinations(range(6), 2)])
+
+    def skew(x, y):
+        (kx, sx), (ky, sy) = x, y
+        if kx == ky:
+            return kx != "c" or len(sx & sy) == 1
+        if "c" in (kx, ky):
+            return not sx & sy
+        return sx == sy
+
+    n = len(lines)
+    G = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                  if skew(lines[u], lines[v])])
+    assert all(G.degree(v) == 16 for v in range(n))
+    return G, (Fraction(1, 4), Fraction(-1, 2)), 6, None
+
+
+def test_known_constructions_meet_every_bound():
+    # classical two-distance sets, independent of the package, as an
+    # oracle for the certificates, the realizations and the size bounds:
+    # each certifies exactly and in floats at rank d, realizes in R^d,
+    # and its size is at most every applicable bound in dimension d
+    constructions = ([rectified_simplex(d) for d in range(3, 13)]
+                     + [halved_cube(), schlafli()])
+    tight = set()
+    for G, (a, b), d, V in constructions:
+        what = (G.n, a, b, d)
+        floats = CodeParameters.make(float(a), float(b))
+        if V is not None:
+            assert verify_code(V, floats.alpha, floats.beta).valid, what
+            code = SphericalCode(floats.alpha, floats.beta, V.shape[1], V)
+            assert alpha_graph(code) == G, what
+        P = CodeParameters.make(a, b)
+        c = certify_alpha(G, P)
+        assert c.valid and c.exact and c.rank_r == d, what
+        f = certify_alpha(G, floats)
+        assert f.valid and not f.exact and f.rank_r == d, what
+        code = realize_from_alpha(G, P, cert=c)
+        assert code.dim == d, what
+        assert verify_code(code.vectors, floats.alpha, floats.beta).valid
+        caps = {"dgs": bounds.dgs_bound(d)}
+        for rep in (bounds.turan_bound(P, d), bounds.power_bound(P, d)):
+            if rep.applicable:
+                caps[rep.name] = rep.floored
+        for name, cap in caps.items():
+            assert cap >= G.n, (what, name, cap)
+            if cap == G.n:
+                tight.add((name, d))
+    assert tight == {("dgs", 6), ("turan", 3)}

@@ -737,7 +737,12 @@ def assert_same_factor(U, ref, what):
 
 
 def valid_items(graphs, P, route):
-    certify = cert.certify_alpha if route == "alpha" else cert.certify_beta
+    if route == "alpha":
+        certify = cert.certify_alpha
+    elif P.alpha > 0:
+        certify = cert.certify_beta
+    else:
+        certify = lambda G, P: cert.certify_beta_zero(G, (P.exact or P).beta)
     items = []
     for G in graphs:
         c = certify(G, P)
@@ -751,18 +756,22 @@ def test_stacked_realization_matches_the_single_factorization():
     # n <= 6, at the rational grids, their float values and the pentagon
     # point: the Gram matrix written in one Graph.matrix call, each slice
     # and the stack of one that realize_from_* runs give the vectors of
-    # the single factorization (reference.factor_gram), bit for bit
+    # the single factorization (reference.factor_gram), bit for bit; the
+    # beta route also runs at alpha = -0.0, whose off-edge Gram entry is
+    # (a-b) * 0.0 + a = +0.0, not a bare -0.0
     from twodist.graphs import enumerate_graphs
     from twodist.search import BETA_GRID, RATIONAL_GRID
 
     by_order = [list(enumerate_graphs(n)) for n in range(1, 7)]
     floats = lambda grid: [cert.CodeParameters.make(P.alpha, P.beta)
                            for P in grid]
+    extra = {"alpha": [], "beta": [cert.CodeParameters.make(-0.0, -0.5)]}
     checked = 0
     for route, grid in (("alpha", RATIONAL_GRID), ("beta", BETA_GRID)):
         single = (cert.realize_from_alpha if route == "alpha"
                   else cert.realize_from_beta)
-        for P in list(grid) + floats(grid) + [pentagon_parameters()]:
+        for P in (list(grid) + floats(grid) + [pentagon_parameters()]
+                  + extra[route]):
             for graphs in by_order:
                 items = valid_items(graphs, P, route)
                 if not items:

@@ -121,6 +121,19 @@ def test_realize_padding_and_verify(tmp_path, capsys):
     assert out == "valid values=alpha,beta\n"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # beta >= 0 takes the beta route: the complement is the beta-graph
+    (("--graph", "DK{", "--alpha", "0.5", "--beta", "0.25"),
+     "04458d85c0b1de5e0491e7151dd523990dc63055230191c0826e42094305dbf9"),
+    (("--graph", "Bw", "--alpha", "1/2", "--beta", "1/4"),
+     "f90df420d285c467b24c72b7a16f417d8181b562a2b264c2b83c4bc7dd28afbe"),
+], ids=["float", "exact"])
+def test_realize_beta_route_golden_digest(capsys, argv, digest):
+    rc, out = run(capsys, "realize", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_realize_invalid_graph(capsys):
     star = emit_graph6(disjoint_union([complete_graph(2),
                                        complete_graph(2)]))
@@ -153,8 +166,12 @@ def test_verify_detects_corruption(tmp_path, capsys):
     '{"alpha": 0, "beta": -1, "dim": true, "vectors": [[1]]}',
     '{"alpha": false, "beta": -1, "dim": 2, "vectors": [[1, 0]]}',
     '{"alpha": 0, "beta": true, "dim": 2, "vectors": [[1, 0]]}',
+    '{"alpha": NaN, "beta": -1, "dim": 2, "vectors": [[1, 0], [0, 1]]}',
+    '{"alpha": 0, "beta": -1, "dim": 2, "vectors": [[NaN, 0], [0, 1]]}',
+    '{"alpha": 0, "beta": -Infinity, "dim": 2, "vectors": [[1, 0], [0, 1]]}',
 ], ids=["null_alpha", "number", "vectors_object", "dim_list", "dim_fraction",
-        "dim_negative", "dim_bool", "alpha_bool", "beta_bool"])
+        "dim_negative", "dim_bool", "alpha_bool", "beta_bool", "nan_alpha",
+        "nan_vector", "infinite_beta"])
 def test_malformed_code_file_exits_two(tmp_path, capsys, command, text):
     # a usage error, reported on one line without a traceback
     path = tmp_path / "code.json"

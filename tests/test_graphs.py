@@ -379,10 +379,10 @@ def test_enumeration_guards():
 
 def test_enumeration_rejects_a_negative_order():
     # refused before the per-order cache is read or filled
-    before = graphs._canonical_g6.cache_info()
+    before = graphs._canonical_level.cache_info()
     with pytest.raises(ValueError, match="n >= 0"):
         enumerate_graphs(-1)
-    assert graphs._canonical_g6.cache_info() == before
+    assert graphs._canonical_level.cache_info() == before
 
 
 def test_extend_canonical_with_hereditary_filter():

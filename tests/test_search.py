@@ -327,12 +327,17 @@ def test_cli_capacity_rows_grow_one_tree(monkeypatch, capsys):
 
 def test_enumeration_and_capacity_never_canonicalize(monkeypatch):
     # orderly generation emits each child in its own labeling; a
-    # canonical_form call per child is the cost it removed
+    # canonical_form call per child is the cost it removed, and the cache
+    # holds each level's Graphs, so no level is parsed from graph6 again
     def forbidden(G):
         raise AssertionError("canonical_form called on %s" % emit_graph6(G))
 
+    def unparsed(text):
+        raise AssertionError("parse_graph6 called on %s" % text)
+
     monkeypatch.setattr(graphs, "canonical_form", forbidden)
-    graphs._canonical_g6.cache_clear()
+    monkeypatch.setattr(graphs, "parse_graph6", unparsed)
+    graphs._canonical_level.cache_clear()
     assert len(enumerate_graphs(6)) == 156
     assert search.capacity(3, 1, 2, n_max=7, mode="equal").value == 4
     assert search.capacity(4, 1.0, 2.0, n_max=7).value > 0
