@@ -530,10 +530,10 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
     """Unit rows U with U U^T = grams[i] in dimension ranks[i], per slice.
 
     grams is a (k, n, n) stack of Gram matrices, each symmetric by
-    construction (Graph.matrix), and goes straight to one numpy eigh call,
-    which gives each slice the bits of its own.  The cuts tol' are taken
-    for every slice at once, as linalg.shifted_stack takes them, and so
-    are the ranks.  A slice whose rank is not ranks[i] gets its
+    construction (Graph.matrix), and goes straight to one linalg._eigh
+    call, which gives each slice the bits of its own.  The cuts tol' are
+    taken for every slice at once, as linalg.shifted_stack takes them,
+    and so are the ranks.  A slice whose rank is not ranks[i] gets its
     ReconstructionResidual; the others are grouped by rank, and in a group
     the sign fix, the scaling, the residual check, the norm check and the
     normalization are stacked numpy operations.  Each eigenvector kept is
@@ -546,7 +546,7 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
     pairwise from rank 8 on and change their last bits.  So every U has
     the bits and the layout of a factorization of its matrix alone.
     """
-    values, vectors = np.linalg.eigh(grams)
+    values, vectors = linalg._eigh(grams)
     values, rows = values[:, ::-1], vectors.transpose(0, 2, 1)[:, ::-1]
     cuts = tol * np.maximum(1.0, np.abs(grams).sum(axis=2).max(axis=1))
     # the values are descending, so those above the cut lead each slice

@@ -2,12 +2,17 @@
 
 Matrices are square 2d numpy arrays of floats and vectors are 1d numpy
 arrays.  Everything is sized for small instances (n <= 64).  Eigenvalues
-come from LAPACK (numpy.linalg.eigh): one call for a matrix, or one
-numpy call for a (k, m, m) stack of matrices of one order, which runs
-LAPACK slice by slice and gives each slice the bits of its own call.
-Results repeat bit for bit on one machine with a fixed number of BLAS
-threads, but not across LAPACK builds: their last bits may differ, while
-every decision compares against the tolerance below.
+come from LAPACK through one entry point, _eigh (and _eigvalsh for the
+values alone): the gufunc that numpy.linalg.eigh runs, eigh_lo, called
+directly in the wrapper's error state, so a call that does not converge
+still raises LinAlgError, and the output is the wrapper's, bit for bit.
+The wrapper's own checks and conversions cost more than LAPACK does on
+these orders.  One call takes a matrix, or a (k, m, m) stack of matrices
+of one order, which LAPACK runs slice by slice, giving each slice the
+bits of its own call.  Results repeat bit for bit on one machine with a
+fixed number of BLAS threads, but not across LAPACK builds: their last
+bits may differ, while every decision compares against the tolerance
+below.
 
 All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
@@ -16,20 +21,22 @@ The float backend is one spectral core with two kinds of caller, the
 same shape as the exact backend below.  The core, eigh_trusted, runs
 one eigh on a float matrix that is symmetric by construction and
 computes tol' once; it neither copies nor checks nor symmetrizes the
-matrix, and shifted_trusted reads the certificate facts off it.
-shifted_stack is the same core over a stack: one eigh for every slice
-and the cuts for the whole stack at once, then each slice read by the
-two readers of shifted_trusted, _count_inertia (inertia and rank) and
-_read_shifted (range and quadratic form), so each slice's facts are
-those shifted_trusted gives it, bit for bit.  They are the only float
-readers of those facts; the search's hereditary filter counts with
-_count_inertia too.  _read_shifted has a full-rank read: when the
-inertia puts every eigenvalue outside the band, v has no part off the
-range (its norm is sqrt(0), never above the cut), so it divides every
-coefficient at once, the entries the masked division gives, and
-multiplies on the column-major copy of the vectors that the masked
-columns are, so the bits are the same; the general read masks the
-band.  The validating front ends (inertia, and
+matrix, and shifted_trusted reads the certificate facts off it with
+its two readers, _count_inertia (inertia and rank) and _read_shifted
+(range and quadratic form).  They are the only float readers of those
+facts; the search's hereditary filter counts with _count_inertia too.
+_read_shifted has a full-rank read: when the inertia puts every
+eigenvalue outside the band, v has no part off the range (its norm is
+sqrt(0), never above the cut), so it divides every coefficient at
+once, the entries the masked division gives, and multiplies on the
+column-major copy of the vectors that the masked columns are, so the
+bits are the same; the general read masks the band.  shifted_stack is
+the same core over a stack: one eigh for every slice and the cuts for
+the whole stack at once, _count_inertia on each slice, then
+_read_shifted's full-rank read batched over every full-rank slice, with
+the matmul loops of the single read, so each slice's facts are those
+shifted_trusted gives it, bit for bit; only a rank-deficient slice goes
+to _read_shifted.  The validating front ends (inertia, and
 rank_one_update_inertia on float input) take a caller's matrix, check
 that it is square and symmetric within tol', and symmetrize it before
 the core sees it.  The trusted writers build their matrix straight
@@ -38,8 +45,8 @@ certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
 (the neighborhoods of bounds.check_neighborhood), certificates._gram for
 the Gram matrices of the realizations, which certificates._factor_stack
-factors a stack of one order at a time with one eigh call, the search's
-hereditary filter and the eigenvalue floor.
+factors a stack of one order at a time with one _eigh call, the
+search's hereditary filter (_eigvalsh) and the eigenvalue floor.
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
@@ -98,6 +105,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import AmbiguousCase
 
@@ -131,6 +139,35 @@ def _as_symmetric(M, tol: float) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# numpy.linalg.eigh's error state around its gufunc: LAPACK's failure to
+# converge sets the invalid flag, which raises, and LAPACK's own
+# overflow, division and underflow flags are ignored
+_lapack_errors = np.errstate(call=_nonconvergence, invalid="call",
+                             over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack_errors
+def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(S) for a float matrix or (k, m, m) stack, bit for bit.
+
+    The gufunc that np.linalg.eigh runs, eigh_lo, called directly in the
+    error state that the wrapper sets, so a call that does not converge
+    raises LinAlgError; the wrapper's checks and conversions are skipped.
+    Ascending eigenvalues, eigenvector columns to match.
+    """
+    return _umath_linalg.eigh_lo(S, signature="d->dd")
+
+
+@_lapack_errors
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(S), bit for bit, as _eigh runs np.linalg.eigh."""
+    return _umath_linalg.eigvalsh_lo(S, signature="d->d")
+
+
 def eigh_trusted(M: np.ndarray,
                  tol: float = DEFAULT_TOL) -> tuple[Spectrum, float]:
     """The float core: the spectrum of M and tol', from one LAPACK eigh.
@@ -141,7 +178,7 @@ def eigh_trusted(M: np.ndarray,
     Returns the eigenvalues in descending order with matching orthonormal
     eigenvector columns, and tol' = scaled_tol(M, tol), computed once.
     """
-    values, vectors = np.linalg.eigh(M)
+    values, vectors = _eigh(M)
     return Spectrum(values[::-1], vectors[:, ::-1]), scaled_tol(M, tol)
 
 
@@ -225,20 +262,43 @@ def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
 def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     """shifted_trusted(S[i], tol) for every slice of a (k, m, m) stack.
 
-    One eigh call runs LAPACK slice by slice over the stack, and gives
+    One _eigh call runs LAPACK slice by slice over the stack, and gives
     each slice the bits of its own call; every slice must be symmetric
     by construction, as for shifted_trusted.  The cuts are taken for the
     whole stack at once, with the float operations scaled_tol runs on
-    one slice.  Each slice is then read as shifted_trusted reads its
-    matrix, by _count_inertia and _read_shifted, so slice i gives
-    shifted_trusted(S[i], tol) bit for bit, in every field.
+    one slice, and _count_inertia counts each slice at its cut.
+
+    The full-rank slices are then read together by _read_shifted's
+    full-rank read, batched, and only the others go to _read_shifted one
+    by one, so slice i gives shifted_trusted(S[i], tol) bit for bit, in
+    every field.  Each batched product takes the numpy matmul loop that
+    the slice's own product takes: V^T j sums the reversed columns
+    without BLAS, as the single read's V^T v does; the column-major
+    copies times coeffs / values run gemv, as asfortranarray does; and
+    the (k, 1, m) rows of x times j run one dot product each, as v @ x
+    does.  (x @ j as a (k, m) matrix would run gemv, and its sums could
+    differ in the last bits.)  No slice with an eigenvalue in the band
+    is divided there.
     """
-    values, vectors = np.linalg.eigh(S)
-    cuts = tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))
-    return [_read_shifted(Spectrum(val, vec), cut, _count_inertia(val, cut),
-                          None)
-            for val, vec, cut in zip(values[:, ::-1], vectors[:, :, ::-1],
-                                     cuts.tolist())]
+    values, vectors = _eigh(S)
+    cuts = (tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))).tolist()
+    inerts = [_count_inertia(val, cut) for val, cut in zip(values, cuts)]
+    full = [i for i, inert in enumerate(inerts) if not inert.zero]
+    # the full slices, descending, with the strides of the single read
+    vals, V = ((values, vectors) if len(full) == len(S) else
+               (values[full], vectors[full]))
+    vals, V = vals[:, ::-1], V[:, :, ::-1]
+    m = S.shape[1]
+    ones = np.ones(m)
+    coeffs = np.matmul(V.transpose(0, 2, 1), ones)
+    x = V.transpose(0, 2, 1).copy().transpose(0, 2, 1) @ (
+        coeffs / vals)[..., None]
+    quads = iter((x[:, None, :, 0] @ ones)[:, 0].tolist())
+    values, vectors = values[:, ::-1], vectors[:, :, ::-1]
+    return [_read_shifted(Spectrum(values[i], vectors[i]), cut, inert, None)
+            if inert.zero else
+            Shifted(values[i], inert, m, next(quads), cut)
+            for i, (inert, cut) in enumerate(zip(inerts, cuts))]
 
 
 def _read_shifted(spec: Spectrum, cut: float, inert: Inertia, v) -> Shifted:

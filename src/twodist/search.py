@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-import numpy as np
-
 from . import linalg
 from .bounds import dgs_bound, power_bound, turan_bound
 from .certificates import (CodeParameters, certify_alpha, realize_from_alpha,
@@ -155,7 +153,7 @@ class _Hereditary:
             rank = None if neg else k.rank
         else:
             pos, neg, _ = linalg._count_inertia(
-                np.linalg.eigvalsh(_shift_matrix(G, self.mu, +1)), self.cut)
+                linalg._eigvalsh(_shift_matrix(G, self.mu, +1)), self.cut)
             rank, k = pos, True
         failed = "psd" if neg else "rank" if rank > self.r else None
         if failed:

@@ -69,3 +69,35 @@ def test_every_private_definition_is_referenced():
             if node.name not in names:
                 unused.append("%s.%s" % (stem, node.name))
     assert unused == []
+
+
+def test_float_spectra_have_one_lapack_entry_point():
+    # every eigendecomposition in src/ goes through linalg._eigh or
+    # linalg._eigvalsh: no numpy eigh or eigvalsh, wrapper or gufunc, is
+    # named anywhere else, and only they read numpy's _umath_linalg
+    helpers = {"_eigh", "_eigvalsh"}
+    banned = {"eigh", "eigvalsh", "eigh_lo", "eigh_up", "eigvalsh_lo",
+              "eigvalsh_up", "_umath_linalg"}
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        inside = set()
+        if path.stem == "linalg":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name in helpers:
+                    inside.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names
+                         if alias.name != "_umath_linalg"]
+            else:
+                continue
+            if banned.intersection(names):
+                stray.append("%s:%d" % (path.stem, node.lineno))
+    assert stray == []

@@ -7,6 +7,7 @@ module under test.
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -590,6 +591,31 @@ def test_stack_matches_shifted_trusted_up_to_order_32():
                     k, reference.shifted_trusted(slice_))
                 seen.add((k.rank == len(M), k.quadform is None))
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_mixed_stack_reads_every_slice_as_its_own():
+    # full-rank slices are read together and the others one by one; in a
+    # stack that holds all three kinds each slice must still be
+    # shifted_trusted of that slice, and no slice with a zero eigenvalue
+    # may reach a division by it
+    rng = random.Random(79)
+    kinds = ("random", "semidefinite", "off_range")
+    for m in (1, 2, 3, 5, 8, 13, 21, 32):
+        for _ in range(4):
+            slices = [np.zeros((m, m)), np.eye(m)] + [
+                rng.choice((1.0, -1.0)) * stack_slices(rng, kind, m)
+                for kind in kinds * 3]
+            rng.shuffle(slices)
+            S = np.array(slices)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ks = linalg.shifted_stack(S)
+            seen = set()
+            for k, M in zip(ks, S):
+                assert_same_float_shifted(k, linalg.shifted_trusted(M))
+                seen.add((k.rank == m, k.quadform is None))
+            assert seen == ({(True, False), (False, True)} if m == 1 else
+                            {(True, False), (False, False), (False, True)})
 
 
 def test_band_compares_exact_budgets_without_fraction_arithmetic(
