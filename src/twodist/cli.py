@@ -65,7 +65,10 @@ def _workers(text: str) -> int:
 
 def _scalar(text: str, exact: bool):
     if "/" in text or exact:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % text) from None
     return float(text)
 
 

@@ -5,6 +5,9 @@ Everything here targets exhaustive work at small order: graph6 round trips,
 isomorphism-free enumeration, and the independence number by branch and
 bound.  The bound checks build no subgraphs: a neighborhood is a vertex
 mask, read off the parent's rows (certificates.shifted_principal).
+Every float matrix of a graph comes from Graph.matrix, and each graph
+writes its 0/1 table once, on its first float write, then reads every
+matrix off it with one take.
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
@@ -39,7 +42,7 @@ MAX_INDEPENDENCE_N = 32
 class Graph:
     """An undirected simple graph held as a tuple of adjacency bitmasks."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_table")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -52,6 +55,7 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.rows = tuple(rows)
+        self._table = None
 
     @classmethod
     def from_rows(cls, rows) -> "Graph":
@@ -70,6 +74,7 @@ class Graph:
         G = cls.__new__(cls)
         G.n = len(rows)
         G.rows = tuple(rows)
+        G._table = None
         return G
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -101,15 +106,21 @@ class Graph:
 
         Symmetric by construction, bit for bit, so it may go straight to
         linalg.eigh_trusted: this is the writer of every float matrix
-        built from a graph.
+        built from a graph.  The graph unpacks its rows into a uint8 0/1
+        table on its first write and keeps it; every write is one take of
+        (other, edge) over that table, a new array, then the diagonal.
+        The table itself is never handed out.
         """
         n = self.n
-        width = (n + 7) // 8
-        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
-        bits = np.unpackbits(
-            np.frombuffer(packed, np.uint8).reshape(n, width),
-            axis=1, count=n, bitorder="little")
-        M = np.array((other, edge), dtype=float).take(bits)
+        table = self._table
+        if table is None:
+            width = (n + 7) // 8
+            packed = b"".join(row.to_bytes(width, "little")
+                              for row in self.rows)
+            table = self._table = np.unpackbits(
+                np.frombuffer(packed, np.uint8).reshape(n, width),
+                axis=1, count=n, bitorder="little")
+        M = np.array((other, edge), dtype=float).take(table)
         M.flat[::n + 1] = diag
         return M
 
@@ -122,6 +133,10 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.rows))
+
+    def __reduce__(self):
+        # a pickle carries the rows only; the copy writes its own table
+        return Graph._trusted, (self.rows,)
 
     def __repr__(self):
         return "Graph(%d, %r)" % (self.n, self.edges())

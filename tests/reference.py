@@ -57,6 +57,10 @@ bodies from before they passed a cap to their kernel, unchanged: each
 runs the whole elimination or the whole float read, quadratic form
 included, before it reads the negative count.
 
+unpack_matrix is Graph.matrix before each graph kept its 0/1 table:
+every write joins the rows into bytes and unpacks them again, the body
+unchanged.
+
 shifted and eigen_decompose are the validating float front ends that
 linalg had without a caller in the package: each checks and
 symmetrizes a caller's matrix and runs the float core on it.  rank_sym
@@ -593,6 +597,20 @@ def gram_matrix(G: Graph, params: CodeParameters, route: str) -> np.ndarray:
     if route == "alpha":
         return (a - b) * _shift_matrix(G, params.mu, +1) + b
     return (a - b) * _shift_matrix(G, params.lam, -1) + a
+
+
+def unpack_matrix(G: Graph, diag: float, edge: float,
+                  other: float) -> np.ndarray:
+    """G.matrix(diag, edge, other), unpacking G's rows on every call."""
+    n = G.n
+    width = (n + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for row in G.rows)
+    bits = np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(n, width),
+        axis=1, count=n, bitorder="little")
+    M = np.array((other, edge), dtype=float).take(bits)
+    M.flat[::n + 1] = diag
+    return M
 
 
 def contains_clique(G: Graph, t: int) -> bool:

@@ -458,6 +458,25 @@ def test_usage_error_lines(capsys, argv, message):
     assert out == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("certify", "--graph", "Bw", "--alpha", "1/0", "--beta", "-1"), "1/0"),
+    (("realize", "--graph", "Bw", "--alpha", "1/0", "--beta", "-1"), "1/0"),
+    (("search", "--alpha", "1/0", "--beta", "-1", "--d", "3",
+      "--max-n", "4"), "1/0"),
+    (("crosscheck", "--alpha", "1/0", "--beta", "-1", "--max-n", "3"),
+     "1/0"),
+    (("bounds", "--alpha", "1/2", "--beta=-1/0", "--d", "3"), "-1/0"),
+    (("search", "--r", "3", "--p", "1/0", "--mu", "1", "--max-n", "4"),
+     "1/0"),
+    (("search", "--r", "3", "--p", "1", "--mu", "0/0", "--max-n", "4"),
+     "0/0"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv, value):
+    rc, out = run(capsys, *argv)
+    assert rc == 2
+    assert out == "error: zero denominator in %r\n" % value
+
+
 def test_non_ascii_graph6_exits_two(capsys, tmp_path):
     # "C\u00e9" once read as "C?", the empty graph on 4 vertices
     rc, out = run(capsys, "certify", "--alpha", "0", "--beta", "-1",
