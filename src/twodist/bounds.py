@@ -34,6 +34,7 @@ construction and a rank-ratio cap over a family of candidate graphs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -337,23 +338,50 @@ def power_bound(params: CodeParameters, d: int,
     A level k in [0, d+1] applies when mu^2 exceeds
     floor((d+2-k)/2) ceil((d+2-k)/2); with k None the best (smallest)
     applicable value is returned and the chosen k is the witness.
+
+    With m = d+2-k, a step from k to k+1 adds 2^k (m-2) >= 0 to the
+    value, so the value never falls as k grows, and the gate only gets
+    easier as m falls: the applicable levels are k0 .. d+1 for one k0,
+    whose value is the best.  So k0 is found by bisection on m, with the
+    gate's own comparison, in O(log d) steps.  A best value that rounds
+    past the largest float is reported not applicable, with a note:
+    every other applicable value is at least as large.  From k = 1024 on
+    2^k m - 1 is at least 2^1024 - 1, so 2^k is never built there.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    if k is not None and not 0 <= k <= d + 1:
+        raise ValueError("k must lie in [0, d+1]")
     mu = (params.exact or params).mu
-    levels = range(0, d + 2) if k is None else [k]
-    best = None
-    for kk in levels:
-        if not 0 <= kk <= d + 1:
-            raise ValueError("k must lie in [0, d+1]")
-        m = d + 2 - kk
-        if mu * mu <= (m // 2) * ((m + 1) // 2):
-            continue
-        val = (1 << kk) * m - 1
-        if best is None or val < best[0]:
-            best = (val, kk)
-    if best is None:
+    sq = mu * mu
+
+    def gated(m: int) -> bool:
+        return not sq <= (m // 2) * ((m + 1) // 2)
+
+    if k is None:
+        # the largest gated m in [1, d+2]; 0 and d+3 bracket it
+        lo, hi = 0, d + 3
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if gated(mid):
+                lo = mid
+            else:
+                hi = mid
+        m = lo
+    else:
+        m = d + 2 - k if gated(d + 2 - k) else 0
+    if not m:
         return BoundReport(name="power", applicable=False,
                            note="mu below every gate")
-    return BoundReport(name="power", applicable=True, value=float(best[0]),
-                       floored=best[0], witness=best[1])
+    k = d + 2 - m
+    value = None
+    if k < 1024:
+        val = (1 << k) * m - 1
+        with contextlib.suppress(OverflowError):
+            value = float(val)
+    if value is None:
+        return BoundReport(name="power", applicable=False,
+                           note="2^k (d+2-k) - 1 exceeds the float range at "
+                                "k=%d" % k)
+    return BoundReport(name="power", applicable=True, value=value,
+                       floored=val, witness=k)

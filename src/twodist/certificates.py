@@ -45,19 +45,6 @@ def _is_exact(x) -> bool:
 
 
 @dataclass(frozen=True)
-class ExactParameters:
-    """The scalars of CodeParameters as Fractions, under the same names."""
-
-    alpha: Fraction
-    beta: Fraction
-    mu: Fraction
-    lam: Fraction
-    p: Fraction | None
-    budget_nbr: Fraction | None
-    beta_budget: Fraction | None
-
-
-@dataclass(frozen=True)
 class CodeParameters:
     """An admissible inner-product pair and its derived quantities.
 
@@ -69,9 +56,10 @@ class CodeParameters:
     alpha^2 != beta.  beta_budget = (alpha-beta)/(-alpha) is the
     quadratic-form budget of certify_beta and exists only for alpha > 0.
     ``exact`` is populated when both inputs are rational, and switches
-    every certificate decision to exact arithmetic.  It has the same
-    field names, so ``P = params.exact or params`` gives every scalar in
-    the arithmetic of the backend that decides.
+    every certificate decision to exact arithmetic.  It is a
+    CodeParameters itself, with every scalar a Fraction and its own
+    ``exact`` None, so ``P = params.exact or params`` gives every scalar
+    in the arithmetic of the backend that decides.
     """
 
     alpha: float
@@ -81,7 +69,7 @@ class CodeParameters:
     p: float | None
     budget_nbr: float | None
     beta_budget: float | None
-    exact: ExactParameters | None
+    exact: CodeParameters | None
 
     @classmethod
     def make(cls, alpha, beta) -> "CodeParameters":
@@ -96,11 +84,10 @@ class CodeParameters:
         exact = None
         if _is_exact(alpha) and _is_exact(beta):
             a, b = Fraction(alpha), Fraction(beta)
-            exact = ExactParameters(
-                alpha=a, beta=b,
-                mu=(1 - b) / (a - b),
-                lam=(1 - a) / (a - b),
-                **_budgets(a, b))
+            exact = cls(alpha=a, beta=b,
+                        mu=(1 - b) / (a - b),
+                        lam=(1 - a) / (a - b),
+                        **_budgets(a, b), exact=None)
         return cls(alpha=af, beta=bf,
                    mu=(1.0 - bf) / (af - bf),
                    lam=(1.0 - af) / (af - bf),
@@ -533,7 +520,8 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
     construction (Graph.matrix), and goes straight to one linalg._eigh
     call, which gives each slice the bits of its own.  The cuts tol' are
     taken for every slice at once, as linalg.shifted_stack takes them,
-    and so are the ranks.  A slice whose rank is not ranks[i] gets its
+    and each slice's rank is the positive count linalg._count_inertia
+    reads at its cut.  A slice whose rank is not ranks[i] gets its
     ReconstructionResidual; the others are grouped by rank, and in a group
     the sign fix, the scaling, the residual check, the norm check and the
     normalization are stacked numpy operations.  Each eigenvector kept is
@@ -548,10 +536,10 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
     """
     values, vectors = linalg._eigh(grams)
     values, rows = values[:, ::-1], vectors.transpose(0, 2, 1)[:, ::-1]
-    cuts = tol * np.maximum(1.0, np.abs(grams).sum(axis=2).max(axis=1))
-    # the values are descending, so those above the cut lead each slice
-    found = np.add.reduce(values > cuts[:, None], 1).tolist()
-    cuts = cuts.tolist()
+    cuts = (tol * np.maximum(1.0, np.abs(grams).sum(axis=2).max(axis=1))
+            ).tolist()
+    found = [linalg._count_inertia(val, cut).pos
+             for val, cut in zip(values, cuts)]
     out = [None] * len(found)
     groups = {}
     for i, (rank, want) in enumerate(zip(found, ranks)):

@@ -24,7 +24,8 @@ computes tol' once; it neither copies nor checks nor symmetrizes the
 matrix, and shifted_trusted reads the certificate facts off it with
 its two readers, _count_inertia (inertia and rank) and _read_shifted
 (range and quadratic form).  They are the only float readers of those
-facts; the search's hereditary filter counts with _count_inertia too.
+facts; the search's hereditary filter and the realizations' rank check
+(certificates._factor_stack) count with _count_inertia too.
 _read_shifted has a full-rank read: when the inertia puts every
 eigenvalue outside the band, v has no part off the range (its norm is
 sqrt(0), never above the cut), so it divides every coefficient at
@@ -32,11 +33,9 @@ once, the entries the masked division gives, and multiplies on the
 column-major copy of the vectors that the masked columns are, so the
 bits are the same; the general read masks the band.  shifted_stack is
 the same core over a stack: one eigh for every slice and the cuts for
-the whole stack at once, _count_inertia on each slice, then
-_read_shifted's full-rank read batched over every full-rank slice, with
-the matmul loops of the single read, so each slice's facts are those
-shifted_trusted gives it, bit for bit; only a rank-deficient slice goes
-to _read_shifted.  The validating front ends (inertia, and
+the whole stack at once, then _count_inertia and _read_shifted on each
+slice, so each slice's facts are those shifted_trusted gives it, bit
+for bit.  The validating front ends (inertia, and
 rank_one_update_inertia on float input) take a caller's matrix, check
 that it is square and symmetric within tol', and symmetrize it before
 the core sees it.  The trusted writers build their matrix straight
@@ -266,39 +265,16 @@ def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     each slice the bits of its own call; every slice must be symmetric
     by construction, as for shifted_trusted.  The cuts are taken for the
     whole stack at once, with the float operations scaled_tol runs on
-    one slice, and _count_inertia counts each slice at its cut.
-
-    The full-rank slices are then read together by _read_shifted's
-    full-rank read, batched, and only the others go to _read_shifted one
-    by one, so slice i gives shifted_trusted(S[i], tol) bit for bit, in
-    every field.  Each batched product takes the numpy matmul loop that
-    the slice's own product takes: V^T j sums the reversed columns
-    without BLAS, as the single read's V^T v does; the column-major
-    copies times coeffs / values run gemv, as asfortranarray does; and
-    the (k, 1, m) rows of x times j run one dot product each, as v @ x
-    does.  (x @ j as a (k, m) matrix would run gemv, and its sums could
-    differ in the last bits.)  No slice with an eigenvalue in the band
-    is divided there.
+    one slice; each slice is then counted by _count_inertia and read by
+    _read_shifted at its cut, so slice i gives shifted_trusted(S[i], tol)
+    bit for bit, in every field.
     """
     values, vectors = _eigh(S)
     cuts = (tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))).tolist()
-    inerts = [_count_inertia(val, cut) for val, cut in zip(values, cuts)]
-    full = [i for i, inert in enumerate(inerts) if not inert.zero]
-    # the full slices, descending, with the strides of the single read
-    vals, V = ((values, vectors) if len(full) == len(S) else
-               (values[full], vectors[full]))
-    vals, V = vals[:, ::-1], V[:, :, ::-1]
-    m = S.shape[1]
-    ones = np.ones(m)
-    coeffs = np.matmul(V.transpose(0, 2, 1), ones)
-    x = V.transpose(0, 2, 1).copy().transpose(0, 2, 1) @ (
-        coeffs / vals)[..., None]
-    quads = iter((x[:, None, :, 0] @ ones)[:, 0].tolist())
-    values, vectors = values[:, ::-1], vectors[:, :, ::-1]
-    return [_read_shifted(Spectrum(values[i], vectors[i]), cut, inert, None)
-            if inert.zero else
-            Shifted(values[i], inert, m, next(quads), cut)
-            for i, (inert, cut) in enumerate(zip(inerts, cuts))]
+    return [_read_shifted(Spectrum(val, vec), cut, _count_inertia(val, cut),
+                          None)
+            for val, vec, cut in zip(values[:, ::-1], vectors[:, :, ::-1],
+                                     cuts)]
 
 
 def _read_shifted(spec: Spectrum, cut: float, inert: Inertia, v) -> Shifted:

@@ -174,7 +174,7 @@ def _pool_size(workers: int, items: int) -> int:
 
 
 def _arguments(r: int, p, mu, n_max: int):
-    """capacity's guards; returns p and mu in one arithmetic."""
+    """capacity's guards; returns p and mu in one arithmetic, both finite."""
     if n_max > 8:
         raise SizeGuardError("capacity scans are guarded to n_max <= 8")
     if r < 1 or n_max < 1:
@@ -183,6 +183,10 @@ def _arguments(r: int, p, mu, n_max: int):
         p, mu = Fraction(p), Fraction(mu)
     else:
         p, mu = float(p), float(mu)
+        for name, x in (("p", p), ("mu", mu)):
+            if not math.isfinite(x):
+                raise ParameterDomain("capacity needs a finite %s, got %r"
+                                      % (name, x))
     if not mu > 1:
         raise ParameterDomain("capacity needs mu > 1")
     if not p > 0:
@@ -425,44 +429,36 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
         scaled.append((P, D, (ex.alpha * D).numerator,
                        (ex.beta * D).numerator, float(ex.alpha),
                        float(ex.beta)))
-    checked = 0
-    # mismatches keyed by check number, so they sort into the order of
-    # graph, then grid point, whenever their stacked realization ran
-    found = []
-    pending = []  # (check number, where, G, P, rank) awaiting realization
-
-    def realize_pending():
-        # one stacked realization; a graph that does not come back is a
-        # round-trip mismatch, any other error is the program's own
-        items = [(G, P, rank) for _, _, G, P, rank in pending]
-        for (at, where, *_), out in zip(pending,
-                                        realize_stack(items, "alpha", tol)):
-            if isinstance(out, _ROUND_TRIP_FAILURES):
-                found.append((at, where + ("round_trip",)))
-            elif isinstance(out, Exception):
-                raise out
-        pending.clear()
-
+    checked, mismatches = 0, []
     for n in range(1, n_max + 1):
+        # one [where, kind] per check of the order, by graph, then grid
+        # point, and each valid pair with the index of its check
+        checks, valid = [], []
         for G in enumerate_graphs(n):
             g6 = emit_graph6(G)
             for P, D, a, b, fa, fb in scaled:
-                where = (g6, fa, fb)
-                checked += 1
                 c = certify_alpha(G, P, tol)
                 # only a PSD Gram candidate has its rank read
                 fact = linalg.bareiss_bordered(*_bordered(G, D, a, b), D, 1,
                                                cap=0)
+                kind = None
                 if c.valid != (fact.inertia.neg == 0):
-                    found.append((checked, where + ("validity",)))
+                    kind = "validity"
                 elif c.valid and fact.rank != c.rank_r:
-                    found.append((checked, where + ("rank",)))
+                    kind = "rank"
                 elif c.valid:
-                    pending.append((checked, where, G, P, c.rank_r))
-                    if len(pending) == _REALIZE_BLOCK:
-                        realize_pending()
-        if pending:
-            realize_pending()
-    found.sort(key=itemgetter(0))
-    mismatches = [m for _, m in found]
+                    valid.append((len(checks), (G, P, c.rank_r)))
+                checks.append([(g6, fa, fb), kind])
+        # stacked realizations; a graph that does not come back is a
+        # round-trip mismatch, any other error is the program's own
+        for lo in range(0, len(valid), _REALIZE_BLOCK):
+            block = valid[lo:lo + _REALIZE_BLOCK]
+            outs = realize_stack([item for _, item in block], "alpha", tol)
+            for (at, _), out in zip(block, outs):
+                if isinstance(out, _ROUND_TRIP_FAILURES):
+                    checks[at][1] = "round_trip"
+                elif isinstance(out, Exception):
+                    raise out
+        checked += len(checks)
+        mismatches += [where + (kind,) for where, kind in checks if kind]
     return OracleCrossCheck(checked=checked, mismatches=mismatches)

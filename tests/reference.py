@@ -61,6 +61,10 @@ unpack_matrix is Graph.matrix before each graph kept its 0/1 table:
 every write joins the rows into bytes and unpacks them again, the body
 unchanged.
 
+power_bound_by_levels is bounds.power_bound before it found its level
+by bisection: the loop over every level k in [0, d+1], which builds
+2^k for each applicable one, the body unchanged.
+
 shifted and eigen_decompose are the validating float front ends that
 linalg had without a caller in the package: each checks and
 symmetrizes a caller's matrix and runs the float core on it.  rank_sym
@@ -772,3 +776,27 @@ def certify_beta(G: Graph, params: CodeParameters,
     return BetaCertificate(valid=True, case="three",
                            rank_r=k.rank - 1 if equality else k.rank,
                            quadform=q, equality_case=equality, exact=exact)
+
+
+def power_bound_by_levels(params: CodeParameters, d: int,
+                          k: int | None = None) -> BoundReport:
+    """bounds.power_bound, every level k tried in turn."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    mu = (params.exact or params).mu
+    levels = range(0, d + 2) if k is None else [k]
+    best = None
+    for kk in levels:
+        if not 0 <= kk <= d + 1:
+            raise ValueError("k must lie in [0, d+1]")
+        m = d + 2 - kk
+        if mu * mu <= (m // 2) * ((m + 1) // 2):
+            continue
+        val = (1 << kk) * m - 1
+        if best is None or val < best[0]:
+            best = (val, kk)
+    if best is None:
+        return BoundReport(name="power", applicable=False,
+                           note="mu below every gate")
+    return BoundReport(name="power", applicable=True, value=float(best[0]),
+                       floored=best[0], witness=best[1])

@@ -774,6 +774,52 @@ def test_power_bound_high_levels_and_fixed_k():
         bounds.power_bound(P, 3, k=7)
 
 
+def test_power_bound_matches_the_level_loop():
+    # the bisection gives the loop's report, best level and fixed k alike,
+    # on the rational grid and its floats, the pentagon point and random
+    # rational points with their floats
+    rng = random.Random(7)
+    points = [pentagon_parameters()]
+    for P in RATIONAL_GRID:
+        points += [P, CodeParameters.make(float(P.alpha), float(P.beta))]
+    for _ in range(30):
+        b = Fraction(-rng.randint(1, 40), 40)
+        a = b + Fraction(rng.randint(1, 79), 80) * (1 - b)
+        points += [CodeParameters.make(a, b),
+                   CodeParameters.make(float(a), float(b))]
+    for P in points:
+        for d in range(1, 61):
+            assert (bounds.power_bound(P, d)
+                    == reference.power_bound_by_levels(P, d)), (P, d)
+        for d in range(1, 13):
+            for k in range(d + 2):
+                assert (bounds.power_bound(P, d, k=k)
+                        == reference.power_bound_by_levels(P, d, k=k))
+
+
+def test_power_bound_at_large_dimensions():
+    # mu = 2 first applies at m = 3, so k = d - 1 and the value is
+    # 3 * 2^(d-1) - 1: from d = 1024 on it is past every float, and from
+    # d = 1025 on it is reported without building 2^k
+    for d in (1023, 1024, 1025, 1100, 10 ** 12):
+        rep = bounds.power_bound(P01X, d)
+        assert rep.applicable == (d == 1023), d
+    assert bounds.power_bound(P01X, 1023).value == float(3 * 2 ** 1022 - 1)
+    rep = bounds.power_bound(P01X, 10 ** 12)
+    assert rep.value is None and rep.note == (
+        "2^k (d+2-k) - 1 exceeds the float range at k=%d" % (10 ** 12 - 1))
+    # a fixed level past the float range, and one below its gate
+    assert not bounds.power_bound(P01X, 10 ** 12, k=2000).applicable
+    assert (bounds.power_bound(P01X, 10 ** 12, k=0).note
+            == "mu below every gate")
+    # mu = 3/(2 * 10^-13) passes the gate at k = 0: the value is d + 1
+    P = CodeParameters.make(Fraction(-1, 2) + Fraction(1, 10 ** 13),
+                            Fraction(-1, 2))
+    rep = bounds.power_bound(P, 10 ** 12)
+    assert rep.applicable and rep.witness == 0
+    assert rep.floored == 10 ** 12 + 1
+
+
 # ---------------------------------------------------------------------------
 # exhaustive mini sweep
 # ---------------------------------------------------------------------------

@@ -73,6 +73,17 @@ def test_exact_only_when_both_rational():
     assert cert.CodeParameters.make(Fraction(1, 3), -1.0).exact is None
 
 
+def test_exact_parameters_are_code_parameters_in_fractions():
+    P = cert.CodeParameters.make(Fraction(1, 4), Fraction(-1, 2))
+    X = P.exact
+    assert type(X) is cert.CodeParameters and X.exact is None
+    scalars = (X.alpha, X.beta, X.mu, X.lam, X.p, X.budget_nbr, X.beta_budget)
+    assert all(type(x) is Fraction for x in scalars)
+    assert scalars == (Fraction(1, 4), Fraction(-1, 2), Fraction(2),
+                       Fraction(1), Fraction(3, 2), Fraction(4, 3),
+                       Fraction(-3))
+
+
 # ---------------------------------------------------------------------------
 # verify / extract
 # ---------------------------------------------------------------------------

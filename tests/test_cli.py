@@ -329,6 +329,39 @@ def test_search_golden_csv(capsys):
     assert out == want
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--alpha", "0", "--beta=-1", "--d", "1100"),
+    ("search", "--alpha", "0", "--beta=-1", "--d", "1100", "--max-n", "4"),
+])
+def test_power_bound_past_the_float_range_is_a_no_row(capsys, argv):
+    # mu = 2 at d = 1100 first applies at k = 1099, where 3 * 2^1099 - 1
+    # is no float: bounds prints it as not applicable, and search leaves
+    # it out of the exhaustive flag
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    rows = {r[0]: r for r in csv.reader(io.StringIO(out))}
+    if argv[0] == "bounds":
+        assert rows["power"][1] == "no"
+        assert rows["power"][6] == (
+            "2^k (d+2-k) - 1 exceeds the float range at k=1099")
+    else:
+        assert rows["N[alpha=0, beta=-1](d=1100), n_max=4"][1:3] == [
+            "4", "no"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mu", "inf"), ("--mu", "-inf"), ("--mu", "nan"), ("--p", "inf"),
+    ("--p", "nan")])
+def test_search_capacity_needs_finite_p_and_mu(capsys, flag, value):
+    scalars = {"--p": "1", "--mu": "2", flag: value}
+    rc, out = run(capsys, "search", "--r", "2", "--p=" + scalars["--p"],
+                  "--mu=" + scalars["--mu"], "--max-n", "4")
+    assert rc == 2
+    name = flag[2:]
+    assert out == "error: capacity needs a finite %s, got %r\n" % (
+        name, float(value))
+
+
 def test_search_capacity_rows(capsys):
     rc, out = run(capsys, "search", "--r", "3", "--p", "1", "--mu", "2",
                   "--max-n", "5")
