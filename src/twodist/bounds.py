@@ -273,9 +273,17 @@ def sandwich_bounds(graphs, mu, d: int,
 
 
 def _floor(val) -> int:
-    """floor(val): exact for rationals, with slack for float rounding."""
-    if isinstance(val, float):
-        return math.floor(val + DEFAULT_TOL * max(1.0, val))
+    """floor(val): exact for rationals, with slack for float rounding.
+
+    A float bound may come out a few units in its last place short of
+    the integer its exact value is, so a float that is not an integer
+    and lies within 4 ulp(val) below the next integer floors to it.  The
+    slack is counted in the value's own float spacing and an integral
+    float is its own floor, so no float floors past the next integer.
+    """
+    if isinstance(val, float) and not val.is_integer():
+        low = math.floor(val)
+        return low + (low + 1 - val <= 4 * math.ulp(val))
     return math.floor(val)
 
 

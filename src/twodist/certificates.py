@@ -408,23 +408,21 @@ def certify_alpha(G: Graph, params: CodeParameters,
     # one negative eigenvalue decides, so the kernel stops there
     k = shifted_graph(G, P.mu, +1, tol, cap=0)
     exact = k.values is None
-    smallest = None if exact else float(k.values[-1] - P.mu)
-
-    def verdict(**fields) -> AlphaCertificate:
-        return AlphaCertificate(smallest_eigenvalue=smallest, exact=exact,
-                                **fields)
-
+    # positional fields: valid, rank_r, quadform, equality_case, smallest
+    smallest = None if exact else float(k.values[-1]) - P.mu
     if k.inertia.neg:
-        return verdict(valid=False, failure_reason="eigenvalue_below")
+        return AlphaCertificate(False, None, None, None, smallest,
+                                "eigenvalue_below", exact)
     q = k.quadform
     if q is None:
-        return verdict(valid=False, failure_reason="j_not_in_range")
+        return AlphaCertificate(False, None, None, None, smallest,
+                                "j_not_in_range", exact)
     above, equality, _ = linalg.band(q, P.p, k.cut)
     if above:
-        return verdict(valid=False, failure_reason="quadform_exceeds",
-                       quadform=q)
-    return verdict(valid=True, rank_r=k.rank - 1 if equality else k.rank,
-                   quadform=q, equality_case=equality)
+        return AlphaCertificate(False, None, q, None, smallest,
+                                "quadform_exceeds", exact)
+    return AlphaCertificate(True, k.rank - 1 if equality else k.rank, q,
+                            equality, smallest, None, exact)
 
 
 def certify_beta_zero(G: Graph, beta,
@@ -443,11 +441,12 @@ def certify_beta_zero(G: Graph, beta,
     params = CodeParameters.make(0, beta)
     k = shifted_graph(G, (params.exact or params).lam, -1, tol, cap=0)
     exact = k.values is None
+    # positional fields: valid, case, rank_r, quadform, equality_case
     if k.inertia.neg:
-        return BetaCertificate(valid=False, failure_reason="eigenvalue_above",
-                               exact=exact)
-    return BetaCertificate(valid=True, case="p1" if k.rank == G.n else "p2",
-                           rank_r=k.rank, exact=exact)
+        return BetaCertificate(False, None, None, None, None,
+                               "eigenvalue_above", exact)
+    return BetaCertificate(True, "p1" if k.rank == G.n else "p2", k.rank,
+                           None, None, None, exact)
 
 
 def certify_beta(G: Graph, params: CodeParameters,
@@ -468,27 +467,26 @@ def certify_beta(G: Graph, params: CodeParameters,
     # case three reads one negative eigenvalue; a second one decides
     k = shifted_graph(G, P.lam, -1, tol, cap=1)
     exact = k.values is None
+    # positional fields: valid, case, rank_r, quadform, equality_case
     if k.inertia.neg == 0:
         if k.inertia.zero == 0:
-            return BetaCertificate(valid=True, case="one", rank_r=G.n,
-                                   exact=exact)
-        return BetaCertificate(valid=True, case="two", rank_r=k.rank + 1,
-                               exact=exact)
+            return BetaCertificate(True, "one", G.n, None, None, None, exact)
+        return BetaCertificate(True, "two", k.rank + 1, None, None, None,
+                               exact)
     if k.inertia.neg > 1:
-        return BetaCertificate(valid=False, failure_reason="negative_inertia",
-                               exact=exact)
-    bound = P.beta_budget
+        return BetaCertificate(False, None, None, None, None,
+                               "negative_inertia", exact)
     q = k.quadform
     if q is None:
-        return BetaCertificate(valid=False, case="three",
-                               failure_reason="j_not_in_range", exact=exact)
-    above, equality, _ = linalg.band(q, bound, k.cut)
+        return BetaCertificate(False, "three", None, None, None,
+                               "j_not_in_range", exact)
+    above, equality, _ = linalg.band(q, P.beta_budget, k.cut)
     if above:
-        return BetaCertificate(valid=False, case="three", quadform=q,
-                               failure_reason="quadform_exceeds", exact=exact)
-    return BetaCertificate(valid=True, case="three",
-                           rank_r=k.rank - 1 if equality else k.rank,
-                           quadform=q, equality_case=equality, exact=exact)
+        return BetaCertificate(False, "three", None, q, None,
+                               "quadform_exceeds", exact)
+    return BetaCertificate(True, "three",
+                           k.rank - 1 if equality else k.rank, q, equality,
+                           None, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -18,28 +18,25 @@ All tolerance decisions go through a single knob ``tol``: a comparison at
 scale uses tol' = tol * max(1, ||M||_inf).
 
 The float backend is one spectral core with two kinds of caller, the
-same shape as the exact backend below.  The core, eigh_trusted, runs
-one eigh on a float matrix that is symmetric by construction and
-computes tol' once; it neither copies nor checks nor symmetrizes the
-matrix, and shifted_trusted reads the certificate facts off it with
+same shape as the exact backend below.  The core, shifted_trusted,
+runs one _eigh on a float matrix that is symmetric by construction and
+takes tol' once; it neither copies nor checks nor symmetrizes the
+matrix, and reads the certificate facts off the descending values with
 its two readers, _count_inertia (inertia and rank) and _read_shifted
-(range and quadratic form).  They are the only float readers of those
-facts; the search's hereditary filter and the realizations' rank check
-(certificates._factor_stack) count with _count_inertia too.
-_read_shifted has a full-rank read: when the inertia puts every
-eigenvalue outside the band, v has no part off the range (its norm is
-sqrt(0), never above the cut), so it divides every coefficient at
-once, the entries the masked division gives, and multiplies on the
-column-major copy of the vectors that the masked columns are, so the
-bits are the same; the general read masks the band.  shifted_stack is
-the same core over a stack: one eigh for every slice and the cuts for
-the whole stack at once, then _count_inertia and _read_shifted on each
-slice, so each slice's facts are those shifted_trusted gives it, bit
-for bit.  The validating front ends (inertia, and
-rank_one_update_inertia on float input) take a caller's matrix, check
-that it is square and symmetric within tol', and symmetrize it before
-the core sees it.  The trusted writers build their matrix straight
-from a graph's bitmasks (Graph.matrix):
+(range and quadratic form), building nothing the verdict does not
+read: no Spectrum, and no view of the vectors past the cap.
+eigh_trusted is the same eigh and tol' as a Spectrum, for the callers
+that read the spectrum itself.  The two readers are the only float
+readers of those facts; the search's hereditary filter and the
+realizations' rank check (certificates._factor_stack) count with
+_count_inertia too.  shifted_stack is the same core over a stack: one
+eigh for every slice and the cuts for the whole stack at once, then
+_count_inertia and _read_shifted on each slice, so each slice's facts
+are those shifted_trusted gives it, bit for bit.  The validating front
+ends (inertia, and rank_one_update_inertia on float input) take a
+caller's matrix, check that it is square and symmetric within tol',
+and symmetrize it before the core sees it.  The trusted writers build
+their matrix straight from a graph's bitmasks (Graph.matrix):
 certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
 (the neighborhoods of bounds.check_neighborhood), certificates._gram for
@@ -101,6 +98,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -124,8 +122,10 @@ class Spectrum(NamedTuple):
 
 def scaled_tol(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """The working tolerance tol' = tol * max(1, ||M||_inf), the norm the
-    largest absolute row sum of the float matrix M (0 with no rows)."""
-    return tol * max(1.0, float(np.abs(M).sum(axis=1).max(initial=0.0)))
+    largest absolute row sum of the float matrix M (0 with no rows), the
+    maximum taken on Python floats: numpy's on every matrix without NaN,
+    which LAPACK refuses."""
+    return tol * max(1.0, 0.0, *np.add.reduce(np.abs(M), 1).tolist())
 
 
 def _as_symmetric(M, tol: float) -> np.ndarray:
@@ -169,7 +169,7 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
 
 def eigh_trusted(M: np.ndarray,
                  tol: float = DEFAULT_TOL) -> tuple[Spectrum, float]:
-    """The float core: the spectrum of M and tol', from one LAPACK eigh.
+    """The spectrum of M and tol', from one LAPACK eigh, as a Spectrum.
 
     M must be a square float ndarray whose two triangles agree bit for
     bit, as every matrix written from a graph's bitmasks does; it is not
@@ -239,23 +239,24 @@ def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
 
     For M (A + mu I or lam I - A) and v, defaulting to the all-ones
     vector j: the spectrum, the inertia and rank at the cut tol', and the
-    quadratic form v^T M^# v, read off one eigh_trusted call with tol'
-    as the cut.  M is not checked.  M is positive semidefinite iff
-    inertia.neg == 0.  The quadratic form comes from the minimum-norm
-    solution of M x = v; v leaves the column space when its component on
-    the eigenvectors with |value| <= tol' has norm above tol'.
+    quadratic form v^T M^# v, read off one _eigh call with tol' =
+    scaled_tol(M, tol) as the cut.  M is not checked.  M is positive
+    semidefinite iff inertia.neg == 0.  The quadratic form comes from the
+    minimum-norm solution of M x = v; v leaves the column space when its
+    component on the eigenvectors with |value| <= tol' has norm above tol'.
 
     cap, when given, is the largest negative count the caller's verdict
     can use: with more negative eigenvalues than cap the range and the
-    quadratic form are not read (no _read_shifted), and the result is
-    Capped(values, Inertia(None, neg, None)), the spectrum and the count
-    bit for bit those of the uncapped call.
+    quadratic form are not read (no _read_shifted, no view of the
+    vectors), and the result is Capped(values, Inertia(None, neg, None)),
+    the spectrum and the count bit for bit those of the uncapped call.
     """
-    spec, cut = eigh_trusted(M, tol)
-    inert = _count_inertia(spec.values, cut)
+    w, V = _eigh(M)
+    values, cut = w[::-1], scaled_tol(M, tol)
+    inert = _count_inertia(values, cut)
     if cap is not None and inert.neg > cap:
-        return Capped(spec.values, Inertia(None, inert.neg, None))
-    return _read_shifted(spec, cut, inert, v)
+        return Capped(values, Inertia(None, inert.neg, None))
+    return _read_shifted(values, V[:, ::-1], cut, inert, v)
 
 
 def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
@@ -264,22 +265,31 @@ def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     One _eigh call runs LAPACK slice by slice over the stack, and gives
     each slice the bits of its own call; every slice must be symmetric
     by construction, as for shifted_trusted.  The cuts are taken for the
-    whole stack at once, with the float operations scaled_tol runs on
-    one slice; each slice is then counted by _count_inertia and read by
+    whole stack at once, the values scaled_tol gives each slice; each
+    slice is then counted by _count_inertia and read by
     _read_shifted at its cut, so slice i gives shifted_trusted(S[i], tol)
     bit for bit, in every field.
     """
     values, vectors = _eigh(S)
     cuts = (tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))).tolist()
-    return [_read_shifted(Spectrum(val, vec), cut, _count_inertia(val, cut),
-                          None)
+    return [_read_shifted(val, vec, cut, _count_inertia(val, cut), None)
             for val, vec, cut in zip(values[:, ::-1], vectors[:, :, ::-1],
                                      cuts)]
 
 
-def _read_shifted(spec: Spectrum, cut: float, inert: Inertia, v) -> Shifted:
-    """The Shifted fields of one spectrum: v^T M^# v read at the cut, v
-    None meaning j, from the coefficients V^T v.
+@lru_cache(maxsize=None)
+def _ones(m: int) -> np.ndarray:
+    """The all-ones vector of order m, one read-only array per order."""
+    j = np.ones(m)
+    j.flags.writeable = False
+    return j
+
+
+def _read_shifted(values: np.ndarray, vectors: np.ndarray, cut: float,
+                  inert: Inertia, v) -> Shifted:
+    """The Shifted fields of descending values and their vector columns:
+    v^T M^# v read at the cut, v None meaning j, from the coefficients
+    V^T v.
 
     At full rank every eigenvalue lies outside the band, so the part of
     v off the range is empty and its norm sqrt(0) is never above the
@@ -288,20 +298,20 @@ def _read_shifted(spec: Spectrum, cut: float, inert: Inertia, v) -> Shifted:
     a column-major copy of the vectors, the layout that vectors[:, keep]
     takes, so both branches give the same bits.
     """
-    v = np.ones(len(spec.values)) if v is None else np.asarray(v, dtype=float)
-    coeffs = spec.vectors.T @ v
+    v = _ones(len(values)) if v is None else np.asarray(v, dtype=float)
+    coeffs = vectors.T @ v
     rank = inert.pos + inert.neg
-    if rank == len(spec.values):
-        x = np.asfortranarray(spec.vectors) @ (coeffs / spec.values)
-        return Shifted(spec.values, inert, rank, float(v @ x), cut)
-    keep = np.abs(spec.values) > cut
+    if rank == len(values):
+        x = np.asfortranarray(vectors) @ (coeffs / values)
+        return Shifted(values, inert, rank, float(v @ x), cut)
+    keep = np.abs(values) > cut
     off = coeffs[~keep]
     if math.sqrt(off.dot(off)) > cut:
         q = None
     else:
-        x = spec.vectors[:, keep] @ (coeffs[keep] / spec.values[keep])
+        x = vectors[:, keep] @ (coeffs[keep] / values[keep])
         q = float(v @ x)
-    return Shifted(spec.values, inert, rank, q, cut)
+    return Shifted(values, inert, rank, q, cut)
 
 
 # Inertia shifts (d_pos, d_neg) for M + c*u*u^T, keyed by (c > 0, case).

@@ -309,11 +309,12 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
     cover the two ways a code of rank at most d arises; their maximum is
     the answer.  Both are queries of one tree at (mu, d + 1), whose rank
     <= d part is the tree at rank d.  Every extremal graph is certified
-    once and realized into dimension d, and the realization's round trip
-    is its verification: alpha_graph reads the pair products of
-    _pair_rows, the products verify_code reads, and puts each within tol
-    of alpha or beta; the rows are unit vectors (_factor_stack normalizes
-    them, and zero padding adds nothing to a norm or a product), so
+    once and realized at its certified rank, which both queries cap at
+    d (zero coordinates up to d would add nothing to a norm or a product,
+    only n x d floats), and the realization's round trip is its
+    verification: alpha_graph reads the pair products of _pair_rows, the
+    products verify_code reads, and puts each within tol of alpha or
+    beta; the rows are unit vectors (_factor_stack normalizes them), so
     verify_code at any tolerance of at least tol accepts the code.  Its
     complement is the beta-graph of the same vectors, with the same Gram
     matrix and rank, so for alpha > 0 certify_beta of the complement
@@ -332,8 +333,7 @@ def max_code_size(alpha, beta, d: int, n_max: int, tol: float = DEFAULT_TOL,
                                  [(d, p, "strict"), (d + 1, p, "equal")])
     for g6 in extremal:
         G = parse_graph6(g6)
-        realize_from_alpha(G, params, tol, dim=d,
-                           cert=certify_alpha(G, params, tol))
+        realize_from_alpha(G, params, tol, cert=certify_alpha(G, params, tol))
     caps = [dgs_bound(d)]
     for rep in (turan_bound(params, d), power_bound(params, d)):
         if rep.applicable:

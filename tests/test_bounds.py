@@ -820,6 +820,35 @@ def test_power_bound_at_large_dimensions():
     assert rep.floored == 10 ** 12 + 1
 
 
+def test_float_floors_stay_within_rounding_of_their_values():
+    # a float cap floors to floor(value), or to the next integer when the
+    # value lies within 4 ulps below it, and never lower than the cap of
+    # the exact rational point: at every d up to 10^15, where a slack
+    # relative to the value would pass 1 from d = 10^9 on
+    ds = sorted({*range(1, 100), *(int(10 ** (k / 4)) for k in range(61))})
+    checked = 0
+    for P in RATIONAL_GRID:
+        F = CodeParameters.make(float(P.alpha), float(P.beta))
+        for d in ds:
+            for bound in (bounds.turan_bound, bounds.recursion_bound):
+                rep, exact = bound(F, d), bound(P, d)
+                assert rep.applicable == exact.applicable, (P, d)
+                if not rep.applicable:
+                    continue
+                low = math.floor(rep.value)
+                up = (not rep.value.is_integer()
+                      and low + 1 - rep.value <= 4 * math.ulp(rep.value))
+                assert rep.floored == (low + 1 if up else low), (P, d)
+                assert rep.floored >= exact.floored, (P, d)
+                if rep.value < 2 ** 40:
+                    assert rep.floored == exact.floored, (P, d)
+                checked += 1
+    assert checked > 2000
+    # an integral float is its own floor, whatever its size
+    rep = bounds.turan_bound(CodeParameters.make(-0.25, -1.0), 10 ** 11)
+    assert rep.value == 10 ** 11 + 1 and rep.floored == 10 ** 11 + 1
+
+
 # ---------------------------------------------------------------------------
 # exhaustive mini sweep
 # ---------------------------------------------------------------------------

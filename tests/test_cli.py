@@ -48,6 +48,15 @@ def test_certify_fraction_switches_exact(capsys):
     assert out == "valid rank=3 quadform=3/5\n"
 
 
+def test_bounds_floors_a_large_float_cap_to_itself(capsys):
+    # the turan value d + 1 is an integral float at d = 10^11; a slack
+    # relative to it would floor it 100 higher
+    rc, out = run(capsys, "bounds", "--alpha", "-0.25", "--beta=-1",
+                  "--d", "100000000000")
+    assert rc == 0
+    assert "turan,yes,,100000000001,100000000001,,\n" in out
+
+
 def test_negative_fraction_after_a_flag_parses_like_the_equals_form(capsys):
     # argparse takes "-1/2" for an option unless it is glued to its flag
     cases = [

@@ -412,6 +412,23 @@ def test_max_code_size_complement_consistency():
     assert cases == ["two", "one"]
 
 
+def test_max_code_size_memory_does_not_grow_with_the_dimension():
+    # each extremal graph is realized at its certified rank, at most d,
+    # not padded to d columns: at d = 10^5 a padded code of n vectors
+    # would hold n * 10^5 floats
+    import tracemalloc
+
+    search.max_code_size(Fraction(0), Fraction(-1), 10, 5)
+    tracemalloc.start()
+    try:
+        res = search.max_code_size(Fraction(0), Fraction(-1), 10 ** 5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 5 and len(res.extremal_graphs) == 3
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_max_code_size_domain():
     with pytest.raises(ParameterDomain):
         search.max_code_size(0.5, 0.0, d=2, n_max=4)
