@@ -293,6 +293,8 @@ def cmd_enumerate(args) -> int:
     if args.max_n > MAX_CANONICAL_N:
         raise SizeGuardError("canonical enumeration guarded to n <= %d"
                              % MAX_CANONICAL_N)
+    if args.max_n < 1:
+        raise ValueError("enumeration needs --max-n >= 1")
     lines = []
     for n in range(1, args.max_n + 1):
         lines.extend(emit_graph6(G) for G in enumerate_graphs(n))

@@ -14,8 +14,8 @@ over all relabelings, found by a depth-first search over vertex orderings
 with prefix pruning that tries only one of two twin vertices.  No external
 isomorphism engine is involved.  That string is hereditary: deleting the
 last vertex of a canonical string leaves the canonical string of the
-parent.  So enumeration is orderly generation: extend_canonical joins a new
-vertex to each canonical parent by every neighbour mask and keeps the
+parent.  So enumeration is orderly generation: _canonical_children joins a
+new vertex to each canonical parent by every neighbour mask and keeps the
 children whose own labeling is canonical, which the same search decides by
 stopping at the first smaller prefix.  Every class is emitted once, by its
 canonical parent, with no canonicalization or deduplication of children.
@@ -105,11 +105,11 @@ class Graph:
         other elsewhere, written from the bitmasks.
 
         Symmetric by construction, bit for bit, so it may go straight to
-        linalg.eigh_trusted: this is the writer of every float matrix
-        built from a graph.  The graph unpacks its rows into a uint8 0/1
-        table on its first write and keeps it; every write is one take of
-        (other, edge) over that table, a new array, then the diagonal.
-        The table itself is never handed out.
+        linalg._eigh, which reads one triangle: this is the writer of
+        every float matrix built from a graph.  The graph unpacks its rows
+        into a uint8 0/1 table on its first write and keeps it; every
+        write is one take of (other, edge) over that table, a new array,
+        then the diagonal.  The table itself is never handed out.
         """
         n = self.n
         table = self._table
@@ -332,8 +332,8 @@ def check_eigenvalue_floor(G: Graph,
         raise ValueError("the eigenvalue floor needs at least one vertex")
     if not is_connected(G):
         raise NotConnectedError("the eigenvalue floor applies to connected graphs")
-    spec, cut = linalg.eigh_trusted(G.adjacency(), tol)
-    smallest = float(spec.values[-1])
+    A = G.adjacency()
+    smallest, cut = float(linalg._eigh(A)[0][0]), linalg.scaled_tol(A, tol)
     floor = math.sqrt((G.n // 2) * ((G.n + 1) // 2))
     return EigenFloorReport(n=G.n, smallest=smallest, floor=floor,
                             holds=smallest >= -floor - cut,
@@ -409,8 +409,9 @@ def canonical_form(G: Graph) -> str:
     return _graph6(G.n, segs)
 
 
-def extend_canonical(parents, keep=None) -> list[str]:
-    """graph6 strings of the canonical one-vertex extensions of parents.
+def _canonical_children(parents, keep=None):
+    """The canonical one-vertex extensions of parents, as a generator of
+    (graph6, child, kept) triples.
 
     Each parent, a Graph on m vertices in canonical labeling, gains a
     vertex m joined to the parent's vertices by every one of the 2^m
@@ -422,12 +423,6 @@ def extend_canonical(parents, keep=None) -> list[str]:
     parent, so every class on m + 1 vertices is emitted exactly once, by
     its own canonical parent, and no deduplication is needed.  A parent
     that is not in canonical labeling yields no child.
-    """
-    return [g6 for g6, _, _ in _canonical_children(parents, keep)]
-
-
-def _canonical_children(parents, keep=None):
-    """extend_canonical as a generator of (graph6, child, kept) triples.
 
     child is the kept Graph itself, already in its canonical labeling,
     and kept is the true value keep(child) returned (True when keep is
@@ -465,8 +460,8 @@ def enumerate_graphs(n: int, connected_only: bool = False):
 
     Returns a deterministic tuple of canonical representatives in graph6
     order (guarded to n <= 8), grown level by level from the empty graph
-    by the step of extend_canonical, each class emitted once by its
-    canonical parent, and cached per order as the Graphs themselves.
+    by _canonical_children, each class emitted once by its canonical
+    parent, and cached per order as the Graphs themselves.
     """
     if n < 0:
         raise ValueError("enumeration needs n >= 0, got %r" % (n,))

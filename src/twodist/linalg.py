@@ -24,25 +24,24 @@ takes tol' once; it neither copies nor checks nor symmetrizes the
 matrix, and reads the certificate facts off the descending values with
 its two readers, _count_inertia (inertia and rank) and _read_shifted
 (range and quadratic form), building nothing the verdict does not
-read: no Spectrum, and no view of the vectors past the cap.
-eigh_trusted is the same eigh and tol' as a Spectrum, for the callers
-that read the spectrum itself.  The two readers are the only float
-readers of those facts; the search's hereditary filter and the
-realizations' rank check (certificates._factor_stack) count with
-_count_inertia too.  shifted_stack is the same core over a stack: one
-eigh for every slice and the cuts for the whole stack at once, then
-_count_inertia and _read_shifted on each slice, so each slice's facts
-are those shifted_trusted gives it, bit for bit.  The validating front
-ends (inertia, and rank_one_update_inertia on float input) take a
-caller's matrix, check that it is square and symmetric within tol',
-and symmetrize it before the core sees it.  The trusted writers build
-their matrix straight from a graph's bitmasks (Graph.matrix):
-certificates.shifted_graph for A + mu I and lam I - A,
+read: no view of the vectors past the cap.  The two readers are the
+only float readers of those facts; inertia, the search's hereditary
+filter and the realizations' rank check (certificates._factor_stack)
+count with _count_inertia too.  shifted_stack is the same core over a
+stack: one eigh for every slice and the cuts for the whole stack at
+once, then _count_inertia and _read_shifted on each slice, so each
+slice's facts are those shifted_trusted gives it, bit for bit.  The
+validating front ends (inertia, and rank_one_update_inertia on float
+input) take a caller's matrix, check that it is square and symmetric
+within tol', and symmetrize it before the core sees it.  The trusted
+writers build their matrix straight from a graph's bitmasks
+(Graph.matrix): certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
 (the neighborhoods of bounds.check_neighborhood), certificates._gram for
 the Gram matrices of the realizations, which certificates._factor_stack
 factors a stack of one order at a time with one _eigh call, the
-search's hereditary filter (_eigvalsh) and the eigenvalue floor.
+search's hereditary filter (_eigvalsh) and the eigenvalue floor
+(graphs.check_eigenvalue_floor, the least value of one _eigh call).
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
@@ -115,11 +114,6 @@ class Inertia(NamedTuple):
     zero: int
 
 
-class Spectrum(NamedTuple):
-    values: np.ndarray    # eigenvalues in descending order
-    vectors: np.ndarray   # column i is the eigenvector for values[i]
-
-
 def scaled_tol(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """The working tolerance tol' = tol * max(1, ||M||_inf), the norm the
     largest absolute row sum of the float matrix M (0 with no rows), the
@@ -167,20 +161,6 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
     return _umath_linalg.eigvalsh_lo(S, signature="d->d")
 
 
-def eigh_trusted(M: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[Spectrum, float]:
-    """The spectrum of M and tol', from one LAPACK eigh, as a Spectrum.
-
-    M must be a square float ndarray whose two triangles agree bit for
-    bit, as every matrix written from a graph's bitmasks does; it is not
-    copied, checked or symmetrized (LAPACK reads its lower triangle).
-    Returns the eigenvalues in descending order with matching orthonormal
-    eigenvector columns, and tol' = scaled_tol(M, tol), computed once.
-    """
-    values, vectors = _eigh(M)
-    return Spectrum(values[::-1], vectors[:, ::-1]), scaled_tol(M, tol)
-
-
 def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
     # the comparisons of values > cut and values < -cut, on Python floats
     vals, low = values.tolist(), -cut
@@ -191,8 +171,8 @@ def _count_inertia(values: np.ndarray, cut: float) -> Inertia:
 
 def inertia(M, tol: float = DEFAULT_TOL) -> Inertia:
     """Counts of eigenvalues above, below and within tol' of zero."""
-    spec, cut = eigh_trusted(_as_symmetric(M, tol), tol)
-    return _count_inertia(spec.values, cut)
+    S = _as_symmetric(M, tol)
+    return _count_inertia(_eigh(S)[0], scaled_tol(S, tol))
 
 
 class Shifted(NamedTuple):

@@ -12,7 +12,7 @@ A + mu I and rank at most r pass to every induced subgraph (Cauchy
 interlacing; a principal submatrix never has larger rank), so every
 qualifying graph is a one-vertex extension of a graph that passes both.
 _grow grows that tree of canonical survivors once per (mu, r_max) by
-orderly generation (graphs.extend_canonical), testing a child for
+orderly generation (graphs._canonical_children), testing a child for
 canonicity only when it passes both tests, and keeps each survivor's
 kernel facts at its own cut: exact ones are those its hereditary test
 already computed.

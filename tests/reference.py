@@ -33,13 +33,16 @@ CodeParameters: every exact comparison is one of Fractions built per
 call, through _le, and every budget is recomputed per call.  On floats
 they run the same float operations as the package ran.
 
-read_shifted is the float reader before it took precomputed
-coefficients and read a full-rank spectrum without the off-range mask,
-count_inertia the inertia count before it compared on Python floats,
-and shifted_trusted the float kernel over both.  verify_code and
-split_graph are the per-pair loops that checked a code and extracted its
-alpha- or beta-graph before the pair products were taken a block of
-rows at a time.
+Spectrum and eigh are the descending spectrum of one linalg._eigh call
+and its cut tol', as linalg held them before its float readers took
+the values and vectors themselves; inertia and the eigenvalue floor
+read the same call's values.  read_shifted is the float reader before
+it took precomputed coefficients and read a full-rank spectrum without
+the off-range mask, count_inertia the inertia count before it compared
+on Python floats, and shifted_trusted the float kernel over all three.
+verify_code and split_graph are the per-pair loops that checked a code
+and extracted its alpha- or beta-graph before the pair products were
+taken a block of rows at a time.
 
 factor_gram is the single-matrix Gram factorization that the stacked
 certificates._factor_stack replaced, with its body unchanged, and
@@ -56,6 +59,9 @@ certify_alpha, certify_beta_zero and certify_beta are the certificate
 bodies from before they passed a cap to their kernel, unchanged: each
 runs the whole elimination or the whole float read, quadratic form
 included, before it reads the negative count.
+
+extend_canonical is graphs._canonical_children as a list of graph6
+strings, the form the orderly-generation tests read.
 
 unpack_matrix is Graph.matrix before each graph kept its 0/1 table:
 every write joins the rows into bytes and unpacks them again, the body
@@ -74,6 +80,7 @@ linalg.inertia itself.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,10 +93,11 @@ from twodist.certificates import (AlphaCertificate, BetaCertificate,
 from twodist.errors import (AmbiguousPair, CertificateInvalid,
                             ParameterDomain, ReconstructionResidual,
                             SizeGuardError)
-from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits, _check_vertex,
+from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits,
+                            _canonical_children, _check_vertex,
                             independence_number, is_complete)
-from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, Spectrum,
-                            _as_symmetric, eigh_trusted, inertia)
+from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, _as_symmetric,
+                            _eigh, inertia, scaled_tol)
 from twodist.search import _Hereditary, _leaf_rejection
 
 # check_subgraph_inequality_by_sweep sweeps all 2^n subsets when none is
@@ -487,6 +495,18 @@ def check_neighborhood_in_fractions(
                        witness=details, note=note)
 
 
+class Spectrum(NamedTuple):
+    values: np.ndarray    # eigenvalues in descending order
+    vectors: np.ndarray   # column i is the eigenvector for values[i]
+
+
+def eigh(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Spectrum, float]:
+    """The descending spectrum of one linalg._eigh call on M, as a
+    Spectrum, and tol' = scaled_tol(M, tol).  M is not checked."""
+    values, vectors = _eigh(M)
+    return Spectrum(values[::-1], vectors[:, ::-1]), scaled_tol(M, tol)
+
+
 def count_inertia(values: np.ndarray, cut: float) -> Inertia:
     """linalg._count_inertia, counted by numpy on the array."""
     pos = int(np.count_nonzero(values > cut))
@@ -512,7 +532,7 @@ def read_shifted(spec: Spectrum, cut: float, inert: Inertia,
 def shifted_trusted(M: np.ndarray, tol: float = DEFAULT_TOL,
                     v=None) -> Shifted:
     """linalg.shifted_trusted over count_inertia and read_shifted."""
-    spec, cut = eigh_trusted(M, tol)
+    spec, cut = eigh(M, tol)
     return read_shifted(spec, cut, count_inertia(spec.values, cut), v)
 
 
@@ -571,7 +591,7 @@ def factor_gram(Gram: np.ndarray, rank_r: int, tol: float) -> np.ndarray:
     core.  Each eigenvector column is signed so that its first entry
     above 1e-12 in absolute value is positive.
     """
-    spec, cut = eigh_trusted(Gram, tol)
+    spec, cut = eigh(Gram, tol)
     keep = spec.values > cut
     rank = int(np.count_nonzero(keep))
     if rank != rank_r:
@@ -617,6 +637,11 @@ def unpack_matrix(G: Graph, diag: float, edge: float,
     return M
 
 
+def extend_canonical(parents, keep=None) -> list[str]:
+    """The graph6 strings that graphs._canonical_children yields."""
+    return [g6 for g6, _, _ in _canonical_children(parents, keep)]
+
+
 def contains_clique(G: Graph, t: int) -> bool:
     """Whether G contains a clique on t vertices, by branch and bound.
 
@@ -658,7 +683,7 @@ def eigen_decompose(M, tol: float = DEFAULT_TOL) -> Spectrum:
     eigenvector columns.  Only the symmetrized matrix reaches LAPACK, so
     both triangles count.
     """
-    return eigh_trusted(_as_symmetric(M, tol), tol)[0]
+    return eigh(_as_symmetric(M, tol), tol)[0]
 
 
 def rank_sym(M, tol: float = DEFAULT_TOL) -> int:

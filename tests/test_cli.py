@@ -445,6 +445,19 @@ def test_enumerate_guard_comes_first(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_enumerate_needs_a_graph(capsys, monkeypatch, max_n):
+    # an empty listing is refused, as search and crosscheck refuse
+    # n_max < 1, before any order is enumerated
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_graphs",
+                        lambda n: calls.append(n) or ())
+    rc, out = run(capsys, "enumerate", "--max-n", max_n)
+    assert rc == 2
+    assert out == "error: enumeration needs --max-n >= 1\n"
+    assert calls == []
+
+
 def test_crosscheck(capsys):
     rc, out = run(capsys, "crosscheck", "--max-n", "3")
     assert rc == 0

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from twodist import graphs
@@ -16,12 +17,12 @@ from twodist.errors import Graph6Error, NotConnectedError, SizeGuardError
 from twodist.graphs import (Graph, canonical_form, complete_bipartite,
                             complete_graph, components, cycle_graph,
                             disjoint_union, emit_graph6, empty_graph,
-                            enumerate_graphs, extend_canonical,
-                            independence_number, is_connected, parse_graph6,
-                            path_graph)
+                            enumerate_graphs, independence_number,
+                            is_connected, parse_graph6, path_graph)
 
 from reference import (contains_clique, delete_closed_neighborhood,
-                       induced_subgraph, subgraph_on_neighbors)
+                       extend_canonical, induced_subgraph,
+                       subgraph_on_neighbors)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -370,6 +371,46 @@ def test_non_canonical_parent_yields_no_child():
                 if emit_graph6(H) != emit_graph6(G):
                     assert extend_canonical([H]) == []
     assert extend_canonical([path_graph(4)]) == []
+
+
+def as_networkx(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return H
+
+
+def test_enumeration_matches_the_networkx_atlas():
+    # an oracle outside the package: the atlas lists the 1,253 graphs on
+    # at most 7 vertices, one per isomorphism class, so their canonical
+    # forms must be the enumeration, each class once
+    forms = {}
+    atlas = nx.graph_atlas_g()
+    for H in atlas:
+        G = Graph(H.number_of_nodes(), H.edges())
+        forms.setdefault(G.n, set()).add(canonical_form(G))
+    assert [len(forms[n]) for n in range(8)] == [
+        1, 1, 2, 4, 11, 34, 156, 1044]
+    assert sum(map(len, forms.values())) == len(atlas) == 1253
+    for n, found in forms.items():
+        assert found == {emit_graph6(G) for G in enumerate_graphs(n)}
+
+
+def test_canonical_form_is_a_class_invariant_past_the_atlas():
+    # above the enumeration's reach: a random relabeling keeps the form,
+    # and the form is a graph that networkx finds isomorphic to the input
+    rng = random.Random(26)
+    for n in range(8, 13):
+        for _ in range(20):
+            density = rng.random()
+            G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < density])
+            form = canonical_form(G)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(permuted(G, perm)) == form
+            assert nx.is_isomorphic(as_networkx(parse_graph6(form)),
+                                    as_networkx(G))
 
 
 def test_enumeration_guards():

@@ -16,6 +16,8 @@ import pytest
 import reference
 from twodist import linalg
 from twodist.errors import AmbiguousCase
+from twodist.graphs import (check_eigenvalue_floor, enumerate_graphs,
+                            is_connected)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -473,10 +475,45 @@ def test_front_end_symmetrizes_then_runs_the_core():
         assert np.array_equal(k.values, ref.values)
         assert (k.inertia, k.rank, k.quadform, k.cut) == (
             ref.inertia, ref.rank, ref.quadform, ref.cut)
-        spec, cut = linalg.eigh_trusted(S)
+        spec, cut = reference.eigh(S)
         assert np.array_equal(spec.values,
                               reference.eigen_decompose(S).values)
         assert cut == linalg.scaled_tol(S)
+
+
+def test_inertia_and_the_floor_read_the_reference_spectrum_bit_for_bit():
+    # inertia and check_eigenvalue_floor read the values of one
+    # linalg._eigh call; each must give the counts, the smallest value and
+    # the verdict that reference.eigh's descending Spectrum and cut give
+    def expected_inertia(M):
+        spec, cut = reference.eigh(linalg._as_symmetric(M, linalg.DEFAULT_TOL))
+        return reference.count_inertia(spec.values, cut)
+
+    mats = []
+    for n in range(1, 8):
+        for G in enumerate_graphs(n):
+            # at mu = 2 every graph with eigenvalue -2 (line graphs among
+            # them) puts values inside the band
+            mats += [G.adjacency(), G.matrix(2.0, 1.0, 0.0)]
+            if not is_connected(G):
+                continue
+            report = check_eigenvalue_floor(G)
+            spec, cut = reference.eigh(G.adjacency())
+            smallest = float(spec.values[-1])
+            assert report.smallest.hex() == smallest.hex()
+            assert report.holds == (smallest >= -report.floor - cut)
+            assert report.gap.hex() == (smallest + report.floor).hex()
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        S = random_symmetric(rng, n)
+        r = rng.randint(1, n)
+        X = np.array([[rng.uniform(-1, 1) for _ in range(r)]
+                      for _ in range(n)])
+        # a caller's matrix, symmetric within tol', and a singular one
+        mats += [S, S + 1e-12 * np.triu(np.ones((n, n)), 1), X @ X.T]
+    for M in mats:
+        assert linalg.inertia(M) == expected_inertia(M)
 
 
 def assert_same_float_shifted(k, ref):

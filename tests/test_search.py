@@ -6,6 +6,7 @@ small enough to list, and their quadratic forms follow from solving
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -268,6 +269,49 @@ def test_search_stats_at_mu_two_rank_three():
     assert (set(both.stats), set(both.stats["leaf"])) == (
         {"backend", "r_max", "tested", "kept", "pruned", "leaf"},
         {"strict", "equal"})
+
+
+@functools.lru_cache(maxsize=None)
+def facts_at_mu_two(n):
+    """(graph6, kernel facts of A + 2I) for every graph on n vertices."""
+    return [(emit_graph6(G),
+             linalg.shifted_exact(rational_shift(G, Fraction(2), +1)))
+            for G in enumerate_graphs(n)]
+
+
+@pytest.mark.parametrize("r_max, n_max, kept, pruned, digest", [
+    pytest.param(
+        5, 11, (1, 2, 4, 11, 31, 25, 15, 6, 2, 1, 0), (6494, 1385),
+        "7dfd2c0dbe0927f42fde0d0a69d31c3412335ea04f5037ba0cad38dd0ce314cf",
+        id="r5-n11"),
+    pytest.param(
+        6, 10, (1, 2, 4, 11, 31, 108, 146, 159, 120, 78), (112409, 11698),
+        "53767237b8a8b09dfec33d1ac4ca49b642d61ef20a302482127573daf22bab06",
+        id="r6-n10"),
+])
+def test_deep_exact_trees_at_mu_two(r_max, n_max, kept, pruned, digest):
+    # _grow itself, past capacity's n_max <= 8 guard: the tree at r_max = 5
+    # dies at order 11, the one at r_max = 6 is cut at order 10.  Up to
+    # order 7 the survivors are derived below from enumerate_graphs and
+    # shifted_exact; above it the kept counts, the prune counts and the
+    # digest are regression pins of the grower as it is written, not
+    # derived values, which guard the tree through changes to its
+    # hereditary test and to how it generates children
+    leaves, stats = search._grow(Fraction(2), r_max, n_max,
+                                 linalg.DEFAULT_TOL, 1)
+    assert stats["kept"] == dict(enumerate(kept, 1))
+    assert stats["tested"] == {n: stats["kept"].get(n - 1, 1) << (n - 1)
+                               for n in stats["kept"]}
+    assert stats["pruned"] == dict(zip(("psd", "rank"), pruned))
+    assert len(leaves) == sum(kept)
+    rows = [(n, g6, k.rank, k.quadform) for n, g6, k in leaves]
+    text = "".join("%d %s %d %s\n" % row for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for n in range(1, 8):
+        passing = [(n, g6, k.rank, k.quadform)
+                   for g6, k in facts_at_mu_two(n)
+                   if not k.inertia.neg and k.rank <= r_max]
+        assert [row for row in rows if row[0] == n] == passing
 
 
 def count_trees(monkeypatch):
