@@ -189,7 +189,10 @@ def check_neighborhood(G: Graph, params: CodeParameters, u: int | None = None,
     skipped with a note.  u, when given, must be a vertex of G
     (ValueError otherwise).  No subgraph is built: each neighborhood is
     a vertex mask, its matrix is a principal submatrix of A + mu I, and
-    one shifted_principal call reads all of them.
+    one shifted_principal call reads all of them.  A part of at most 3
+    vertices is read from that call's table of the labelled graphs of
+    those orders at mu, built once per shift; larger parts run their
+    kernel on every call, with the same facts either way.
     """
     if u is not None:
         _check_vertex(G, u)

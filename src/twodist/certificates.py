@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -334,12 +335,57 @@ def shifted_graph(G: Graph, shift, sign: int, tol: float = DEFAULT_TOL,
     returns a linalg.Capped, whose inertia.neg and values are all a
     verdict that reads the negative count first may then read.
     """
-    if isinstance(shift, Fraction):
+    if _exact_shift(shift):
         den = shift.denominator
         R, w = _bordered(G, shift.numerator, sign * den, 0)
         return linalg.bareiss_bordered(R, w, den, 1, None, cap)
     return linalg.shifted_trusted(_shift_matrix(G, shift, sign), tol,
                                   cap=cap)
+
+
+def _exact_shift(shift) -> bool:
+    """Whether shift runs the exact kernel: a Fraction does; an int, a
+    float or a numpy scalar runs the float one.  A float is told apart
+    by its type first, which skips Fraction's ABC instance check."""
+    return type(shift) is not float and isinstance(shift, Fraction)
+
+
+# the largest order shifted_principal reads off _small_parts; the pattern
+# graphs of each order m <= _SMALL, pattern bit t the t-th pair of
+# combinations(range(m), 2)
+_SMALL = 3
+_PATTERNS = tuple(
+    tuple(Graph(m, [e for t, e in enumerate(combinations(range(m), 2))
+                    if p >> t & 1])
+          for p in range(1 << m * (m - 1) // 2))
+    for m in range(1, _SMALL + 1))
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _small_parts(exact: bool, shift, sign: int, tol: float) -> tuple:
+    """The kernel facts of every labelled graph of order at most _SMALL
+    at one shift: entry [m - 1][p] is shifted_graph's read of pattern
+    graph p of order m (_PATTERNS), 1 + 2 + 8 entries.
+
+    exact is _exact_shift(shift), so the key holds the arithmetic and
+    the cut rule next to the matrix, and typed keeps a Fraction, an int
+    and a float of one value apart as well.  A Fraction reads each
+    pattern with linalg.bareiss_bordered through shifted_graph; a float
+    writes each order's matrices with _shift_matrix and reads them with
+    one linalg.shifted_stack, whose slices keep the bits of their own
+    call, and the cached values are made read-only.
+    """
+    if exact:
+        return tuple(tuple(shifted_graph(H, shift, sign) for H in graphs)
+                     for graphs in _PATTERNS)
+    table = []
+    for graphs in _PATTERNS:
+        stack = np.array([_shift_matrix(H, shift, sign) for H in graphs])
+        facts = linalg.shifted_stack(stack, tol)
+        for k in facts:
+            k.values.flags.writeable = False
+        table.append(tuple(facts))
+    return tuple(table)
 
 
 def shifted_principal(G: Graph, shift, sign: int, masks,
@@ -351,38 +397,59 @@ def shifted_principal(G: Graph, shift, sign: int, masks,
     adjacency on those vertices, in increasing order: the matrix
     shifted_graph writes for the induced subgraph, entry for entry.  No
     subgraph is built.  The arithmetic of shift picks the kernel, as in
-    shifted_graph.  A float writes G's matrix once, slices each mask's
-    submatrix out of it and runs linalg.shifted_stack once per order, so
-    every Shifted is bit for bit the subgraph's.  A Fraction writes, per
-    mask S, G's packed bordered rows restricted to S, vertex row v as the
-    border plus edge times the spread bitmask G.rows[v] & S plus the
-    diagonal at field v, and the border row the spread S, at G's own
-    width; linalg.bareiss_bordered eliminates them on the fields of S.
+    shifted_graph.
+
+    A mask of order at most _SMALL = 3 is read from _small_parts, the
+    facts of the 11 labelled graphs of those orders at this shift, at
+    the pattern of its induced adjacency: no bit at order 1, one at
+    order 2, three at order 3, read off G.rows.  Those facts are shared
+    between calls, and their float values are read-only.  A larger mask
+    runs its kernel per call.  A float writes G's matrix once, slices
+    each such mask's submatrix out of it and runs linalg.shifted_stack
+    once per order.  So every float Shifted, table or stack, is bit for
+    bit the subgraph's.  A Fraction writes, per mask S, G's packed
+    bordered rows restricted to S, vertex row v as the border plus edge
+    times the spread bitmask G.rows[v] & S plus the diagonal at field v,
+    and the border row the spread S, at G's own width;
+    linalg.bareiss_bordered eliminates them on the fields of S.
     """
     n = G.n
     for S in masks:
         if not 0 < S < 1 << n:
             raise ValueError("vertex mask %r is empty or not in range(%d)"
                              % (S, n))
-    if isinstance(shift, Fraction):
+    exact = _exact_shift(shift)
+    table = _small_parts(exact, shift, sign, tol)
+    rows = G.rows
+    out = [None] * len(masks)
+    by_order = {}
+    for i, S in enumerate(masks):
+        m = S.bit_count()
+        if m > _SMALL:
+            by_order.setdefault(m, []).append(i)
+            continue
+        p = 0
+        for t, (x, y) in enumerate(combinations(_bits(S), 2)):
+            p |= (rows[x] >> y & 1) << t
+        out[i] = table[m - 1][p]
+    if not by_order:
+        return out
+    if exact:
         den = shift.denominator
         diag, edge = shift.numerator, sign * den
         w, mul, ones = _layout(n, diag, edge, 0)
         border = 1 << w * n
-        out = []
-        for S in masks:
-            fields = _bits(S)
-            R = [0] * n + [S * mul & ones]
-            for v in fields:
-                R[v] = (border + edge * ((G.rows[v] & S) * mul & ones)
-                        + (diag << w * v))
-            out.append(linalg.bareiss_bordered(R, w, den, 1, fields))
+        for where in by_order.values():
+            for i in where:
+                S = masks[i]
+                fields = _bits(S)
+                R = [0] * n + [S * mul & ones]
+                for v in fields:
+                    R[v] = (border + edge * ((rows[v] & S) * mul & ones)
+                            + (diag << w * v))
+                out[i] = linalg.bareiss_bordered(R, w, den, 1, fields)
         return out
     M = _shift_matrix(G, shift, sign)
-    out = [None] * len(masks)
-    by_order = {}
-    for i, S in enumerate(masks):
-        by_order.setdefault(S.bit_count(), []).append(i)
     for where in by_order.values():
         idx = np.array([_bits(masks[i]) for i in where])
         stack = M[idx[:, :, None], idx[:, None, :]]

@@ -37,7 +37,9 @@ within tol', and symmetrize it before the core sees it.  The trusted
 writers build their matrix straight from a graph's bitmasks
 (Graph.matrix): certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
-(the neighborhoods of bounds.check_neighborhood), certificates._gram for
+(the neighborhoods of bounds.check_neighborhood; parts of at most 3
+vertices come from a table that one stack per order writes once per
+shift, certificates._small_parts), certificates._gram for
 the Gram matrices of the realizations, which certificates._factor_stack
 factors a stack of one order at a time with one _eigh call, the
 search's hereditary filter (_eigvalsh) and the eigenvalue floor
@@ -62,8 +64,10 @@ and fractions.Fraction, clears denominators, checks symmetry, adds the
 border and packs the rows.  certificates.shifted_graph is the other: it
 writes the packed rows of a shifted adjacency straight from the graph's
 bitmasks, and certificates.shifted_principal writes them restricted to
-a vertex set S, which the core then eliminates on the fields of S
-alone, at the width of the whole matrix.
+a vertex set S of more than 3 vertices, which the core then eliminates
+on the fields of S alone, at the width of the whole matrix; a smaller S
+reads its table entry, the core's facts about the induced subgraph's
+own rows.
 
 A verdict that reads the negative count first can often stop there:
 a certificate fails at its first negative eigenvalue (certify_beta at
@@ -493,6 +497,24 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
     below 4 * 2^(w-1) = 2^(w+1).  So the congruence re-derives the width
     as w + 2 and repacks the live rows; repeated congruences compose, 2
     bits each.
+
+    The zero-diagonal exit.  At a capped run's zero-diagonal block with
+    neg == cap, the kernel returns Capped(None, Inertia(None, cap + 1,
+    None)) at once, with no decode and no congruence, when some live row
+    is nonzero off the border: R[i] & (2^(w n) - 1) != 0.  That test is
+    exact, because the vertex fields of R[i], each in (-2^(w-1),
+    2^(w-1)), sum to an int of absolute value below 2^(w n - 1), zero
+    only when every one of them is.  Why the count passes the cap.  The
+    live fields are prev times the Schur complement C of the pivot block
+    (Sylvester), and the inertia of M is that of the pivots plus that of
+    C (Haynsworth).  The pivot fields and, on a principal submatrix, the
+    fields outside S are zero, so the nonzero field is C[i][j] with i
+    and j live and distinct, and C[i][i] = C[j][j] = 0.  A positive
+    semidefinite matrix has no zero diagonal entry with a nonzero row:
+    the 2 x 2 principal minor -C[i][j]^2 would be negative.  Neither has
+    a negative semidefinite one, so C is indefinite, whatever the sign
+    of prev, and has a negative eigenvalue: the whole elimination would
+    count at least cap + 1.
     """
     n = len(R) - 1  # the border is row and column n, never a pivot
     cap = n if cap is None else cap  # neg never exceeds n
@@ -507,6 +529,8 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
             if d:
                 break
         else:
+            if neg == cap and any(R[i] & (1 << w * n) - 1 for i in live):
+                return Capped(None, Inertia(None, neg + 1, None))
             B = {i: [((R[i] + bias) >> w * c & mask) - half
                      for c in range(n + 1)] for i in live + [n]}
             pair = next(((i, j) for a, i in enumerate(live)

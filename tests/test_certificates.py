@@ -7,6 +7,7 @@ and are asserted as frozen constants.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -1072,6 +1073,96 @@ def test_shifted_principal_is_shifted_graph_of_the_induced_subgraph():
             assert (k.inertia, k.rank, k.quadform, k.cut) == (
                 ref.inertia, ref.rank, ref.quadform, ref.cut)
     assert singular >= 2
+
+
+def labelled_graphs_up_to_order_3():
+    """Every labelled graph on 1, 2 or 3 vertices: 1 + 2 + 8 of them."""
+    out = []
+    for m in (1, 2, 3):
+        pairs = list(itertools.combinations(range(m), 2))
+        for r in range(len(pairs) + 1):
+            out += [Graph(m, list(edges))
+                    for edges in itertools.combinations(pairs, r)]
+    return out
+
+
+def test_small_parts_are_shifted_graph_of_every_labelled_graph():
+    # every mask of order <= 3 reads the table of its shift: the facts of
+    # each of the 11 labelled graphs, on its own vertices and as a mask
+    # spread over a larger graph, are shifted_graph's of that graph, equal
+    # for Fractions and bit for bit for floats, at both signs
+    from twodist.search import RATIONAL_GRID
+
+    exact = [x for P in RATIONAL_GRID for x in (P.exact.mu, P.exact.lam)]
+    shifts = exact + [float(x) for x in exact] + [(1 + math.sqrt(5)) / 2]
+    graphs = labelled_graphs_up_to_order_3()
+    assert len(graphs) == 11
+    rng = random.Random(53)
+    compared = 0
+    for H in graphs:
+        # H on the vertices 1, 3, 4 (or the first of them) of a graph on
+        # 6, with random edges elsewhere
+        spots = [1, 3, 4][:H.n]
+        big = rand_graph(rng, 6)
+        edges = [(u, v) for u, v in itertools.combinations(range(6), 2)
+                 if big.rows[u] >> v & 1 and not (u in spots and v in spots)]
+        edges += [(spots[u], spots[v]) for u in range(H.n)
+                  for v in range(u + 1, H.n) if H.rows[u] >> v & 1]
+        G = Graph(6, edges)
+        mask = sum(1 << v for v in spots)
+        assert induced_subgraph(G, spots) == H
+        for shift in shifts:
+            for sign in (+1, -1):
+                ref = cert.shifted_graph(H, shift, sign)
+                for k in (cert.shifted_principal(H, shift, sign,
+                                                 [(1 << H.n) - 1])[0],
+                          cert.shifted_principal(G, shift, sign, [mask])[0]):
+                    compared += 1
+                    if ref.values is None:
+                        assert k == ref
+                        assert type(k.quadform) is type(ref.quadform)
+                        continue
+                    assert k.values.tobytes() == ref.values.tobytes()
+                    assert (k.inertia, k.rank, k.quadform, k.cut) == (
+                        ref.inertia, ref.rank, ref.quadform, ref.cut)
+    assert compared == 11 * len(shifts) * 2 * 2
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_equal_shifts_of_each_arithmetic_get_their_own_table(first):
+    # Fraction(2), 2 and 2.0 are equal and hash alike; each reads its own
+    # table of its own arithmetic, whichever is read first, and a numpy
+    # scalar shift runs the float kernel as an int does
+    shifts = [Fraction(2), 2, 2.0]
+    shifts = shifts[first:] + shifts[:first]
+    G = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    cert._small_parts.cache_clear()
+    facts = {type(x): cert.shifted_principal(G, x, +1, [1, 3, 7])
+             for x in shifts}
+    for k in facts[Fraction]:
+        assert k.values is None and k.cut == 0
+    assert type(facts[Fraction][2].quadform) is Fraction
+    for kind in (int, float):
+        for k in facts[kind]:
+            assert type(k.values) is np.ndarray and type(k.cut) is float
+    assert all(a is not b for a, b in zip(facts[int], facts[float]))
+    assert [k.values.tobytes() for k in facts[int]] == [
+        k.values.tobytes() for k in facts[float]]
+    assert cert._small_parts.cache_info().currsize == 3
+    assert not cert._exact_shift(np.float64(2.0))
+    assert not cert._exact_shift(np.int64(2))
+    assert cert._exact_shift(Fraction(2))
+    k = cert.shifted_principal(G, np.float64(2.0), +1, [3])[0]
+    assert k.values.tobytes() == facts[float][1].values.tobytes()
+    # the table is shared: the same pattern reads the same entry
+    assert cert.shifted_principal(G, 2.0, +1, [12])[0] is facts[float][1]
+
+
+def test_cached_float_values_are_read_only():
+    G = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    for k in cert.shifted_principal(G, 1.5, -1, [1, 3, 7, 21]):
+        with pytest.raises(ValueError, match="read-only"):
+            k.values[0] = 0.0
 
 
 @pytest.mark.parametrize("mask", [0, 1 << 4, -1, 31])
