@@ -69,12 +69,27 @@ on the fields of S alone, at the width of the whole matrix; a smaller S
 reads its table entry, the core's facts about the induced subgraph's
 own rows.
 
+bareiss_bordered is the kernel for a whole matrix: the certificates,
+the neighbourhood parts and shifted_exact.  A matrix that is its
+parent's plus one row is not eliminated whole.  The search's exact
+hereditary test and the oracle's Gram check grow their graphs one
+vertex at a time by orderly generation, so each child's bordered
+matrix is its canonical parent's plus one vertex row, and a child can
+be PSD only if its parent is (interlacing).  extend_psd continues the
+Elimination of a PSD parent by that row alone: it reduces the new row
+through the parent's pivot rows, t packed steps for a parent of rank t
+(Haynsworth's inertia additivity), and returns the child's Elimination
+or the capped verdict.  Every row of such a family is packed at the
+width of its largest member, with the border at a fixed field, so no
+field moves as vertices are added; extend_psd proves that width.
+
 A verdict that reads the negative count first can often stop there:
 a certificate fails at its first negative eigenvalue (certify_beta at
-its second), and so do bounds.sandwich_bounds' membership test, the
-search's exact hereditary test and the oracle's Gram check.  So each
-backend's one kernel takes a cap, the largest negative count its
-caller's verdict can use, None for no cap.  Past the cap,
+its second), and so does bounds.sandwich_bounds' membership test; the
+search's exact hereditary test and the oracle's Gram check stop there
+too, through extend_psd, which gives the verdict of bareiss_bordered at
+cap 0.  So each backend's one kernel takes a cap, the largest negative
+count its caller's verdict can use, None for no cap.  Past the cap,
 bareiss_bordered returns at that pivot, with no further row update and
 no quadratic form, and shifted_trusted skips _read_shifted but keeps
 the spectrum, which certify_alpha's smallest eigenvalue reads.  Both
@@ -571,3 +586,143 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
         corner = ((R[n] + bias) >> w * n) - half
         q = Fraction(-corner * L, prev * W * W)
     return Shifted(None, Inertia(pos, neg, len(live)), pos + neg, q, 0)
+
+
+class Elimination(NamedTuple):
+    """A fraction-free elimination of a bordered positive semidefinite
+    matrix, kept so that extend_psd can continue it by one vertex.
+
+    The matrix is B = [[L M, W v], [W v^T, 0]] on the vertices 0 ..
+    order-1, packed in one family's layout: every row at the width w and
+    the border at field N, with N at least every order the family
+    reaches, so no field moves when a vertex is added.  pivots lists
+    (k, d, R) in pivot order: the vertex field k, the pivot d (the
+    leading principal minor of the pivot block so far, > 0 as M is PSD)
+    and the packed row of k when it was pivoted, its field for every
+    vertex present written.  free masks the w-bit fields of the
+    unpivoted vertices, corner is the border's diagonal field after the
+    pivots, and in_range says whether v lies in the column space of M.
+    """
+
+    order: int
+    pivots: tuple
+    free: int
+    corner: int
+    in_range: bool
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def shifted(self, L: int, W: int) -> Shifted:
+        """The Shifted facts that bareiss_bordered gives for the same B."""
+        rank, q = len(self.pivots), None
+        if self.in_range:
+            prev = self.pivots[-1][1] if self.pivots else 1
+            q = Fraction(-self.corner * L, prev * W * W)
+        return Shifted(None, Inertia(rank, 0, self.order - rank), rank, q, 0)
+
+
+# the elimination of the matrix with no vertex, the root of every family
+EMPTY_ELIMINATION = Elimination(0, (), 0, 0, True)
+
+# a child that is not positive semidefinite: the verdict bareiss_bordered
+# gives at cap 0
+_NOT_PSD = Capped(None, Inertia(None, 1, None))
+
+
+@lru_cache(maxsize=1024)
+def _bias(w: int, border: int) -> int:
+    """half = 2^(w-1) in each of the fields 0 .. border."""
+    return (1 << w - 1) * field_ones(border + 1, w)
+
+
+def extend_psd(parent: Elimination, row: int, w: int,
+               border: int) -> Elimination | Capped:
+    """The elimination of parent's matrix bordered by one more vertex.
+
+    row is the new vertex m = parent.order packed in the family's
+    layout (see Elimination): its entries against the vertices 0 .. m-1
+    in fields 0 .. m-1, its diagonal in field m and W v_m in the border
+    field, every other field zero.  Returns Capped(None, Inertia(None,
+    1, None)), the verdict bareiss_bordered gives at cap 0, when the
+    child matrix is not positive semidefinite, and its Elimination
+    otherwise, which .shifted(L, W) reads as bareiss_bordered reads the
+    whole child: the same inertia, rank and quadratic form.
+
+    Only the new row is reduced, by one Bareiss step through each pivot
+    row of the parent in its order: row = (d row - f R) // prev, f the
+    row's field k.  The child's own pivot row k differs from the
+    parent's in field m alone, which holds the child's entry (k, m)
+    after the earlier pivots; the live part stays symmetric
+    (bareiss_bordered), so that entry is f, and the step writes it into
+    a copy of R, R + (f << w m), before using it.  The child keeps the
+    copies; the parent's rows are not changed.
+
+    Why these are the child's pivots, in the order bareiss_bordered
+    takes them.  The kernel pivots on the first live vertex with a
+    nonzero diagonal.  In a PSD matrix a zero diagonal entry has a zero
+    row, in every Schur complement as well, since those are PSD too; so
+    once a vertex has a zero diagonal it keeps it, the pivots come in
+    increasing order, and vertex i is a pivot exactly when its diagonal
+    after the pivots below i is nonzero, a fact about the leading
+    vertices 0 .. i alone.  So a PSD child pivots where its parent did,
+    with the same pivots d, and then on m when the reduced diagonal s,
+    field m of the reduced row, is nonzero.
+
+    The verdict.  After the parent's pivots the Schur complement of the
+    child on the free vertices U and m is [[0, f_U], [f_U^T, s]] up to
+    the positive factor prev, f_U the reduced row's fields on U
+    (Sylvester; the parent's Schur complement on U is zero, as it is
+    PSD).  It is PSD iff s >= 0 and f_U = 0: a negative s is a negative
+    pivot, and a nonzero f_u with the zero diagonal at u gives the 2 x 2
+    principal minor -f_u^2 < 0.  The congruence keeps the inertia
+    (Haynsworth), so the child is PSD exactly when that block is, and
+    then its rank is the parent's plus [s > 0].  The fields of U are
+    zero iff (row + bias) ^ bias vanishes on their mask, as each biased
+    field lies in (0, 2^w) with no carry.  When s > 0 the border row's
+    step gives the corner (s corner - g^2) // prev, g the reduced row's
+    border field, and scales each free row's border field by s / prev,
+    so v stays in the range iff it was; when s = 0, m joins the free
+    vertices, and v stays in the range iff it was and g = 0.
+
+    Why every stored field fits the width.  After the pivots P_i = p_1
+    .. p_i, field j of the reduced new row is det B_c[P_i + m, P_i + j],
+    and field j of the copy of pivot row p_i is det B_c[P_(i-1) + p_i,
+    P_(i-1) + j] (Sylvester's identity), B_c the child's bordered matrix;
+    every d, s, f, g and corner is such a field.  B_c has order n + 1 <=
+    N + 1, and packed_width(h) holds every minor of it when h is at
+    least the product of max(1, squared norm) over its rows.  A family
+    takes h at N, from bounds that hold at every order:
+    certificates._layout's h = b^N N, with b >= 1 at least the squared
+    norm of any vertex row on N vertices and N that of the border row at
+    W = 1, is at least that product for a child on n <= N vertices,
+    whose n vertex rows have squared norms at most b and whose border
+    row has n.  So every minor of B_c, every stored field included, lies
+    in (-2^(w-1), 2^(w-1)) at every level.  As in bareiss_bordered, the
+    products d row and f R may overflow their fields, and each division
+    is exact field by field, so only the divided rows are read or kept.
+    """
+    m = parent.order
+    mask, half = (1 << w) - 1, 1 << w - 1
+    bias = _bias(w, border)
+    at = w * m
+    prev, rows = 1, []
+    for k, d, R in parent.pivots:
+        f = ((row + bias) >> w * k & mask) - half
+        R += f << at
+        rows.append(R)
+        row = (d * row - f * R) // prev
+        prev = d
+    col = row + bias
+    s = (col >> at & mask) - half
+    if s < 0 or (col ^ bias) & parent.free:
+        return _NOT_PSD
+    g = (col >> w * border & mask) - half
+    pivots = tuple([(k, d, R) for (k, d, _), R in zip(parent.pivots, rows)])
+    if s:
+        return Elimination(m + 1, pivots + ((m, s, row),), parent.free,
+                           (s * parent.corner - g * g) // prev,
+                           parent.in_range)
+    return Elimination(m + 1, pivots, parent.free | mask << at,
+                       parent.corner, parent.in_range and not g)

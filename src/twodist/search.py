@@ -15,7 +15,11 @@ _grow grows that tree of canonical survivors once per (mu, r_max) by
 orderly generation (graphs._canonical_children), testing a child for
 canonicity only when it passes both tests, and keeps each survivor's
 kernel facts at its own cut: exact ones are those its hereditary test
-already computed.
+already computed.  Exactly, a child's matrix is its parent's plus one
+row, so the test extends the parent's elimination by that row
+(linalg.extend_psd, t packed steps for a parent of rank t) instead of
+eliminating the child whole, and a survivor keeps its elimination for
+its own children; floats read one spectrum per child.
 _ask answers any (r <= r_max, p, mode) query by filtering those facts,
 which is where the range and budget tests, not inherited, run.  The
 float backend prunes at the loosest cut any leaf on n_max vertices uses,
@@ -32,10 +36,14 @@ exhaustive.
 
 oracle_cross_check validates certificates against an independent ground
 truth: the Gram candidate with unit diagonal, alpha on edges and beta on
-non-edges, tested for positive semidefiniteness and rank by the exact
-integer kernel, then realized and re-extracted.  The certified pairs of
-one order are realized together, up to _REALIZE_BLOCK of them per
-stacked call (certificates.realize_stack).
+non-edges, tested for positive semidefiniteness and rank in exact
+integers, then realized and re-extracted.  The enumeration is orderly
+too, so each Gram candidate extends its canonical parent's elimination
+at the same grid point by one row (linalg.extend_psd), and a child of
+an indefinite candidate is indefinite (interlacing).  The certified
+pairs of one order are realized together, up to _REALIZE_BLOCK of them
+per stacked call (certificates.realize_stack).  linalg.bareiss_bordered,
+the kernel for a whole matrix, runs only inside the certificates here.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ from operator import itemgetter
 from . import linalg
 from .bounds import dgs_bound, power_bound, turan_bound
 from .certificates import (CodeParameters, certify_alpha, realize_from_alpha,
-                           realize_stack, shifted_graph, _bordered, _fmt,
-                           _is_exact, _shift_matrix)
+                           realize_stack, shifted_graph, _fmt, _is_exact,
+                           _layout, _shift_matrix)
 from .errors import (AmbiguousPair, CertificateInvalid, ParameterDomain,
                      ReconstructionResidual, SizeGuardError)
 from .graphs import (complete_graph, emit_graph6, empty_graph,
@@ -124,32 +132,63 @@ def _cut_max(mu: float, n_max: int, tol: float) -> float:
                              tol)
 
 
+class _Family:
+    """The bordered integer matrices of graphs grown one vertex at a time.
+
+    diag on the diagonal, edge on the edges and other elsewhere, bordered
+    by the all-ones vector, up to n_max vertices, in one layout
+    (linalg.Elimination): every row at the width certificates._layout
+    gives the bordered matrix of a graph on n_max vertices, and the
+    border at field n_max, so no field moves when a vertex is added.  extend(parent,
+    mask) writes the row of vertex m = parent.order from its neighbour
+    mask, as certificates._bordered writes a vertex row, its fields
+    above m left zero, and runs linalg.extend_psd on it.
+    """
+
+    def __init__(self, n_max: int, diag: int, edge: int, other: int):
+        self.w, self.mul, self.ones = _layout(n_max, diag, edge, other)
+        self.n_max, self.diag, self.step = n_max, diag, edge - other
+        border = 1 << self.w * n_max
+        self.base = [other * linalg.field_ones(m, self.w) + border
+                     for m in range(n_max)]
+
+    def extend(self, parent, mask: int):
+        m, w = parent.order, self.w
+        row = (self.base[m] + self.step * (mask * self.mul & self.ones)
+               + (self.diag << w * m))
+        return linalg.extend_psd(parent, row, w, self.n_max)
+
+
 class _Hereditary:
     """Child filter for the grower: A + mu I is PSD with rank <= r.
 
     Both tests pass to every induced subgraph (Cauchy interlacing, and a
     principal submatrix never has larger rank), so a child failing them
-    has no qualifying descendant.  Exact when cut is None, and then a
-    passing child's kernel facts are its leaf facts, so the call returns
-    them; a float child that passes gives True.  Floats compare at one
-    fixed cut, which must be _cut_max: at that cut both interlacing
-    inequalities still hold, while a child's own smaller cut could drop a
-    graph that a descendant's leaf test accepts; the eigenvalues are
-    counted there by linalg._count_inertia, the certificates' own count.
-    The exact kernel stops at the first negative pivot (cap 0), which
-    decides "psd" before the rank is known; a passing child has no
-    negative pivot, so its facts are complete.  A failing child gives
-    None.  Counts the rejections by test.
+    has no qualifying descendant.  Exact when cut is None: family, the
+    _Family of L (A + mu I), L the denominator of mu, extends the
+    elimination of the child's parent, which the caller sets as
+    self.parent before the parent's children come, by the child's last
+    row (linalg.extend_psd), and a passing child's linalg.Elimination is
+    returned: its .shifted(L, 1) are its leaf facts, those that
+    shifted_graph gives.  A child that is not PSD gives the verdict of
+    the whole kernel at cap 0, before its rank is known.  A float child
+    that passes gives True.  Floats compare at one fixed cut, which must
+    be _cut_max: at that cut both interlacing inequalities still hold,
+    while a child's own smaller cut could drop a graph that a
+    descendant's leaf test accepts; the eigenvalues are counted there by
+    linalg._count_inertia, the certificates' own count.  A failing child
+    gives None.  Counts the rejections by test.
     """
 
-    def __init__(self, r: int, mu, cut):
-        self.r, self.mu, self.cut = r, mu, cut
+    def __init__(self, r: int, mu, cut, family=None):
+        self.r, self.mu, self.cut, self.family = r, mu, cut, family
+        self.parent = linalg.EMPTY_ELIMINATION
         self.rejected = {"psd": 0, "rank": 0}
 
     def __call__(self, G):
         if self.cut is None:
-            k = shifted_graph(G, self.mu, +1, cap=0)
-            neg = k.inertia.neg
+            k = self.family.extend(self.parent, G.rows[-1])
+            neg = isinstance(k, linalg.Capped)
             rank = None if neg else k.rank
         else:
             pos, neg, _ = linalg._count_inertia(
@@ -163,9 +202,18 @@ class _Hereditary:
 
 
 def _extend_shard(task):
-    parents, r, mu, cut = task
-    keep = _Hereditary(r, mu, cut)
-    return list(_canonical_children(parents, keep)), keep.rejected
+    """The kept children of (parent, state) pairs, and the rejections:
+    state is the parent's linalg.Elimination when exact."""
+    parents, r, mu, cut, n_max = task
+    family = None
+    if cut is None:
+        family = _Family(n_max, mu.numerator, mu.denominator, 0)
+    keep = _Hereditary(r, mu, cut, family)
+    grown = []
+    for parent, state in parents:
+        keep.parent = state
+        grown += _canonical_children([parent], keep)
+    return grown, keep.rejected
 
 
 def _pool_size(workers: int, items: int) -> int:
@@ -202,9 +250,13 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
     only if it passes the hereditary filter.  leaves holds (order, graph6,
     kernel facts at its own cut) per survivor; stats is the tree record.
     A survivor is not rebuilt from its graph6 string: the child Graph
-    itself parents the next level, and an exact survivor keeps the facts
-    its hereditary test computed, so each tested child is eliminated
-    once.  Parents are dealt into one task per worker process.
+    itself parents the next level.  Exactly, each tested child extends
+    its parent's linalg.Elimination by its new row, once (_Hereditary),
+    in the layout of the tree's _Family at n_max, and a survivor keeps
+    its elimination, which parents its own children and reads its leaf
+    facts, those of shifted_graph; no matrix of the tree is eliminated
+    whole.  Parents are dealt, each with its elimination, into one task
+    per worker process, and survivors come back with theirs.
     """
     # floats prune at one fixed cut, not at each child's own, so the
     # hereditary filter is where the search still picks its arithmetic
@@ -220,12 +272,12 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
         # 2 MB of memory and 20 ms of import time
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=shards)
-    leaves, parents = [], [empty_graph(0)]
+    leaves, parents = [], [(empty_graph(0), linalg.EMPTY_ELIMINATION)]
     with pool:
         mapper = pool.map if shards > 1 else map
         for n in range(1, n_max + 1):
             stats["tested"][n] = len(parents) << (n - 1)
-            tasks = [(parents[i::shards], r_max, mu, cut)
+            tasks = [(parents[i::shards], r_max, mu, cut, n_max)
                      for i in range(min(shards, len(parents)))]
             level = []
             for grown, pruned in mapper(_extend_shard, tasks):
@@ -236,10 +288,10 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
             stats["kept"][n] = len(level)
             if not level:
                 break
-            parents = [child for _, child, _ in level]
-            # an exact child's hereditary facts are its leaf facts; a float
+            parents = [(child, k) for _, child, k in level]
+            # an exact child's elimination reads its leaf facts; a float
             # leaf compares at its own cut, not at the pruning cut
-            leaves += [(n, g6, k if cut is None
+            leaves += [(n, g6, k.shifted(mu.denominator, 1) if cut is None
                         else shifted_graph(child, mu, +1, tol))
                        for g6, child, k in level]
     return leaves, stats
@@ -406,8 +458,14 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
     certificate verdict must match positive semidefiniteness of the Gram
     candidate (unit diagonal, alpha on edges, beta elsewhere), the
     certified rank must match its exact rank, and valid graphs must
-    survive a realize/extract round trip.  The valid pairs of an order
-    are realized in stacked calls of at most _REALIZE_BLOCK pairs; a
+    survive a realize/extract round trip.  The Gram candidate, scaled to
+    integers, is decided by extending its canonical parent's (G less
+    its last vertex) linalg.Elimination at the same point by its last
+    row; a child of a parent that is not PSD inherits the capped
+    verdict, the one a whole elimination in the same pivot order
+    reaches.  No quadratic form is built: only the verdict and the rank
+    are read.  The valid pairs of an order are realized in stacked
+    calls of at most _REALIZE_BLOCK pairs; a
     pair whose realization raises ReconstructionResidual,
     CertificateInvalid or AmbiguousPair is a round-trip mismatch, and any
     other error propagates.  Mismatches come in the order of graph, then
@@ -419,36 +477,49 @@ def oracle_cross_check(n_max: int, parameter_grid=None,
         raise ValueError("the oracle cross-check needs n_max >= 1")
     grid = RATIONAL_GRID if parameter_grid is None else tuple(parameter_grid)
     # the Gram candidate scaled to integers: D on the diagonal, D alpha on
-    # edges and D beta elsewhere, D = lcm of the two denominators
+    # edges and D beta elsewhere, D = lcm of the two denominators, as one
+    # family of rows per grid point
     scaled = []
     for P in grid:
         ex = P.exact
         if ex is None:
             raise ValueError("the oracle needs exact rational parameters")
         D = math.lcm(ex.alpha.denominator, ex.beta.denominator)
-        scaled.append((P, D, (ex.alpha * D).numerator,
-                       (ex.beta * D).numerator, float(ex.alpha),
-                       float(ex.beta)))
+        scaled.append((P, _Family(n_max, D, (ex.alpha * D).numerator,
+                                  (ex.beta * D).numerator),
+                       float(ex.alpha), float(ex.beta)))
     checked, mismatches = 0, []
+    # the eliminations of the previous order's Gram candidates, per grid
+    # point, keyed by the graph's rows: a linalg.Elimination when PSD, the
+    # capped verdict otherwise
+    states = {(): [linalg.EMPTY_ELIMINATION] * len(scaled)}
     for n in range(1, n_max + 1):
         # one [where, kind] per check of the order, by graph, then grid
         # point, and each valid pair with the index of its check
-        checks, valid = [], []
+        checks, valid, level = [], [], {}
+        low = (1 << n - 1) - 1
         for G in enumerate_graphs(n):
             g6 = emit_graph6(G)
-            for P, D, a, b, fa, fb in scaled:
+            # the canonical parent is G less its last vertex, and its Gram
+            # candidate is the child's less its last row and column
+            above = states[tuple(row & low for row in G.rows[:-1])]
+            mask, facts = G.rows[-1], []
+            for (P, family, fa, fb), parent in zip(scaled, above):
                 c = certify_alpha(G, P, tol)
-                # only a PSD Gram candidate has its rank read
-                fact = linalg.bareiss_bordered(*_bordered(G, D, a, b), D, 1,
-                                               cap=0)
+                # interlacing: a child of a matrix that is not PSD is not
+                fact = (parent if isinstance(parent, linalg.Capped)
+                        else family.extend(parent, mask))
+                facts.append(fact)
                 kind = None
-                if c.valid != (fact.inertia.neg == 0):
+                if c.valid == isinstance(fact, linalg.Capped):
                     kind = "validity"
                 elif c.valid and fact.rank != c.rank_r:
                     kind = "rank"
                 elif c.valid:
                     valid.append((len(checks), (G, P, c.rank_r)))
                 checks.append([(g6, fa, fb), kind])
+            level[G.rows] = facts
+        states = level
         # stacked realizations; a graph that does not come back is a
         # round-trip mismatch, any other error is the program's own
         for lo in range(0, len(valid), _REALIZE_BLOCK):

@@ -55,6 +55,11 @@ the least eigenvalue and the rank summed by numpy, the body unchanged.
 Its exact branch runs the whole elimination, as it did before the
 kernels took a cap.
 
+grow is search._grow before its exact test extended each child from its
+parent's elimination: GraphHereditary, the filter it ran, eliminates
+every child's whole matrix with one shifted_graph at cap 0, whose facts
+a survivor keeps.  It grows serially, with no pool.
+
 certify_alpha, certify_beta_zero and certify_beta are the certificate
 bodies from before they passed a cap to their kernel, unchanged: each
 runs the whole elimination or the whole float read, quadratic form
@@ -94,11 +99,11 @@ from twodist.errors import (AmbiguousPair, CertificateInvalid,
                             ParameterDomain, ReconstructionResidual,
                             SizeGuardError)
 from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits,
-                            _canonical_children, _check_vertex,
+                            _canonical_children, _check_vertex, empty_graph,
                             independence_number, is_complete)
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, _as_symmetric,
                             _eigh, inertia, scaled_tol)
-from twodist.search import _Hereditary, _leaf_rejection
+from twodist.search import _cut_max, _Hereditary, _leaf_rejection
 
 # check_subgraph_inequality_by_sweep sweeps all 2^n subsets when none is
 # given
@@ -722,6 +727,42 @@ class Hereditary(_Hereditary):
             self.rejected[failed] += 1
             return None
         return k
+
+
+class GraphHereditary(_Hereditary):
+    """search._Hereditary before its exact branch extended each child from
+    its parent's elimination: one shifted_graph per child, at cap 0."""
+
+    def __call__(self, G):
+        if self.cut is not None:
+            return super().__call__(G)
+        k = shifted_graph(G, self.mu, +1, cap=0)
+        neg = k.inertia.neg
+        failed = "psd" if neg else "rank" if k.rank > self.r else None
+        if failed:
+            self.rejected[failed] += 1
+            return None
+        return k
+
+
+def grow(mu, r_max: int, n_max: int, tol: float):
+    """search._grow, serially, with one shifted_graph per tested child."""
+    cut = None if isinstance(mu, Fraction) else _cut_max(mu, n_max, tol)
+    keep = GraphHereditary(r_max, mu, cut)
+    stats = {"backend": "exact" if cut is None else "float", "r_max": r_max,
+             "tested": {}, "kept": {}, "pruned": keep.rejected}
+    leaves, parents = [], [empty_graph(0)]
+    for n in range(1, n_max + 1):
+        stats["tested"][n] = len(parents) << (n - 1)
+        level = sorted(_canonical_children(parents, keep), key=lambda t: t[0])
+        stats["kept"][n] = len(level)
+        if not level:
+            break
+        parents = [child for _, child, _ in level]
+        leaves += [(n, g6, k if cut is None
+                    else shifted_graph(child, mu, +1, tol))
+                   for g6, child, k in level]
+    return leaves, stats
 
 
 def certify_alpha(G: Graph, params: CodeParameters,

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import reference
 from twodist import certificates as cert
 from twodist import linalg
-from twodist.graphs import enumerate_graphs
+from twodist.graphs import Graph, enumerate_graphs
 from twodist.linalg import Inertia
+from twodist.search import RATIONAL_GRID, _Family
 
 SETTINGS = dict(deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -368,3 +369,155 @@ def test_cap_trips_before_or_after_the_congruence(M, congruences, capped,
     assert (type(k) is linalg.Capped) == capped
     assert k == (linalg.Capped(None, Inertia(None, 1, None)) if capped
                  else full)
+
+
+# ---------------------------------------------------------------------------
+# one vertex at a time: linalg.extend_psd
+# ---------------------------------------------------------------------------
+
+def prefix(B, m):
+    """The bordered list matrix of the first m vertices of B, whose border
+    is its last row and column."""
+    keep = list(range(m)) + [len(B) - 1]
+    return [[B[i][j] for j in keep] for i in keep]
+
+
+def grown_row(B, m, w):
+    """Row m of B in the family layout: fields 0 .. m, the border at the
+    field of B's last column."""
+    border = len(B) - 1
+    return (sum(B[m][i] << w * i for i in range(m + 1))
+            + (B[m][border] << w * border))
+
+
+def extend_each_prefix(B, w, L, W):
+    """(extension, the list elimination of the same prefix) for each
+    order, up to the first that is not PSD."""
+    out, state = [], linalg.EMPTY_ELIMINATION
+    for m in range(len(B) - 1):
+        state = linalg.extend_psd(state, grown_row(B, m, w), w, len(B) - 1)
+        out.append((state, reference.bareiss_bordered(prefix(B, m + 1), L,
+                                                      W)))
+        if isinstance(state, linalg.Capped):
+            break
+    return out
+
+
+@st.composite
+def grown_inputs(draw):
+    """A bordered integer matrix of order at most 10 whose prefixes are
+    mostly PSD: X X^T of low rank with entries up to 3, so free vertices
+    and zero diagonals come often, sometimes plus a symmetric
+    perturbation that makes some prefix indefinite; v is j, zero,
+    random or X y, in the range."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(0, n))
+    X = [[draw(st.integers(-3, 3)) for _ in range(r)] for _ in range(n)]
+    M = [[sum(a * b for a, b in zip(X[i], X[j])) for j in range(n)]
+         for i in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        e = draw(st.integers(-2, 2))
+        M[i][j] += e
+        if i != j:
+            M[j][i] += e
+    vkind = draw(st.sampled_from(("ones", "zero", "random", "range")))
+    if vkind == "range":
+        y = [draw(st.integers(-2, 2)) for _ in range(r)]
+        v = [sum(a * b for a, b in zip(row, y)) for row in X]
+    elif vkind == "random":
+        v = [draw(st.integers(-3, 3)) for _ in range(n)]
+    else:
+        v = [1 if vkind == "ones" else 0] * n
+    return [row + [x] for row, x in zip(M, v)] + [v + [0]]
+
+
+@settings(max_examples=400, **SETTINGS)
+@given(grown_inputs())
+def test_extension_gives_the_whole_elimination_on_every_prefix(B):
+    # a PSD prefix's extension reads the facts the list elimination of
+    # the whole prefix gives, and the first prefix that is not PSD gives
+    # the capped verdict, as the kernel at cap 0 does
+    w = linalg.packed_width(
+        math.prod(max(1, sum(x * x for x in row)) for row in B))
+    for state, want in extend_each_prefix(B, w, 1, 1):
+        if want.inertia.neg:
+            assert state == linalg.Capped(None, Inertia(None, 1, None))
+        else:
+            assert state.shifted(1, 1) == want
+            assert state.rank == want.rank
+
+
+def pivot_rows(B, pivots):
+    """The rows of the list matrix B at the fraction-free steps that pivot
+    on pivots in turn, each as it stood when pivoted, and the border's
+    diagonal after them."""
+    B = [row[:] for row in B]
+    prev, live, rows = 1, set(range(len(B))), []
+    for k in pivots:
+        Bk = B[k][:]
+        rows.append(Bk)
+        live.discard(k)
+        for i in live:
+            f = B[i][k]
+            B[i] = [(Bk[k] * a - f * b) // prev for a, b in zip(B[i], Bk)]
+        prev = Bk[k]
+    return rows, B[-1][-1]
+
+
+def family_matrix(G, diag, edge, other):
+    n = G.n
+    B = [[diag if i == j else edge if G.has_edge(i, j) else other
+          for j in range(n)] + [1] for i in range(n)]
+    return B + [[1] * n + [0]]
+
+
+def widest_families():
+    """(diag, edge, other, L) of the search at mu = 6 and mu = 7/2, and of
+    the oracle's Gram candidates at every grid point with D = 4."""
+    families = [(6, 1, 0, 1), (7, 2, 0, 2)]
+    for P in RATIONAL_GRID:
+        a, b = P.exact.alpha, P.exact.beta
+        D = math.lcm(a.denominator, b.denominator)
+        if D == 4:
+            families.append((D, int(a * D), int(b * D), D))
+    return families
+
+
+def test_family_width_holds_every_field_at_n_max_eight():
+    # each row of a family is packed at the width of its order n_max = 8
+    # bordered matrix, whatever the order of the child: every stored
+    # field must decode to the entry the list elimination of the child
+    # gives, and the facts must be reference.bareiss_bordered's on the
+    # unpacked lists of every prefix
+    rng = random.Random(8)
+    graphs = [Graph(8, [(i, j) for i in range(8)
+                        for j in range(i) if rng.random() < density])
+              for density in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0) * 6]
+    families = widest_families()
+    assert len(families) > 8
+    deep = 0
+    for diag, edge, other, L in families:
+        family = _Family(8, diag, edge, other)
+        w, mask, half = family.w, (1 << family.w) - 1, 1 << family.w - 1
+        bias = linalg._bias(w, 8)
+        for G in graphs:
+            state = linalg.EMPTY_ELIMINATION
+            for m in range(8):
+                state = family.extend(state, G.rows[m] & (1 << m) - 1)
+                B = prefix(family_matrix(G, diag, edge, other), m + 1)
+                want = reference.bareiss_bordered([row[:] for row in B], L,
+                                                  1)
+                if isinstance(state, linalg.Capped):
+                    assert want.inertia.neg
+                    break
+                assert state.shifted(L, 1) == want
+                fields = list(range(m + 1)) + [8]
+                rows, corner = pivot_rows(B, [k for k, _, _ in state.pivots])
+                for (k, d, R), row in zip(state.pivots, rows):
+                    assert d == row[k]
+                    assert [((R + bias) >> w * i & mask) - half
+                            for i in fields] == row
+                assert state.corner == corner
+                deep += m == 7
+    assert deep > 100

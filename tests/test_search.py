@@ -15,17 +15,18 @@ import numpy as np
 import pytest
 
 from twodist import bounds, cli, graphs, linalg, search
-from twodist.certificates import (CodeParameters, beta_graph, certify_alpha,
-                                  certify_beta, code_rank, realize_from_alpha,
+from twodist.certificates import (AlphaCertificate, CodeParameters,
+                                  beta_graph, certify_alpha, certify_beta,
+                                  code_rank, realize_from_alpha,
                                   realize_from_beta, shifted_graph,
-                                  verify_code)
+                                  verify_code, _bordered)
 from twodist.errors import (ParameterDomain, ReconstructionResidual,
                             SizeGuardError)
 from twodist.graphs import (canonical_form, complete_graph, cycle_graph,
                             disjoint_union, emit_graph6, empty_graph,
                             enumerate_graphs, parse_graph6)
 
-from reference import Hereditary, _rejection, rational_shift
+from reference import Hereditary, _rejection, grow, rational_shift
 
 
 def pentagon_parameters():
@@ -388,19 +389,25 @@ def test_enumeration_and_capacity_never_canonicalize(monkeypatch):
 
 
 def test_exact_tree_eliminates_each_tested_child_once(monkeypatch):
-    # a survivor keeps the kernel facts of its hereditary test and its own
-    # Graph: no second elimination, no graph6 round trip
-    real = linalg.bareiss_bordered
+    # each tested child extends its parent's elimination by its one new
+    # row, once; no whole matrix of the tree goes to bareiss_bordered, and
+    # a survivor keeps its elimination and its own Graph: no graph6 round
+    # trip
+    real = linalg.extend_psd
     calls = []
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
+    def whole(*args, **kwargs):
+        raise AssertionError("bareiss_bordered called in the exact tree")
+
     def forbidden(text):
         raise AssertionError("parse_graph6 called on %s" % text)
 
-    monkeypatch.setattr(linalg, "bareiss_bordered", counted)
+    monkeypatch.setattr(linalg, "extend_psd", counted)
+    monkeypatch.setattr(linalg, "bareiss_bordered", whole)
     monkeypatch.setattr(search, "parse_graph6", forbidden)
     res = search.capacity(6, 1, Fraction(2), n_max=7)
     assert len(calls) == sum(res.stats["tested"].values())
@@ -409,6 +416,31 @@ def test_exact_tree_eliminates_each_tested_child_once(monkeypatch):
     res_f = search.capacity(6, 1.0, 2.0, n_max=7)
     assert not calls
     assert res_f.stats == dict(res.stats, backend="float")
+
+
+@pytest.mark.parametrize("mu", [Fraction(3, 2), Fraction(4, 3),
+                                Fraction(8, 5), Fraction(7, 3),
+                                Fraction(5, 2), Fraction(3)])
+@pytest.mark.parametrize("r_max", [2, 3, 4, 5])
+def test_one_row_grower_matches_the_whole_elimination_grower(mu, r_max):
+    # the same kept graph6 strings per level, the same stats, and each
+    # leaf's inertia, rank and quadform, as when every tested child was
+    # eliminated whole (reference.grow)
+    leaves, stats = search._grow(mu, r_max, 8, linalg.DEFAULT_TOL, 1)
+    assert (leaves, stats) == grow(mu, r_max, 8, linalg.DEFAULT_TOL)
+    assert sum(stats["tested"].values()) > sum(stats["kept"].values()) > 0
+
+
+@pytest.mark.parametrize("r_max, n_max, workers", [(5, 11, 2), (6, 10, 1)],
+                         ids=["r5-n11-workers2", "r6-n10"])
+def test_deep_trees_match_the_whole_elimination_grower(r_max, n_max,
+                                                       workers):
+    # the trees of test_deep_exact_trees_at_mu_two, one through the pool:
+    # parents travel with their eliminations, survivors come back with
+    # theirs
+    got = search._grow(Fraction(2), r_max, n_max, linalg.DEFAULT_TOL,
+                       workers)
+    assert got == grow(Fraction(2), r_max, n_max, linalg.DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +702,40 @@ def test_consumers_reuse_their_certificates(monkeypatch):
     res = search.max_code_size(Fraction(1, 3), Fraction(-1, 3), d=2, n_max=4)
     assert len(res.extremal_graphs) == 2
     assert certified == res.extremal_graphs
+
+
+def test_oracle_verdicts_match_a_full_elimination(monkeypatch):
+    # the oracle extends each Gram candidate from its canonical parent's
+    # elimination, and a child of a capped parent inherits the capped
+    # verdict; a certificate that reports the whole elimination of the
+    # same Gram candidate must then agree with it on every pair up to n = 6
+    seen, extended = [], []
+    extend = linalg.extend_psd
+
+    def counted(*args):
+        extended.append(1)
+        return extend(*args)
+
+    def whole(G, P, tol):
+        a, b = P.exact.alpha, P.exact.beta
+        D = math.lcm(a.denominator, b.denominator)
+        fact = linalg.bareiss_bordered(
+            *_bordered(G, D, int(a * D), int(b * D)), D, 1, cap=0)
+        valid = not fact.inertia.neg
+        seen.append((valid, fact.rank if valid else None))
+        return AlphaCertificate(valid=valid, rank_r=seen[-1][1])
+
+    monkeypatch.setattr(linalg, "extend_psd", counted)
+    monkeypatch.setattr(search, "certify_alpha", whole)
+    monkeypatch.setattr(search, "realize_stack",
+                        lambda items, route, tol: [None] * len(items))
+    rep = search.oracle_cross_check(6)
+    assert (rep.checked, rep.mismatches) == (3120, [])
+    assert len(seen) == 3120
+    assert {valid for valid, _ in seen} == {True, False}
+    assert {rank for _, rank in seen} == {None, 1, 2, 3, 4, 5, 6}
+    # the children of an indefinite Gram candidate are not extended
+    assert len(extended) == 3120 - 2211
 
 
 def test_oracle_guards():
