@@ -584,12 +584,12 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
     grams is a (k, n, n) stack of Gram matrices, each symmetric by
     construction (Graph.matrix), and goes straight to one linalg._eigh
     call, which gives each slice the bits of its own.  The cuts tol' are
-    taken for every slice at once, as linalg.shifted_stack takes them,
-    and each slice's rank is the positive count linalg._count_inertia
-    reads at its cut.  A slice whose rank is not ranks[i] gets its
-    ReconstructionResidual; the others are grouped by rank, and in a group
-    the sign fix, the scaling, the residual check, the norm check and the
-    normalization are stacked numpy operations.  Each eigenvector kept is
+    taken for every slice at once (linalg._stack_cuts), and each slice's
+    rank is the positive count linalg._count_inertia reads at its cut.
+    A slice whose rank is not ranks[i] gets its ReconstructionResidual;
+    the others are grouped by rank, and in a group the sign fix, the
+    scaling, the residual check, the norm check and the normalization
+    are stacked numpy operations.  Each eigenvector kept is
     signed so that its first entry above 1e-12 in absolute value is
     positive.  Returns, per slice, U or the exception it raises.
 
@@ -601,8 +601,7 @@ def _factor_stack(grams: np.ndarray, ranks, tol: float) -> list:
     """
     values, vectors = linalg._eigh(grams)
     values, rows = values[:, ::-1], vectors.transpose(0, 2, 1)[:, ::-1]
-    cuts = (tol * np.maximum(1.0, np.abs(grams).sum(axis=2).max(axis=1))
-            ).tolist()
+    cuts = linalg._stack_cuts(grams, tol)
     found = [linalg._count_inertia(val, cut).pos
              for val, cut in zip(values, cuts)]
     out = [None] * len(found)

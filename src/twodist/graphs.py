@@ -5,9 +5,9 @@ Everything here targets exhaustive work at small order: graph6 round trips,
 isomorphism-free enumeration, and the independence number by branch and
 bound.  The bound checks build no subgraphs: a neighborhood is a vertex
 mask, read off the parent's rows (certificates.shifted_principal).
-Every float matrix of a graph comes from Graph.matrix, and each graph
-writes its 0/1 table once, on its first float write, then reads every
-matrix off it with one take.
+Every float matrix of a graph but the search tree's comes from
+Graph.matrix, and each graph writes its 0/1 table once, on its first
+float write, then reads every matrix off it with one take.
 
 Canonical forms are exact: the lexicographically smallest graph6 bit string
 over all relabelings, found by a depth-first search over vertex orderings
@@ -20,8 +20,8 @@ children whose own labeling is canonical, which the same search decides by
 stopping at the first smaller prefix.  Every class is emitted once, by its
 canonical parent, with no canonicalization or deduplication of children.
 The per-order cache holds the Graph levels themselves, so no level goes
-through graph6 again.  An optional filter runs on each child first (the
-hereditary capacity search in search.py grows through the same step).
+through graph6 again.  An optional test of each neighbour mask runs
+before its child is written (search.py grows through the same step).
 """
 
 from __future__ import annotations
@@ -409,39 +409,37 @@ def canonical_form(G: Graph) -> str:
     return _graph6(G.n, segs)
 
 
-def _canonical_children(parents, keep=None):
-    """The canonical one-vertex extensions of parents, as a generator of
-    (graph6, child, kept) triples.
+def _canonical_children(parent: Graph, test=None):
+    """The canonical one-vertex extensions of parent, as a generator of
+    (graph6, child, state) triples.
 
-    Each parent, a Graph on m vertices in canonical labeling, gains a
-    vertex m joined to the parent's vertices by every one of the 2^m
-    neighbour masks.  A child is kept when keep(child) is true (keep=None
-    keeps every child) and its own labeling is canonical.  keep runs
-    first, so a filter that every induced subgraph inherits prunes whole
-    subtrees.  This is orderly generation (Read, 1978): deleting the last
-    vertex of a canonical string leaves the canonical string of the
-    parent, so every class on m + 1 vertices is emitted exactly once, by
-    its own canonical parent, and no deduplication is needed.  A parent
-    that is not in canonical labeling yields no child.
+    parent, a Graph on m vertices in canonical labeling, gains a vertex m
+    joined to its vertices by every one of the 2^m neighbour masks.  A
+    child is kept when test(mask) is not None (test=None keeps every
+    child) and its own labeling is canonical.  test runs before the
+    child is written, so a test that every induced subgraph inherits
+    prunes whole subtrees, and a rejected child costs only that call.
+    This is orderly generation (Read, 1978): deleting the last vertex of
+    a canonical string leaves the canonical string of the parent, so
+    every class on m + 1 vertices is emitted exactly once, by its own
+    canonical parent, and no deduplication is needed.  A parent that is
+    not in canonical labeling yields no child.
 
-    child is the kept Graph itself, already in its canonical labeling,
-    and kept is the true value keep(child) returned (True when keep is
-    None), so a filter can hand on what it computed about the child.
+    child is the kept Graph, in its canonical labeling, and state is
+    test(mask) (True when test is None): what the test computed.
     """
-    for parent in parents:
-        m = parent.n
-        for mask in range(1 << m):
-            rows = [row | (mask >> v & 1) << m
-                    for v, row in enumerate(parent.rows)]
-            rows.append(mask)
+    m = parent.n
+    for mask in range(1 << m):
+        state = True if test is None else test(mask)
+        if state is None:
+            continue
+        rows = [row | (mask >> v & 1) << m
+                for v, row in enumerate(parent.rows)]
+        rows.append(mask)
+        segs = _segments(rows, m + 1)
+        if not _lower_segments(rows, m + 1, segs, first=True):
             # symmetric and loop-free by construction: no from_rows checks
-            child = Graph._trusted(rows)
-            kept = True if keep is None else keep(child)
-            if not kept:
-                continue
-            segs = _segments(child.rows, m + 1)
-            if not _lower_segments(child.rows, m + 1, segs, first=True):
-                yield _graph6(m + 1, segs), child, kept
+            yield _graph6(m + 1, segs), Graph._trusted(rows), state
 
 
 @lru_cache(maxsize=None)
@@ -450,8 +448,8 @@ def _canonical_level(n: int) -> tuple[Graph, ...]:
     from the level below, sorted by graph6 string."""
     if n == 0:
         return (empty_graph(0),)
-    children = sorted(_canonical_children(_canonical_level(n - 1)),
-                      key=lambda t: t[0])
+    children = sorted((t for G in _canonical_level(n - 1)
+                       for t in _canonical_children(G)), key=lambda t: t[0])
     return tuple(child for _, child, _ in children)
 
 

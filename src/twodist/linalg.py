@@ -41,9 +41,10 @@ certificates.shifted_principal for a stack of its principal submatrices
 vertices come from a table that one stack per order writes once per
 shift, certificates._small_parts), certificates._gram for
 the Gram matrices of the realizations, which certificates._factor_stack
-factors a stack of one order at a time with one _eigh call, the
-search's hereditary filter (_eigvalsh) and the eigenvalue floor
-(graphs.check_eigenvalue_floor, the least value of one _eigh call).
+factors a stack of one order at a time with one _eigh call, and the
+eigenvalue floor (graphs.check_eigenvalue_floor, the least value of
+one _eigh call); the search's hereditary test (_eigvalsh) borders its
+parent's matrix by one row instead.
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
@@ -139,6 +140,11 @@ def scaled_tol(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     maximum taken on Python floats: numpy's on every matrix without NaN,
     which LAPACK refuses."""
     return tol * max(1.0, 0.0, *np.add.reduce(np.abs(M), 1).tolist())
+
+
+def _stack_cuts(S: np.ndarray, tol: float) -> list:
+    """scaled_tol of every slice of a (k, m, m) stack, in one pass."""
+    return (tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))).tolist()
 
 
 def _as_symmetric(M, tol: float) -> np.ndarray:
@@ -264,16 +270,15 @@ def shifted_stack(S: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     One _eigh call runs LAPACK slice by slice over the stack, and gives
     each slice the bits of its own call; every slice must be symmetric
     by construction, as for shifted_trusted.  The cuts are taken for the
-    whole stack at once, the values scaled_tol gives each slice; each
-    slice is then counted by _count_inertia and read by
+    whole stack at once (_stack_cuts), the values scaled_tol gives each
+    slice; each slice is then counted by _count_inertia and read by
     _read_shifted at its cut, so slice i gives shifted_trusted(S[i], tol)
     bit for bit, in every field.
     """
     values, vectors = _eigh(S)
-    cuts = (tol * np.maximum(1.0, np.abs(S).sum(axis=2).max(axis=1))).tolist()
     return [_read_shifted(val, vec, cut, _count_inertia(val, cut), None)
             for val, vec, cut in zip(values[:, ::-1], vectors[:, :, ::-1],
-                                     cuts)]
+                                     _stack_cuts(S, tol))]
 
 
 @lru_cache(maxsize=None)

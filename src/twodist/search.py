@@ -12,14 +12,14 @@ A + mu I and rank at most r pass to every induced subgraph (Cauchy
 interlacing; a principal submatrix never has larger rank), so every
 qualifying graph is a one-vertex extension of a graph that passes both.
 _grow grows that tree of canonical survivors once per (mu, r_max) by
-orderly generation (graphs._canonical_children), testing a child for
-canonicity only when it passes both tests, and keeps each survivor's
-kernel facts at its own cut: exact ones are those its hereditary test
-already computed.  Exactly, a child's matrix is its parent's plus one
-row, so the test extends the parent's elimination by that row
-(linalg.extend_psd, t packed steps for a parent of rank t) instead of
-eliminating the child whole, and a survivor keeps its elimination for
-its own children; floats read one spectrum per child.
+orderly generation (graphs._canonical_children), and keeps each
+survivor's kernel facts at its own cut.  A child's matrix is its
+parent's plus one row, so the test (_hereditary) takes the parent's
+state and the neighbour mask, before any child is written: exactly it
+extends the parent's elimination by that row (linalg.extend_psd, t
+packed steps for a parent of rank t), on floats it borders the
+parent's A + mu I and reads one spectrum.  A survivor keeps its state
+for its own children and reads its leaf facts off it.
 _ask answers any (r <= r_max, p, mode) query by filtering those facts,
 which is where the range and budget tests, not inherited, run.  The
 float backend prunes at the loosest cut any leaf on n_max vertices uses,
@@ -55,11 +55,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
+import numpy as np
+
 from . import linalg
 from .bounds import dgs_bound, power_bound, turan_bound
 from .certificates import (CodeParameters, certify_alpha, realize_from_alpha,
-                           realize_stack, shifted_graph, _fmt, _is_exact,
-                           _layout, _shift_matrix)
+                           realize_stack, _fmt, _is_exact, _layout,
+                           _shift_matrix)
 from .errors import (AmbiguousPair, CertificateInvalid, ParameterDomain,
                      ReconstructionResidual, SizeGuardError)
 from .graphs import (complete_graph, emit_graph6, empty_graph,
@@ -159,61 +161,57 @@ class _Family:
         return linalg.extend_psd(parent, row, w, self.n_max)
 
 
-class _Hereditary:
-    """Child filter for the grower: A + mu I is PSD with rank <= r.
+def _hereditary(state, mask: int, r: int, mu, cut, family, rejected: dict):
+    """The state of the child of a parent with state state by neighbour
+    mask mask, or None if it fails: A + mu I is PSD with rank <= r.
 
     Both tests pass to every induced subgraph (Cauchy interlacing, and a
     principal submatrix never has larger rank), so a child failing them
-    has no qualifying descendant.  Exact when cut is None: family, the
-    _Family of L (A + mu I), L the denominator of mu, extends the
-    elimination of the child's parent, which the caller sets as
-    self.parent before the parent's children come, by the child's last
-    row (linalg.extend_psd), and a passing child's linalg.Elimination is
-    returned: its .shifted(L, 1) are its leaf facts, those that
-    shifted_graph gives.  A child that is not PSD gives the verdict of
-    the whole kernel at cap 0, before its rank is known.  A float child
-    that passes gives True.  Floats compare at one fixed cut, which must
-    be _cut_max: at that cut both interlacing inequalities still hold,
-    while a child's own smaller cut could drop a graph that a
-    descendant's leaf test accepts; the eigenvalues are counted there by
-    linalg._count_inertia, the certificates' own count.  A failing child
-    gives None.  Counts the rejections by test.
+    has no qualifying descendant.  Exact when cut is None: a state is a
+    linalg.Elimination in family, the _Family of L (A + mu I), L the
+    denominator of mu, extended by the child's row (family.extend); its
+    .shifted(L, 1) are the leaf facts shifted_graph gives.  A child that
+    is not PSD gives the verdict of the whole kernel at cap 0.  On
+    floats a state is A + mu I, the child's the parent's bordered by the
+    mask's 0/1 row and mu, bit for bit what _shift_matrix writes for the
+    child.  Floats compare at one fixed cut, which must be _cut_max: at
+    that cut both interlacing inequalities still hold, while a child's
+    own smaller cut could drop a graph that a descendant's leaf test
+    accepts; the eigenvalues are counted there by linalg._count_inertia,
+    the certificates' own count.  A failing child is counted in rejected
+    by test.
     """
-
-    def __init__(self, r: int, mu, cut, family=None):
-        self.r, self.mu, self.cut, self.family = r, mu, cut, family
-        self.parent = linalg.EMPTY_ELIMINATION
-        self.rejected = {"psd": 0, "rank": 0}
-
-    def __call__(self, G):
-        if self.cut is None:
-            k = self.family.extend(self.parent, G.rows[-1])
-            neg = isinstance(k, linalg.Capped)
-            rank = None if neg else k.rank
-        else:
-            pos, neg, _ = linalg._count_inertia(
-                linalg._eigvalsh(_shift_matrix(G, self.mu, +1)), self.cut)
-            rank, k = pos, True
-        failed = "psd" if neg else "rank" if rank > self.r else None
-        if failed:
-            self.rejected[failed] += 1
-            return None
-        return k
+    if cut is None:
+        child = family.extend(state, mask)
+        neg = isinstance(child, linalg.Capped)
+        rank = None if neg else child.rank
+    else:
+        m = len(state)
+        child = np.empty((m + 1, m + 1))
+        child[:m, :m] = state
+        child[m, :m] = child[:m, m] = [mask >> v & 1 for v in range(m)]
+        child[m, m] = mu
+        rank, neg, _ = linalg._count_inertia(linalg._eigvalsh(child), cut)
+    failed = "psd" if neg else "rank" if rank > r else None
+    if failed:
+        rejected[failed] += 1
+        return None
+    return child
 
 
 def _extend_shard(task):
-    """The kept children of (parent, state) pairs, and the rejections:
-    state is the parent's linalg.Elimination when exact."""
+    """The kept children of (parent, state) pairs, each with its state,
+    and the rejections per test (_hereditary)."""
     parents, r, mu, cut, n_max = task
-    family = None
-    if cut is None:
-        family = _Family(n_max, mu.numerator, mu.denominator, 0)
-    keep = _Hereditary(r, mu, cut, family)
+    family = (None if cut is not None
+              else _Family(n_max, mu.numerator, mu.denominator, 0))
+    rejected = {"psd": 0, "rank": 0}
     grown = []
     for parent, state in parents:
-        keep.parent = state
-        grown += _canonical_children([parent], keep)
-    return grown, keep.rejected
+        # the generator runs out within this pass, so state is this parent's
+        grown += _canonical_children(parent, lambda mask: _hereditary(
+            state, mask, r, mu, cut, family, rejected))
+    return grown, rejected
 
 
 def _pool_size(workers: int, items: int) -> int:
@@ -246,20 +244,19 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
     """Grow the tree at (mu, r_max) once; return (leaves, stats).
 
     Level n extends every canonical survivor of level n-1 (level 0 is the
-    empty graph) by all neighbour masks; a child is tested for canonicity
-    only if it passes the hereditary filter.  leaves holds (order, graph6,
-    kernel facts at its own cut) per survivor; stats is the tree record.
-    A survivor is not rebuilt from its graph6 string: the child Graph
-    itself parents the next level.  Exactly, each tested child extends
-    its parent's linalg.Elimination by its new row, once (_Hereditary),
-    in the layout of the tree's _Family at n_max, and a survivor keeps
-    its elimination, which parents its own children and reads its leaf
-    facts, those of shifted_graph; no matrix of the tree is eliminated
-    whole.  Parents are dealt, each with its elimination, into one task
+    empty graph) by all neighbour masks; each mask is tested from its
+    parent's state (_hereditary) before its child is written, and only a
+    child that passes is tested for canonicity.  leaves holds (order,
+    graph6, kernel facts at its own cut) per survivor; stats is the tree
+    record.  A survivor's Graph parents the next level with its state:
+    exactly its linalg.Elimination in the _Family layout at n_max, which
+    reads its leaf facts, those of shifted_graph, with no matrix of the
+    tree eliminated whole; on floats its A + mu I, whose
+    linalg.shifted_trusted are those facts, so no tree Graph writes a
+    float matrix.  Parents are dealt, each with its state, into one task
     per worker process, and survivors come back with theirs.
     """
-    # floats prune at one fixed cut, not at each child's own, so the
-    # hereditary filter is where the search still picks its arithmetic
+    # floats prune at one fixed cut, not at each child's own
     cut = None if isinstance(mu, Fraction) else _cut_max(mu, n_max, tol)
     stats = {"backend": "exact" if cut is None else "float", "r_max": r_max,
              "tested": {}, "kept": {}, "pruned": {"psd": 0, "rank": 0}}
@@ -272,7 +269,8 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
         # 2 MB of memory and 20 ms of import time
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=shards)
-    leaves, parents = [], [(empty_graph(0), linalg.EMPTY_ELIMINATION)]
+    empty = linalg.EMPTY_ELIMINATION if cut is None else np.zeros((0, 0))
+    leaves, parents = [], [(empty_graph(0), empty)]
     with pool:
         mapper = pool.map if shards > 1 else map
         for n in range(1, n_max + 1):
@@ -289,11 +287,10 @@ def _grow(mu, r_max: int, n_max: int, tol: float, workers: int):
             if not level:
                 break
             parents = [(child, k) for _, child, k in level]
-            # an exact child's elimination reads its leaf facts; a float
-            # leaf compares at its own cut, not at the pruning cut
+            # a float leaf compares at its own cut, not at the pruning cut
             leaves += [(n, g6, k.shifted(mu.denominator, 1) if cut is None
-                        else shifted_graph(child, mu, +1, tol))
-                       for g6, child, k in level]
+                        else linalg.shifted_trusted(k, tol))
+                       for g6, _, k in level]
     return leaves, stats
 
 

@@ -49,24 +49,34 @@ certificates._factor_stack replaced, with its body unchanged, and
 gram_matrix writes its Gram matrix as the realizations did, from the
 float shifted adjacency in two whole-matrix passes.
 
-Hereditary is search._Hereditary with the call it had before its float
-branch counted the eigenvalues with linalg._count_inertia: psd read off
-the least eigenvalue and the rank summed by numpy, the body unchanged.
-Its exact branch runs the whole elimination, as it did before the
-kernels took a cap.
+_Hereditary is the child filter that search._grow ran on each whole
+child Graph before it tested each neighbour mask from its parent's
+state (search._hereditary): its float body, which writes the child's
+matrix and counts its spectrum at the fixed cut.  Hereditary is that
+filter with the call it had before its float branch counted the
+eigenvalues with linalg._count_inertia: psd read off the least
+eigenvalue and the rank summed by numpy, the body unchanged.  Its exact
+branch runs the whole elimination, as it did before the kernels took a
+cap.
 
 grow is search._grow before its exact test extended each child from its
 parent's elimination: GraphHereditary, the filter it ran, eliminates
 every child's whole matrix with one shifted_graph at cap 0, whose facts
-a survivor keeps.  It grows serially, with no pool.
+a survivor keeps, and a float leaf's facts are shifted_graph of its
+Graph.  It writes every tested child's Graph before its filter runs
+(children), and grows serially, with no pool.
 
 certify_alpha, certify_beta_zero and certify_beta are the certificate
 bodies from before they passed a cap to their kernel, unchanged: each
 runs the whole elimination or the whole float read, quadratic form
 included, before it reads the negative count.
 
-extend_canonical is graphs._canonical_children as a list of graph6
-strings, the form the orderly-generation tests read.
+children is graphs._canonical_children over a list of parents with a
+filter on whole Graphs, as it was before it tested each neighbour mask
+ahead of writing the child: child_graph writes every child from its
+parent and mask, and the filter reads it.  extend_canonical is the
+same as a list of graph6 strings, the form the orderly-generation
+tests read.
 
 unpack_matrix is Graph.matrix before each graph kept its 0/1 table:
 every write joins the rows into bytes and unpacks them again, the body
@@ -103,7 +113,7 @@ from twodist.graphs import (MAX_INDEPENDENCE_N, Graph, _bits,
                             independence_number, is_complete)
 from twodist.linalg import (DEFAULT_TOL, Inertia, Shifted, _as_symmetric,
                             _eigh, inertia, scaled_tol)
-from twodist.search import _cut_max, _Hereditary, _leaf_rejection
+from twodist.search import _cut_max, _leaf_rejection
 
 # check_subgraph_inequality_by_sweep sweeps all 2^n subsets when none is
 # given
@@ -642,9 +652,30 @@ def unpack_matrix(G: Graph, diag: float, edge: float,
     return M
 
 
+def child_graph(parent: Graph, mask: int) -> Graph:
+    """The child of parent whose new last vertex has neighbour mask mask."""
+    m = parent.n
+    return Graph._trusted([row | (mask >> v & 1) << m
+                           for v, row in enumerate(parent.rows)] + [mask])
+
+
+def children(parents, keep=None) -> list:
+    """The (graph6, child, kept) triples of graphs._canonical_children
+    over parents, with keep a test of the whole child Graph, written for
+    every mask before keep runs: a false value rejects the child."""
+    out = []
+    for parent in parents:
+        test = None
+        if keep is not None:
+            def test(mask, parent=parent):
+                return keep(child_graph(parent, mask)) or None
+        out += _canonical_children(parent, test)
+    return out
+
+
 def extend_canonical(parents, keep=None) -> list[str]:
     """The graph6 strings that graphs._canonical_children yields."""
-    return [g6 for g6, _, _ in _canonical_children(parents, keep)]
+    return [g6 for g6, _, _ in children(parents, keep)]
 
 
 def contains_clique(G: Graph, t: int) -> bool:
@@ -710,8 +741,30 @@ def shifted(M, tol: float = DEFAULT_TOL) -> Shifted:
     return linalg.shifted_trusted(_as_symmetric(M, tol), tol)
 
 
+class _Hereditary:
+    """search._Hereditary, the child filter on whole Graphs that the
+    grower ran before it tested each neighbour mask from its parent's
+    state: A + mu I is PSD with rank <= r, at the fixed float cut, a
+    passing child giving True, a failing one None, counted by test.
+    Its exact branch, which extended a parent's elimination set as
+    self.parent, had no caller here and is left out."""
+
+    def __init__(self, r: int, mu, cut):
+        self.r, self.mu, self.cut = r, mu, cut
+        self.rejected = {"psd": 0, "rank": 0}
+
+    def __call__(self, G):
+        pos, neg, _ = linalg._count_inertia(
+            linalg._eigvalsh(_shift_matrix(G, self.mu, +1)), self.cut)
+        failed = "psd" if neg else "rank" if pos > self.r else None
+        if failed:
+            self.rejected[failed] += 1
+            return None
+        return True
+
+
 class Hereditary(_Hereditary):
-    """search._Hereditary before its float branch used _count_inertia."""
+    """_Hereditary before its float branch used _count_inertia."""
 
     def __call__(self, G):
         if self.cut is None:
@@ -730,8 +783,8 @@ class Hereditary(_Hereditary):
 
 
 class GraphHereditary(_Hereditary):
-    """search._Hereditary before its exact branch extended each child from
-    its parent's elimination: one shifted_graph per child, at cap 0."""
+    """_Hereditary before its exact branch extended each child from its
+    parent's elimination: one shifted_graph per child, at cap 0."""
 
     def __call__(self, G):
         if self.cut is not None:
@@ -754,7 +807,7 @@ def grow(mu, r_max: int, n_max: int, tol: float):
     leaves, parents = [], [empty_graph(0)]
     for n in range(1, n_max + 1):
         stats["tested"][n] = len(parents) << (n - 1)
-        level = sorted(_canonical_children(parents, keep), key=lambda t: t[0])
+        level = sorted(children(parents, keep), key=lambda t: t[0])
         stats["kept"][n] = len(level)
         if not level:
             break

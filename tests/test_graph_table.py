@@ -98,8 +98,8 @@ def test_table_writer_on_every_constructor_path():
         G = rand_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
         graphs += [G, Graph.from_rows(G.rows), G.complement(),
                    parse_graph6(emit_graph6(G))]
-    graphs += [child for _, child, _ in
-               _canonical_children(enumerate_graphs(5))]
+    graphs += [child for parent in enumerate_graphs(5)
+               for _, child, _ in _canonical_children(parent)]
     realized = 0
     for P in POINTS:
         for G in (cycle_graph(5), rand_graph(rng, 8, 0.5)):

@@ -206,34 +206,45 @@ def test_float_pruning_keeps_what_a_larger_leaf_accepts():
 
 
 def test_float_filter_matches_its_former_body():
-    # the float hereditary filter counts with linalg._count_inertia; its
+    # the float hereditary test counts with linalg._count_inertia; its
     # verdicts and rejection counts must be those of the body that read
     # the least eigenvalue and summed the rank by numpy.  Every graph is
-    # filtered at every r at the pruning cut, and at one r (by its index)
+    # tested from its parent's matrix (G less its last vertex) and its
+    # last row at every r at the pruning cut, and at one r (by its index)
     # at a cut equal to the absolute value of one of its eigenvalues,
     # where the comparisons meet a value at exactly +cut or -cut
     mus = [P.mu for P in search.RATIONAL_GRID]
     mus.append(CodeParameters.make(*pentagon_parameters()).mu)
     tol = linalg.DEFAULT_TOL
     family = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+    parents = [graphs.Graph._trusted([row & (1 << G.n - 1) - 1
+                                      for row in G.rows[:-1]])
+               for G in family]
     ties, pruned = set(), {"psd": 0, "rank": 0}
     for mu in mus:
         values = [np.linalg.eigvalsh(search._shift_matrix(G, mu, +1))
                   for G in family]
+        above = [search._shift_matrix(H, mu, +1) for H in parents]
         for r in range(1, 7):
             for at_value in (False, True):
-                new = search._Hereditary(r, mu, search._cut_max(mu, 6, tol))
-                old = Hereditary(r, mu, new.cut)
-                for i, (G, vals) in enumerate(zip(family, values)):
+                cut = search._cut_max(mu, 6, tol)
+                rejected = {"psd": 0, "rank": 0}
+                old = Hereditary(r, mu, cut)
+                for i, (G, S, vals) in enumerate(zip(family, above, values)):
                     if at_value:
                         if i % 6 != r - 1:
                             continue
                         x = float(vals[i // 6 % G.n])
-                        new.cut = old.cut = abs(x)
+                        cut = old.cut = abs(x)
                         ties.add(x > 0)
-                    assert new(G) == old(G)
-                assert new.rejected == old.rejected
-                for test, count in new.rejected.items():
+                    new = search._hereditary(S, G.rows[-1], r, mu, cut, None,
+                                             rejected)
+                    assert (new is None) == (old(G) is None)
+                    if new is not None:
+                        assert new.tobytes() == search._shift_matrix(
+                            G, mu, +1).tobytes()
+                assert rejected == old.rejected
+                for test, count in rejected.items():
                     pruned[test] += count
     assert ties == {False, True}
     assert pruned["psd"] and pruned["rank"]
@@ -441,6 +452,68 @@ def test_deep_trees_match_the_whole_elimination_grower(r_max, n_max,
     got = search._grow(Fraction(2), r_max, n_max, linalg.DEFAULT_TOL,
                        workers)
     assert got == grow(Fraction(2), r_max, n_max, linalg.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("mu", [Fraction(2), 2.0], ids=["exact", "float"])
+def test_only_kept_children_become_graphs(monkeypatch, mu):
+    # each neighbour mask is tested from its parent's state before its
+    # child is written, so a Graph is built once per kept canonical child
+    # and never for a child that fails the hereditary test
+    real = graphs.Graph._trusted.__func__
+    built = []
+
+    def counted(cls, rows):
+        built.append(len(rows))
+        return real(cls, rows)
+
+    monkeypatch.setattr(graphs.Graph, "_trusted", classmethod(counted))
+    leaves, stats = search._grow(mu, 6, 8, linalg.DEFAULT_TOL, 1)
+    assert len(built) == sum(stats["kept"].values()) == len(leaves)
+    assert sum(stats["tested"].values()) > 10 * len(built)
+
+
+def test_float_tree_through_the_pool_matches_serial():
+    # parents travel to the workers with their A + mu I, and survivors
+    # come back with theirs
+    def rows(leaves, stats):
+        return stats, [(n, g6, k._replace(values=None), k.values.tobytes())
+                       for n, g6, k in leaves]
+
+    tol = linalg.DEFAULT_TOL
+    assert rows(*search._grow(2.0, 6, 8, tol, 2)) == rows(
+        *search._grow(2.0, 6, 8, tol, 1))
+
+
+def test_float_tree_states_are_the_child_matrices(monkeypatch):
+    # a float state is its parent's A + mu I bordered by the child's row:
+    # byte for byte the matrix _shift_matrix writes for the child.  A
+    # float leaf is shifted_graph of the child, field for field, and no
+    # Graph of the tree writes its own float table
+    real = search._canonical_children
+    kept = {}
+
+    def recorded(parent, test):
+        for g6, child, state in real(parent, test):
+            kept[g6] = child, state
+            yield g6, child, state
+
+    monkeypatch.setattr(search, "_canonical_children", recorded)
+    tol = linalg.DEFAULT_TOL
+    mus = [float(P.mu) for P in search.RATIONAL_GRID]
+    mus.append(CodeParameters.make(*pentagon_parameters()).mu)
+    for mu in mus:
+        kept.clear()
+        leaves, stats = search._grow(mu, 5, 7, tol, 1)
+        assert len(kept) == len(leaves) == sum(stats["kept"].values()) > 0
+        assert all(child._table is None for child, _ in kept.values())
+        for _, g6, k in leaves:
+            child, state = kept[g6]
+            M = search._shift_matrix(child, mu, +1)
+            assert (state.dtype, state.shape, state.tobytes()) == (
+                M.dtype, M.shape, M.tobytes())
+            ref = shifted_graph(child, mu, +1, tol)
+            assert k.values.tobytes() == ref.values.tobytes()
+            assert k._replace(values=None) == ref._replace(values=None)
 
 
 # ---------------------------------------------------------------------------
