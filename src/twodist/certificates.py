@@ -22,6 +22,11 @@ arithmetic; floats use the tolerance policy from the linalg module.  The
 arithmetic is chosen once: shifted_graph picks the kernel by the type of
 the shift, and each decision is written once against the kernel's zero
 band cut, which is 0 on the exact path.
+
+_Family writes every packed exact row: a whole graph's for each exact
+certificate, a vertex set's for each neighbourhood part of more than 3
+vertices, and one vertex's at a time for the search's exact tree and
+the oracle cross-check.
 """
 
 from __future__ import annotations
@@ -273,41 +278,63 @@ class BetaCertificate:
 
 
 @lru_cache(maxsize=1024)
-def _layout(n: int, diag: int, edge: int, other: int) -> tuple[int, int, int]:
-    """The field width w of _bordered's rows and two constants of it.
+class _Family:
+    """The packed rows of the bordered integer matrices of graphs on at
+    most n vertices, diag on the diagonal, edge on the edges and other
+    elsewhere, bordered by the all-ones vector: the one writer of the
+    layout linalg.bareiss_bordered and linalg.extend_psd read.  A row is
+    one int, entry c in the signed w-bit field c, and the border is
+    field n at every order, so no field moves when a vertex is added.
+    Instances are cached by (n, diag, edge, other).
 
-    Every vertex row of the bordered matrix has squared norm at most
-    s = diag^2 + (n-1) max(edge^2, other^2) + 1 and the border row has n,
-    so s^n n bounds the product that linalg.packed_width takes.  ones has
-    a 1 in each vertex field, and row * mul & ones spreads the bitmask
-    row into them.  row * mul is the sum of the copies row << (w-1) u,
-    u < n, and w is kept at least n + 1.  Bit b of copy u lies at
-    b + (w-1) u.  Two such bits meet only if b - b' = (w-1)(u' - u), and
-    one starts a field w u' only if b - u = w (u' - u); as |b - b'| and
-    |b - u| are below n <= w - 1, both need u = u'.  So the sum carries
-    nowhere, and the mask keeps exactly bit u of copy u, at field u.
+    row(v, mask, k) is vertex row v with neighbour bitmask mask below
+    2^k: other in the fields below k, edge on the mask, diag at field v,
+    1 at the border and 0 elsewhere.  k = n writes a graph on n vertices;
+    k = m + 1 writes vertex m of a graph grown one vertex at a time,
+    which extend(parent, mask) hands to linalg.extend_psd.  The border
+    row of a vertex set S is S * mul & ones.
+
+    Every vertex row of the bordered matrix of a graph on n vertices has
+    squared norm at most s = diag^2 + (n-1) max(edge^2, other^2) + 1 and
+    the border row has n, so s^n n bounds the product that
+    linalg.packed_width takes.  ones has a 1 in each vertex field, and
+    mask * mul & ones spreads the bitmask into them.  mask * mul is the
+    sum of the copies mask << (w-1) u, u < n, and w is kept at least
+    n + 1.  Bit b of copy u lies at b + (w-1) u.  Two such bits meet only
+    if b - b' = (w-1)(u' - u), and one starts a field w u' only if
+    b - u = w (u' - u); as |b - b'| and |b - u| are below n <= w - 1,
+    both need u = u'.  So the sum carries nowhere, and the mask keeps
+    exactly bit u of copy u, at field u.
     """
-    s = diag * diag + (n - 1) * max(edge * edge, other * other) + 1
-    w = max(linalg.packed_width(s ** n * max(n, 1)), n + 1)
-    mul = ((1 << (w - 1) * n) - 1) // ((1 << w - 1) - 1)
-    return w, mul, linalg.field_ones(n, w)
+
+    def __init__(self, n: int, diag: int, edge: int, other: int):
+        s = diag * diag + (n - 1) * max(edge * edge, other * other) + 1
+        w = self.w = max(linalg.packed_width(s ** n * max(n, 1)), n + 1)
+        self.n, self.step, self.lift = n, edge - other, diag - other
+        self.mul = ((1 << (w - 1) * n) - 1) // ((1 << w - 1) - 1)
+        self.ones = linalg.field_ones(n, w)
+        self.base = [other * linalg.field_ones(k, w) + (1 << w * n)
+                     for k in range(n + 1)]
+
+    def row(self, v: int, mask: int, k: int) -> int:
+        return (self.base[k] + self.step * (mask * self.mul & self.ones)
+                + (self.lift << self.w * v))
+
+    def extend(self, parent, mask: int):
+        m = parent.order
+        return linalg.extend_psd(parent, self.row(m, mask, m + 1), self.w,
+                                 self.n)
 
 
 def _bordered(G: Graph, diag: int, edge: int, other: int) -> tuple[list, int]:
     """The integer matrix diag on the diagonal, edge on the edges of G and
     other elsewhere, bordered by the all-ones vector: the packed rows and
-    the width w that linalg.bareiss_bordered takes, written from the
-    adjacency bitmasks, vertex row v as other everywhere, plus
-    edge - other on the spread bitmask and diag - other at field v, plus
-    the border 1 at field n."""
+    the width w that linalg.bareiss_bordered takes (_Family)."""
     n = G.n
-    w, mul, ones = _layout(n, diag, edge, other)
-    base = other * ones + (1 << w * n)
-    step = edge - other
-    R = [base + step * (row * mul & ones) + ((diag - other) << w * v)
-         for v, row in enumerate(G.rows)]
-    R.append(ones)  # the border row: 1 in every vertex field, corner 0
-    return R, w
+    F = _Family(n, diag, edge, other)
+    R = [F.row(v, row, n) for v, row in enumerate(G.rows)]
+    R.append(F.ones)  # the border row: 1 in every vertex field, corner 0
+    return R, F.w
 
 
 def _shift_matrix(G: Graph, shift, sign: int) -> np.ndarray:
@@ -408,9 +435,8 @@ def shifted_principal(G: Graph, shift, sign: int, masks,
     each such mask's submatrix out of it and runs linalg.shifted_stack
     once per order.  So every float Shifted, table or stack, is bit for
     bit the subgraph's.  A Fraction writes, per mask S, G's packed
-    bordered rows restricted to S, vertex row v as the border plus edge
-    times the spread bitmask G.rows[v] & S plus the diagonal at field v,
-    and the border row the spread S, at G's own width;
+    bordered rows restricted to S in G's _Family: vertex row v of S as
+    row(v, G.rows[v] & S, n) and the border row of S;
     linalg.bareiss_bordered eliminates them on the fields of S.
     """
     n = G.n
@@ -436,18 +462,15 @@ def shifted_principal(G: Graph, shift, sign: int, masks,
         return out
     if exact:
         den = shift.denominator
-        diag, edge = shift.numerator, sign * den
-        w, mul, ones = _layout(n, diag, edge, 0)
-        border = 1 << w * n
+        F = _Family(n, shift.numerator, sign * den, 0)
         for where in by_order.values():
             for i in where:
                 S = masks[i]
                 fields = _bits(S)
-                R = [0] * n + [S * mul & ones]
+                R = [0] * n + [S * F.mul & F.ones]
                 for v in fields:
-                    R[v] = (border + edge * ((rows[v] & S) * mul & ones)
-                            + (diag << w * v))
-                out[i] = linalg.bareiss_bordered(R, w, den, 1, fields)
+                    R[v] = F.row(v, rows[v] & S, n)
+                out[i] = linalg.bareiss_bordered(R, F.w, den, 1, fields)
         return out
     M = _shift_matrix(G, shift, sign)
     for where in by_order.values():

@@ -62,13 +62,13 @@ leaves is such a minor (Sylvester's identity), and the rare zero-pivot
 congruence re-derives w two bits wider; bareiss_bordered proves both.
 shifted_exact is the rational front end: it takes nested lists of ints
 and fractions.Fraction, clears denominators, checks symmetry, adds the
-border and packs the rows.  certificates.shifted_graph is the other: it
+border and packs the rows.  certificates._Family is the other: it
 writes the packed rows of a shifted adjacency straight from the graph's
-bitmasks, and certificates.shifted_principal writes them restricted to
-a vertex set S of more than 3 vertices, which the core then eliminates
-on the fields of S alone, at the width of the whole matrix; a smaller S
-reads its table entry, the core's facts about the induced subgraph's
-own rows.
+bitmasks, a whole graph's for certificates.shifted_graph and, for
+certificates.shifted_principal, a vertex set S of more than 3 vertices,
+which the core then eliminates on the fields of S alone, at the width
+of the whole matrix; a smaller S reads its table entry, the core's
+facts about the induced subgraph's own rows.
 
 bareiss_bordered is the kernel for a whole matrix: the certificates,
 the neighbourhood parts and shifted_exact.  A matrix that is its
@@ -80,9 +80,9 @@ be PSD only if its parent is (interlacing).  extend_psd continues the
 Elimination of a PSD parent by that row alone: it reduces the new row
 through the parent's pivot rows, t packed steps for a parent of rank t
 (Haynsworth's inertia additivity), and returns the child's Elimination
-or the capped verdict.  Every row of such a family is packed at the
-width of its largest member, with the border at a fixed field, so no
-field moves as vertices are added; extend_psd proves that width.
+or the capped verdict.  certificates._Family packs every row of a
+family at the width of its largest member, the border at a fixed field,
+so no field moves as vertices are added; extend_psd proves that width.
 
 A verdict that reads the negative count first can often stop there:
 a certificate fails at its first negative eigenvalue (certify_beta at
@@ -541,7 +541,7 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
     prev, pos, neg = 1, 0, 0
     live = list(range(n) if fields is None else fields)
     mask, half = (1 << w) - 1, 1 << w - 1
-    bias = half * field_ones(n + 1, w)  # half in every field
+    bias = _bias(w, n)  # half in every field
     while live:
         for k in live:
             col = R[k] + bias
@@ -564,7 +564,7 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
                 row[k] += row[j]
             w += 2
             mask, half = (1 << w) - 1, 1 << w - 1
-            bias = half * field_ones(n + 1, w)
+            bias = _bias(w, n)
             for i, row in B.items():
                 R[i] = _pack(row, w)
             continue
@@ -699,7 +699,7 @@ def extend_psd(parent: Elimination, row: int, w: int,
     N + 1, and packed_width(h) holds every minor of it when h is at
     least the product of max(1, squared norm) over its rows.  A family
     takes h at N, from bounds that hold at every order:
-    certificates._layout's h = b^N N, with b >= 1 at least the squared
+    certificates._Family's h = b^N N, with b >= 1 at least the squared
     norm of any vertex row on N vertices and N that of the border row at
     W = 1, is at least that product for a child on n <= N vertices,
     whose n vertex rows have squared norms at most b and whose border

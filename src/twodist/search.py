@@ -15,11 +15,12 @@ _grow grows that tree of canonical survivors once per (mu, r_max) by
 orderly generation (graphs._canonical_children), and keeps each
 survivor's kernel facts at its own cut.  A child's matrix is its
 parent's plus one row, so the test (_hereditary) takes the parent's
-state and the neighbour mask, before any child is written: exactly it
-extends the parent's elimination by that row (linalg.extend_psd, t
-packed steps for a parent of rank t), on floats it borders the
-parent's A + mu I and reads one spectrum.  A survivor keeps its state
-for its own children and reads its leaf facts off it.
+state and the neighbour mask, before any child is written: exactly
+certificates._Family writes that row and extends the parent's
+elimination by it (linalg.extend_psd, t packed steps for rank t), on
+floats it borders the parent's A + mu I and reads one spectrum.  A
+survivor keeps its state for its own children and reads its leaf
+facts off it.
 _ask answers any (r <= r_max, p, mode) query by filtering those facts,
 which is where the range and budget tests, not inherited, run.  The
 float backend prunes at the loosest cut any leaf on n_max vertices uses,
@@ -39,7 +40,7 @@ truth: the Gram candidate with unit diagonal, alpha on edges and beta on
 non-edges, tested for positive semidefiniteness and rank in exact
 integers, then realized and re-extracted.  The enumeration is orderly
 too, so each Gram candidate extends its canonical parent's elimination
-at the same grid point by one row (linalg.extend_psd), and a child of
+at the same grid point by one row (_Family.extend), and a child of
 an indefinite candidate is indefinite (interlacing).  The certified
 pairs of one order are realized together, up to _REALIZE_BLOCK of them
 per stacked call (certificates.realize_stack).  linalg.bareiss_bordered,
@@ -60,7 +61,7 @@ import numpy as np
 from . import linalg
 from .bounds import dgs_bound, power_bound, turan_bound
 from .certificates import (CodeParameters, certify_alpha, realize_from_alpha,
-                           realize_stack, _fmt, _is_exact, _layout,
+                           realize_stack, _fmt, _is_exact, _Family,
                            _shift_matrix)
 from .errors import (AmbiguousPair, CertificateInvalid, ParameterDomain,
                      ReconstructionResidual, SizeGuardError)
@@ -132,33 +133,6 @@ def _cut_max(mu: float, n_max: int, tol: float) -> float:
     """
     return linalg.scaled_tol(_shift_matrix(complete_graph(n_max), mu, +1),
                              tol)
-
-
-class _Family:
-    """The bordered integer matrices of graphs grown one vertex at a time.
-
-    diag on the diagonal, edge on the edges and other elsewhere, bordered
-    by the all-ones vector, up to n_max vertices, in one layout
-    (linalg.Elimination): every row at the width certificates._layout
-    gives the bordered matrix of a graph on n_max vertices, and the
-    border at field n_max, so no field moves when a vertex is added.  extend(parent,
-    mask) writes the row of vertex m = parent.order from its neighbour
-    mask, as certificates._bordered writes a vertex row, its fields
-    above m left zero, and runs linalg.extend_psd on it.
-    """
-
-    def __init__(self, n_max: int, diag: int, edge: int, other: int):
-        self.w, self.mul, self.ones = _layout(n_max, diag, edge, other)
-        self.n_max, self.diag, self.step = n_max, diag, edge - other
-        border = 1 << self.w * n_max
-        self.base = [other * linalg.field_ones(m, self.w) + border
-                     for m in range(n_max)]
-
-    def extend(self, parent, mask: int):
-        m, w = parent.order, self.w
-        row = (self.base[m] + self.step * (mask * self.mul & self.ones)
-               + (self.diag << w * m))
-        return linalg.extend_psd(parent, row, w, self.n_max)
 
 
 def _hereditary(state, mask: int, r: int, mu, cut, family, rejected: dict):

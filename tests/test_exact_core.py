@@ -205,7 +205,10 @@ def test_congruence_after_a_regular_pivot(q, p, monkeypatch):
 
 def test_bordered_writes_the_packed_matrix():
     # the bitmask writer (spread by one multiplication and a mask) packs
-    # exactly the list matrix, at every width its layout picks
+    # exactly the list matrix, at every width its layout picks, for a
+    # whole graph and, one vertex at a time, for each of its prefixes:
+    # vertex m's row of the prefix on m + 1 vertices, its fields above m
+    # zero and the border at field n
     entries = ((5, 3, 0), (0, 1, 0), (1, -1, 0), (3, 1, -1), (4, -3, 2),
                (1 << 30, -7, 1 << 20))
     for n in range(0, 7):
@@ -218,6 +221,13 @@ def test_bordered_writes_the_packed_matrix():
                      for v in range(n)] + [[1] * n + [0]]
                 assert R == [sum(x << w * i for i, x in enumerate(row))
                              for row in B]
+                family = cert._Family(n, diag, edge, other)
+                assert family.w == w
+                for m in range(n):
+                    row = B[m][:m + 1] + [0] * (n - m - 1) + [1]
+                    assert family.row(m, G.rows[m] & (1 << m) - 1,
+                                      m + 1) == sum(
+                        x << w * i for i, x in enumerate(row))
 
 
 def masked_rows(B, fields, w):

@@ -101,3 +101,33 @@ def test_float_spectra_have_one_lapack_entry_point():
             if banned.intersection(names):
                 stray.append("%s:%d" % (path.stem, node.lineno))
     assert stray == []
+
+
+def test_packed_rows_have_one_writer():
+    # the packed exact layout has one owner: outside linalg, only the body
+    # of certificates._Family names the width or the field constants
+    banned = {"packed_width", "field_ones"}
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        tree = parse(path)
+        inside = set()
+        if path.stem == "certificates":
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "_Family":
+                    inside.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if banned.intersection(names):
+                stray.append("%s:%d" % (path.stem, node.lineno))
+    assert stray == []
