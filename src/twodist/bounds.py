@@ -94,14 +94,12 @@ def check_subgraph_inequality(G: Graph, params: CodeParameters,
     at c = t / (2e + t mu) that is t^2 / (2e + t mu) <= q.  The right
     inequality is q <= p, the certificate's own budget test.  So no
     subset is enumerated: value is q, and with subset given (its
-    vertices must lie in range(G.n), and there must be at least one)
-    the witness is sorted(set(subset)).
+    vertices must be integers in range(G.n), and there must be at least
+    one) the witness is sorted(set(subset)).
     """
     if subset is not None:
         for v in subset:
-            if v not in range(G.n):
-                raise ValueError("subset vertex %r is not in range(%d)"
-                                 % (v, G.n))
+            _check_vertex(G, v)
         subset = sorted(set(subset))
         if not subset:
             raise ValueError("the subset must name at least one vertex")

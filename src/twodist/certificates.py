@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -44,10 +44,6 @@ from .errors import (AmbiguousPair, CertificateInvalid, ParameterDomain,
                      ReconstructionResidual)
 from .graphs import Graph, _bits
 from .linalg import DEFAULT_TOL
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class CodeParameters:
             raise ParameterDomain("need beta < alpha, got alpha=%r beta=%r"
                                   % (af, bf))
         exact = None
-        if _is_exact(alpha) and _is_exact(beta):
+        if linalg._rational(alpha) and linalg._rational(beta):
             a, b = Fraction(alpha), Fraction(beta)
             exact = cls(alpha=a, beta=b,
                         mu=(1 - b) / (a - b),
@@ -389,30 +385,22 @@ _PATTERNS = tuple(
 
 
 @lru_cache(maxsize=1024, typed=True)
-def _small_parts(exact: bool, shift, sign: int, tol: float) -> tuple:
+def _small_parts(shift, sign: int, tol: float) -> tuple:
     """The kernel facts of every labelled graph of order at most _SMALL
     at one shift: entry [m - 1][p] is shifted_graph's read of pattern
-    graph p of order m (_PATTERNS), 1 + 2 + 8 entries.
+    graph p of order m (_PATTERNS), 1 + 2 + 8 entries, 11 kernel calls
+    per (shift, sign, tol).
 
-    exact is _exact_shift(shift), so the key holds the arithmetic and
-    the cut rule next to the matrix, and typed keeps a Fraction, an int
-    and a float of one value apart as well.  A Fraction reads each
-    pattern with linalg.bareiss_bordered through shifted_graph; a float
-    writes each order's matrices with _shift_matrix and reads them with
-    one linalg.shifted_stack, whose slices keep the bits of their own
-    call, and the cached values are made read-only.
+    typed keeps a Fraction, an int and a float of one value apart, so
+    each reads its own table in its own arithmetic.  The cached float
+    values are made read-only.
     """
-    if exact:
-        return tuple(tuple(shifted_graph(H, shift, sign) for H in graphs)
-                     for graphs in _PATTERNS)
-    table = []
-    for graphs in _PATTERNS:
-        stack = np.array([_shift_matrix(H, shift, sign) for H in graphs])
-        facts = linalg.shifted_stack(stack, tol)
-        for k in facts:
+    table = tuple(tuple(shifted_graph(H, shift, sign, tol) for H in graphs)
+                  for graphs in _PATTERNS)
+    for k in chain.from_iterable(table):
+        if k.values is not None:
             k.values.flags.writeable = False
-        table.append(tuple(facts))
-    return tuple(table)
+    return table
 
 
 def shifted_principal(G: Graph, shift, sign: int, masks,
@@ -427,10 +415,12 @@ def shifted_principal(G: Graph, shift, sign: int, masks,
     shifted_graph.
 
     A mask of order at most _SMALL = 3 is read from _small_parts, the
-    facts of the 11 labelled graphs of those orders at this shift, at
-    the pattern of its induced adjacency: no bit at order 1, one at
-    order 2, three at order 3, read off G.rows.  Those facts are shared
-    between calls, and their float values are read-only.  A larger mask
+    shifted_graph reads of the 11 labelled graphs of those orders at
+    this shift, at the pattern of its induced adjacency: no bit at order
+    1, one at order 2, three at order 3, read off G.rows.  Those facts
+    are shared between calls, and their float values are read-only; the
+    induced subgraph is its pattern graph, so they are the subgraph's
+    own shifted_graph facts, in both arithmetics.  A larger mask
     runs its kernel per call.  A float writes G's matrix once, slices
     each such mask's submatrix out of it and runs linalg.shifted_stack
     once per order.  So every float Shifted, table or stack, is bit for
@@ -444,8 +434,7 @@ def shifted_principal(G: Graph, shift, sign: int, masks,
         if not 0 < S < 1 << n:
             raise ValueError("vertex mask %r is empty or not in range(%d)"
                              % (S, n))
-    exact = _exact_shift(shift)
-    table = _small_parts(exact, shift, sign, tol)
+    table = _small_parts(shift, sign, tol)
     rows = G.rows
     out = [None] * len(masks)
     by_order = {}
@@ -460,7 +449,7 @@ def shifted_principal(G: Graph, shift, sign: int, masks,
         out[i] = table[m - 1][p]
     if not by_order:
         return out
-    if exact:
+    if _exact_shift(shift):
         den = shift.denominator
         F = _Family(n, shift.numerator, sign * den, 0)
         for where in by_order.values():

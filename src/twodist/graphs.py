@@ -256,7 +256,9 @@ def _graph6(n: int, segs) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_vertex(G: Graph, u) -> None:
-    if u not in range(G.n):
+    """ValueError unless u is an integer vertex of G: a float such as 1.0
+    equals a vertex but cannot index G.rows."""
+    if not isinstance(u, (int, np.integer)) or u not in range(G.n):
         raise ValueError("vertex %r is not in range(%d)" % (u, G.n))
 
 

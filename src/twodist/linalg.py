@@ -38,13 +38,14 @@ writers build their matrix straight from a graph's bitmasks
 (Graph.matrix): certificates.shifted_graph for A + mu I and lam I - A,
 certificates.shifted_principal for a stack of its principal submatrices
 (the neighborhoods of bounds.check_neighborhood; parts of at most 3
-vertices come from a table that one stack per order writes once per
-shift, certificates._small_parts), certificates._gram for
-the Gram matrices of the realizations, which certificates._factor_stack
-factors a stack of one order at a time with one _eigh call, and the
-eigenvalue floor (graphs.check_eigenvalue_floor, the least value of
-one _eigh call); the search's hereditary test (_eigvalsh) borders its
-parent's matrix by one row instead.
+vertices come from certificates._small_parts, a table built once per
+shift from shifted_graph reads of the 11 labelled graphs of those
+orders), certificates._gram for the Gram matrices of the realizations,
+which certificates._factor_stack factors a stack of one order at a time
+with one _eigh call, and the eigenvalue floor
+(graphs.check_eigenvalue_floor, the least value of one _eigh call); the
+search's hereditary test (_eigvalsh) borders its parent's matrix by one
+row instead.
 
 The exact backend at the bottom of the module is one integer core with
 two front ends.  The core, bareiss_bordered, runs one fraction-free
@@ -334,7 +335,8 @@ _UPDATE_SHIFT = {
 
 
 def _rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    """Whether x runs exact arithmetic: an int or a Fraction, not a bool."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def rank_one_update_inertia(M, u, c,
@@ -346,10 +348,10 @@ def rank_one_update_inertia(M, u, c,
     computed directly from the updated matrix and must agree with the shift
     the case predicts; a disagreement raises AmbiguousCase, which can only
     happen when s sits at the case boundary within tolerance.  When c and
-    every entry of M (nested lists) and u are ints or Fractions, both
-    matrices go to shifted_exact and every decision is exact, so the
-    update is never ambiguous; otherwise M is checked and symmetrized,
-    and both go to the float core at tol'.
+    every entry of M (nested lists) and u are ints or Fractions, and not
+    bools (_rational), both matrices go to shifted_exact and every
+    decision is exact, so the update is never ambiguous; otherwise M is
+    checked and symmetrized, and both go to the float core at tol'.
     """
     if c == 0:
         raise ValueError("update coefficient c must be nonzero")
@@ -466,15 +468,17 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
     with B read as that submatrix padded by zeros.
 
     cap, when given, is the largest negative count the caller's verdict
-    can use.  The elimination stops at the pivot that takes the negative
-    count past it, with no further row update and no quadratic form, and
-    returns Capped(None, Inertia(None, cap + 1, None)).  That keeps the
-    verdict, because the negative count only grows, pivot by pivot: the
-    pivots taken so far count the inertia of the pivot block, the
-    inertia of M is that plus the inertia of its Schur complement
-    (Haynsworth), and the congruence keeps every inertia.  So the whole
-    elimination would count more than cap negative pivots too, and the
-    sign of a pivot is final once it is taken.
+    can use.  The elimination stops only at a negative pivot, the one
+    that takes the negative count past cap, with no further row update
+    and no quadratic form, and returns Capped(None, Inertia(None, cap +
+    1, None)); a zero-diagonal block takes its congruence whatever the
+    count, so a Capped always means that a negative pivot was taken.
+    That keeps the verdict, because the negative count only grows,
+    pivot by pivot: the pivots taken so far count the inertia of the
+    pivot block, the inertia of M is that plus the inertia of its Schur
+    complement (Haynsworth), and the congruence keeps every inertia.  So
+    the whole elimination would count more than cap negative pivots too,
+    and the sign of a pivot is final once it is taken.
 
     A step with pivot row k, d = B[k][k], updates every live row i, the
     border row included, in one line: R[i] = (d R[i] - f R[k]) // prev,
@@ -517,24 +521,6 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
     below 4 * 2^(w-1) = 2^(w+1).  So the congruence re-derives the width
     as w + 2 and repacks the live rows; repeated congruences compose, 2
     bits each.
-
-    The zero-diagonal exit.  At a capped run's zero-diagonal block with
-    neg == cap, the kernel returns Capped(None, Inertia(None, cap + 1,
-    None)) at once, with no decode and no congruence, when some live row
-    is nonzero off the border: R[i] & (2^(w n) - 1) != 0.  That test is
-    exact, because the vertex fields of R[i], each in (-2^(w-1),
-    2^(w-1)), sum to an int of absolute value below 2^(w n - 1), zero
-    only when every one of them is.  Why the count passes the cap.  The
-    live fields are prev times the Schur complement C of the pivot block
-    (Sylvester), and the inertia of M is that of the pivots plus that of
-    C (Haynsworth).  The pivot fields and, on a principal submatrix, the
-    fields outside S are zero, so the nonzero field is C[i][j] with i
-    and j live and distinct, and C[i][i] = C[j][j] = 0.  A positive
-    semidefinite matrix has no zero diagonal entry with a nonzero row:
-    the 2 x 2 principal minor -C[i][j]^2 would be negative.  Neither has
-    a negative semidefinite one, so C is indefinite, whatever the sign
-    of prev, and has a negative eigenvalue: the whole elimination would
-    count at least cap + 1.
     """
     n = len(R) - 1  # the border is row and column n, never a pivot
     cap = n if cap is None else cap  # neg never exceeds n
@@ -549,8 +535,6 @@ def bareiss_bordered(R: list, w: int, L: int, W: int, fields=None,
             if d:
                 break
         else:
-            if neg == cap and any(R[i] & (1 << w * n) - 1 for i in live):
-                return Capped(None, Inertia(None, neg + 1, None))
             B = {i: [((R[i] + bias) >> w * c & mask) - half
                      for c in range(n + 1)] for i in live + [n]}
             pair = next(((i, j) for a, i in enumerate(live)

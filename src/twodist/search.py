@@ -61,8 +61,7 @@ import numpy as np
 from . import linalg
 from .bounds import dgs_bound, power_bound, turan_bound
 from .certificates import (CodeParameters, certify_alpha, realize_from_alpha,
-                           realize_stack, _fmt, _is_exact, _Family,
-                           _shift_matrix)
+                           realize_stack, _fmt, _Family, _shift_matrix)
 from .errors import (AmbiguousPair, CertificateInvalid, ParameterDomain,
                      ReconstructionResidual, SizeGuardError)
 from .graphs import (complete_graph, emit_graph6, empty_graph,
@@ -199,7 +198,7 @@ def _arguments(r: int, p, mu, n_max: int):
         raise SizeGuardError("capacity scans are guarded to n_max <= 8")
     if r < 1 or n_max < 1:
         raise ValueError("need r >= 1 and n_max >= 1")
-    if _is_exact(p) and _is_exact(mu):
+    if linalg._rational(p) and linalg._rational(mu):
         p, mu = Fraction(p), Fraction(mu)
     else:
         p, mu = float(p), float(mu)

@@ -93,8 +93,8 @@ def test_subgraph_reuses_supplied_certificate():
 
 
 @pytest.mark.parametrize("subset, match", [
-    ([7], "7"), ([-1], "-1"), ([], "at least one vertex")],
-    ids=("outside", "negative", "empty"))
+    ([7], "7"), ([-1], "-1"), ([], "at least one vertex"), ([1.0], "1.0")],
+    ids=("outside", "negative", "empty", "float"))
 def test_subgraph_rejects_bad_subsets(subset, match):
     with pytest.raises(ValueError, match=match):
         bounds.check_subgraph_inequality(cycle_graph(4), P01X, subset=subset)
@@ -282,10 +282,11 @@ def test_neighborhood_exact_path():
     assert rep.applicable and rep.holds
 
 
-@pytest.mark.parametrize("u", [-1, 4, 9])
+@pytest.mark.parametrize("u", [-1, 4, 9, 1.0])
 def test_neighborhood_rejects_a_vertex_outside_the_graph(u):
     # -1 once read G.rows[-1], vertex 3, and kept it in the "deleted"
-    # part; 4 and 9 raised IndexError
+    # part; 4 and 9 raised IndexError, and 1.0, equal to vertex 1,
+    # TypeError
     with pytest.raises(ValueError, match="not in range"):
         bounds.check_neighborhood(cycle_graph(4), P01X, u=u)
 

@@ -1171,6 +1171,46 @@ def test_shifted_principal_rejects_an_empty_or_foreign_mask(mask):
         cert.shifted_principal(cycle_graph(4), 2.0, +1, [1, mask])
 
 
+def test_exact_facts_add_over_a_disjoint_union():
+    # the shifted adjacency of G + H is block diagonal, so at every exact
+    # point its facts are those of the parts added: inertias and ranks
+    # add, j is in the range iff it is for both parts, q adds, a capped
+    # read stops exactly when the parts' negative counts add past the
+    # cap, and the principal reads on the parts' vertex sets are the
+    # parts' own; no reference kernel is involved
+    from twodist.graphs import enumerate_graphs
+    from twodist.search import BETA_GRID, RATIONAL_GRID
+
+    points = sorted({(P.exact.mu, +1) for P in RATIONAL_GRID}
+                    | {(P.exact.lam, -1) for P in BETA_GRID})
+    graphs = [G for n in range(1, 5) for G in enumerate_graphs(n)]
+    assert len(graphs) == 18
+    checked = 0
+    for shift, sign in points:
+        facts = [cert.shifted_graph(G, shift, sign) for G in graphs]
+        for (G, a), (H, b) in itertools.combinations_with_replacement(
+                zip(graphs, facts), 2):
+            U = disjoint_union([G, H])
+            k = cert.shifted_graph(U, shift, sign)
+            assert k.inertia == tuple(map(sum, zip(a.inertia, b.inertia)))
+            assert k.rank == a.rank + b.rank
+            in_range = a.quadform is not None and b.quadform is not None
+            assert (k.quadform is not None) == in_range
+            if in_range:
+                assert k.quadform == a.quadform + b.quadform
+                assert type(k.quadform) is Fraction
+            neg = a.inertia.neg + b.inertia.neg
+            for cap in (0, 1):
+                c = cert.shifted_graph(U, shift, sign, cap=cap)
+                assert (type(c) is linalg.Capped) == (neg > cap)
+                assert c == (linalg.Capped(None, linalg.Inertia(
+                    None, cap + 1, None)) if neg > cap else k)
+            low = (1 << G.n) - 1
+            assert cert.shifted_principal(
+                U, shift, sign, [low, ((1 << H.n) - 1) << G.n]) == [a, b]
+            checked += 1
+    assert checked == len(points) * 171
+
 
 def capped_points(exact: bool) -> list:
     """The parameter points of the capped-certificate comparison: the

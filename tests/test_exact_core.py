@@ -348,10 +348,10 @@ def test_capped_kernel_stops_exactly_past_its_cap(case):
     # pivot 0 is negative, so cap 0 stops before the zero-diagonal block
     # that the full elimination meets with a congruence
     ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], [True, False], True),
-    # a zero diagonal: the full elimination takes the congruence, then
-    # the negative pivot; cap 0 stops at the zero-diagonal block instead
-    ([[0, 1], [1, 0]], [True, False], True),
-    ([[0, 1, 0], [1, 0, 0], [0, 0, 3]], [True, False], True),
+    # a zero diagonal: both runs take the congruence, then the negative
+    # pivot, where cap 0 stops
+    ([[0, 1], [1, 0]], [True, True], True),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 3]], [True, True], True),
     # positive semidefinite: cap 0 never trips, and every step runs
     ([[0, 0], [0, 2]], [False, False], False),
 ])

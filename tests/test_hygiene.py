@@ -131,3 +131,23 @@ def test_packed_rows_have_one_writer():
             if banned.intersection(names):
                 stray.append("%s:%d" % (path.stem, node.lineno))
     assert stray == []
+
+
+def test_one_stopping_rule_and_one_table_body():
+    # linalg.bareiss_bordered builds its Capped in one place, at the
+    # negative pivot past its cap, and certificates._small_parts reads
+    # every entry through shifted_graph, naming no linalg kernel itself
+    def body(stem, name):
+        return next(node for node in parse(SRC / (stem + ".py")).body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    capped = [node.lineno for node in ast.walk(body("linalg",
+                                                    "bareiss_bordered"))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "Capped"]
+    assert len(capped) == 1
+    named = [node.attr for node in ast.walk(body("certificates",
+                                                 "_small_parts"))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "linalg"]
+    assert named == []
